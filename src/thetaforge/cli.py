@@ -14,6 +14,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import qexp, voarep
 from .cliffcode import (
@@ -66,15 +67,28 @@ def _load_code(spec):
     return read_code_file(spec)
 
 
-def _parse_cutoff(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+def _parse_cutoff(text, option):
+    """An exponent cutoff written as an integer or a/b."""
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("%s must be an integer or a/b with b nonzero, "
+                         "got %r" % (option, text)) from None
 
 
-def _series_obj(series):
-    return qexp.to_json_obj(series)
+def _check_order(order):
+    if order < 0:
+        raise ValueError("--order must be nonnegative, got %s" % order)
+    return order
+
+
+def _verdict(report):
+    """Print a verification report; exit 0 when it passes, 1 otherwise."""
+    _emit(report)
+    return 0 if report["pass"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +121,20 @@ def cmd_lattice(args):
 
 
 def cmd_qexp(args):
-    cutoff = _parse_cutoff(args.cutoff)
+    cutoff = _parse_cutoff(args.cutoff, "--cutoff")
     series = qexp.eta(args.prime, cutoff)
     if args.power != 1:
         series = series ** args.power
-    _emit(_series_obj(series))
+    _emit(qexp.to_json_obj(series))
     return 0
 
 
 def cmd_theta(args):
-    order = _parse_cutoff(args.order)
+    order = _check_order(_parse_cutoff(args.order, "--order"))
     lat = standard_lattice(args.prime, 1)
     series = theta_series(lat, order, (args.digit_class % args.prime,))
     _emit({"class": args.digit_class, "order": str(order),
-           "prime": args.prime, "series": _series_obj(series)})
+           "prime": args.prime, "series": qexp.to_json_obj(series)})
     return 0
 
 
@@ -128,23 +142,19 @@ def cmd_rep_zmap(args):
     word = tuple(int(t) for t in args.orbit.split(","))
     orbit = voarep.orbit_of(args.prime, word)
     series = voarep.z_map(voarep.RepElement.from_orbit(orbit),
-                          _parse_cutoff(args.order))
+                          _check_order(_parse_cutoff(args.order, "--order")))
     _emit({"orbit": list(orbit.profile), "prime": args.prime,
-           "series": _series_obj(series)})
+           "series": qexp.to_json_obj(series)})
     return 0
 
 
 def cmd_rep_check_main(args):
-    report = voarep.main_theorem_check(args.prime, args.n,
-                                       _parse_cutoff(args.cutoff))
-    _emit(report)
-    return 0 if report["pass"] else 1
+    return _verdict(voarep.main_theorem_check(
+        args.prime, args.n, _parse_cutoff(args.cutoff, "--cutoff")))
 
 
 def cmd_clifford_verify(args):
-    report = clifford_verify_all()
-    _emit(report)
-    return 0 if report["pass"] else 1
+    return _verdict(clifford_verify_all())
 
 
 def cmd_clifford_delta(args):
@@ -182,8 +192,8 @@ def _alpbach_exact(code, order):
         "n": code.n,
         "size": len(code),
         "order": str(cutoff),
-        "lhs": _series_obj(lhs.truncate(cutoff)),
-        "rhs": _series_obj(rhs.truncate(cutoff)),
+        "lhs": qexp.to_json_obj(lhs.truncate(cutoff)),
+        "rhs": qexp.to_json_obj(rhs.truncate(cutoff)),
         "pass": same,
     }
 
@@ -202,20 +212,23 @@ def verify_expansion():
           and sorted(got1) == sorted(want1)
           and all(got1[e] == want1[e] for e in want1))
     return {
-        "class0": _series_obj(theta0),
-        "class1": _series_obj(theta1),
+        "class0": qexp.to_json_obj(theta0),
+        "class1": qexp.to_json_obj(theta1),
         "pass": ok,
     }
 
 
-def verify_alpbach_cmd(args):
+def cmd_verify_alpbach(args):
+    _check_order(args.order)
     code = _load_code(args.code)
+    if args.prime != code.p:
+        raise ValueError("--prime %d does not match the prime %d of code %s"
+                         % (args.prime, code.p, args.code))
     if args.points:
         with open(args.points, "r", encoding="utf-8") as fh:
             points = parse_points_text(fh.read(), code.p)
-        report = verify_alpbach(code, points, tol=args.tol)
-        return report
-    return _alpbach_exact(code, args.order)
+        return _verdict(verify_alpbach(code, points, tol=args.tol))
+    return _verdict(_alpbach_exact(code, args.order))
 
 
 def verify_alpbach_random_exact(seed=0, trials=10):
@@ -257,6 +270,9 @@ def verify_alpbach_random_numerical(seed=0, trials=5, tol=1e-8):
     return {"prime": 5, "tol": tol, "trials": rows, "pass": ok}
 
 
+SL2F3_POINTS = (1j, 2j, 0.3 + 1.5j)
+
+
 def verify_sl2f3_cmd(zs, tol):
     rows = []
     ok = True
@@ -282,7 +298,7 @@ def verify_e8():
           and theta_ok and fp_counts == box_counts)
     return {
         "lattice": info,
-        "theta": _series_obj(series),
+        "theta": qexp.to_json_obj(series),
         "theta_matches": theta_ok,
         "routes_agree": fp_counts == box_counts,
         "pass": bool(ok),
@@ -320,7 +336,7 @@ def verify_orbits(seed=1):
             for orbit in voarep.all_orbits(p, n):
                 rep_word = orbit.representative()
                 base = theta_series(lat, cutoff, rep_word)
-                members = _orbit_members(p, rep_word)
+                members = voarep.orbit_members(p, rep_word)
                 swept += len(members)
                 for w in members:
                     if theta_series(lat, cutoff, w) != base:
@@ -338,7 +354,7 @@ def verify_orbits(seed=1):
             mult = False
     counts = all(
         len(list(voarep.all_orbits(p, n)))
-        == _binom(n + (p - 1) // 2, (p - 1) // 2)
+        == comb(n + (p - 1) // 2, (p - 1) // 2)
         for p in (3, 5) for n in range(1, 9))
     return {
         "cosets_checked": swept,
@@ -347,25 +363,6 @@ def verify_orbits(seed=1):
         "orbit_counts": counts,
         "pass": invariance and mult and counts,
     }
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
-def _orbit_members(p, word):
-    """All words reachable by sign flips and coordinate permutations."""
-    import itertools as it
-    n = len(word)
-    members = set()
-    for perm in it.permutations(range(n)):
-        base = [word[perm[i]] for i in range(n)]
-        for signs in it.product((1, -1), repeat=n):
-            members.add(tuple((s * d) % p for s, d in zip(signs, base)))
-    return sorted(members)
 
 
 def verify_grades():
@@ -420,21 +417,29 @@ def verify_tower():
     }
 
 
+# The stages of `verify all`, in order.  Every stage whose name is not
+# reached through another command is also a `verify` subcommand.
 VERIFY_STAGES = (
-    ("expansion", lambda: verify_expansion()),
+    ("expansion", verify_expansion),
     ("alpbach_exact_tetracode",
      lambda: _alpbach_exact(standard_codes("tetracode"), 3)),
-    ("alpbach_exact_random", lambda: verify_alpbach_random_exact()),
-    ("alpbach_numerical", lambda: verify_alpbach_random_numerical()),
-    ("e8", lambda: verify_e8()),
-    ("golay", lambda: verify_golay()),
-    ("orbits", lambda: verify_orbits()),
-    ("grades", lambda: verify_grades()),
-    ("sl2f3", lambda: verify_sl2f3_cmd([1j, 2j, 0.3 + 1.5j], 1e-7)),
+    ("alpbach_exact_random", verify_alpbach_random_exact),
+    ("alpbach_numerical", verify_alpbach_random_numerical),
+    ("e8", verify_e8),
+    ("golay", verify_golay),
+    ("orbits", verify_orbits),
+    ("grades", verify_grades),
+    ("sl2f3", lambda: verify_sl2f3_cmd(SL2F3_POINTS, 1e-7)),
+    # looked up when called, so a rebinding of the module name takes effect
     ("clifford", lambda: clifford_verify_all()),
-    ("hamming", lambda: verify_hamming()),
-    ("tower", lambda: verify_tower()),
+    ("hamming", verify_hamming),
+    ("tower", verify_tower),
 )
+
+
+def cmd_verify_sl2f3(args):
+    zs = [complex(s) for s in args.z] if args.z else SL2F3_POINTS
+    return _verdict(verify_sl2f3_cmd(zs, args.tol))
 
 
 def verify_all_cmd():
@@ -464,23 +469,27 @@ def build_parser():
     p_code.add_argument("--code", required=True,
                         help="builtin name (%s) or file" %
                         ", ".join(BUILTIN_CODES))
+    p_code.set_defaults(func=cmd_code)
 
     p_lat = sub.add_parser("lattice", help="lattice invariants of a code")
     p_lat.add_argument("--code", required=True)
     p_lat.add_argument("--info", action="store_true",
                        help="print rank, discriminant, evenness, minimal "
                             "norm (default output)")
+    p_lat.set_defaults(func=cmd_lattice)
 
     p_q = sub.add_parser("qexp", help="eta-power series JSON")
     p_q.add_argument("--prime", type=int, required=True)
     p_q.add_argument("--cutoff", required=True,
                      help="inclusive exponent cutoff, int or a/b")
     p_q.add_argument("--power", type=int, default=1)
+    p_q.set_defaults(func=cmd_qexp)
 
     p_t = sub.add_parser("theta", help="theta series of one digit class")
     p_t.add_argument("--prime", type=int, required=True)
     p_t.add_argument("--class", dest="digit_class", type=int, required=True)
     p_t.add_argument("--order", required=True)
+    p_t.set_defaults(func=cmd_theta)
 
     p_rep = sub.add_parser("rep", help="module-indexing maps")
     rep_sub = p_rep.add_subparsers(dest="rep_command", required=True)
@@ -489,11 +498,13 @@ def build_parser():
     p_zmap.add_argument("--orbit", required=True,
                         help="comma-separated digits of a representative")
     p_zmap.add_argument("--order", required=True)
+    p_zmap.set_defaults(func=cmd_rep_zmap)
     p_main = rep_sub.add_parser("check-main",
                                 help="separation/bijectivity report")
     p_main.add_argument("--prime", type=int, required=True)
     p_main.add_argument("--n", type=int, required=True)
     p_main.add_argument("--cutoff", default="3")
+    p_main.set_defaults(func=cmd_rep_check_main)
 
     p_ver = sub.add_parser("verify", help="verification reports")
     ver_sub = p_ver.add_subparsers(dest="verify_command", required=True)
@@ -505,21 +516,27 @@ def build_parser():
     p_alp.add_argument("--tol", type=float, default=1e-8)
     p_alp.add_argument("--order", type=int, default=3,
                        help="exact-mode inclusive exponent cutoff")
+    p_alp.set_defaults(func=cmd_verify_alpbach)
     p_sl2 = ver_sub.add_parser("sl2f3")
     p_sl2.add_argument("--z", action="append",
                        help="complex point, repeatable; default i, 2i, "
                             "0.3+1.5i")
     p_sl2.add_argument("--tol", type=float, default=1e-7)
-    for name in ("expansion", "e8", "golay", "orbits", "grades",
-                 "hamming", "tower"):
-        ver_sub.add_parser(name)
+    p_sl2.set_defaults(func=cmd_verify_sl2f3)
+    # alpbach_* and sl2f3 run through the subcommands above; clifford is
+    # `thetaforge clifford verify`.  The other stages take no arguments.
+    for name, stage in VERIFY_STAGES:
+        if name.split("_")[0] not in ver_sub.choices and name != "clifford":
+            ver_sub.add_parser(name).set_defaults(
+                func=lambda args, stage=stage: _verdict(stage()))
     p_all = ver_sub.add_parser("all")
     p_all.add_argument("--level", choices=["desk"], default="desk")
+    p_all.set_defaults(func=lambda args: _verdict(verify_all_cmd()))
 
     p_cliff = sub.add_parser("clifford", help="Clifford-group checks")
     cliff_sub = p_cliff.add_subparsers(dest="clifford_command",
                                        required=True)
-    cliff_sub.add_parser("verify")
+    cliff_sub.add_parser("verify").set_defaults(func=cmd_clifford_verify)
     p_delta = cliff_sub.add_parser("delta")
     p_delta.add_argument("--word", required=True,
                          help="comma-separated symbol indices, e.g. 0,1")
@@ -527,67 +544,24 @@ def build_parser():
                          help="use the minus spinor map")
     p_delta.add_argument("--full", action="store_true",
                          help="16x16 periodicity image (odd words allowed)")
+    p_delta.set_defaults(func=cmd_clifford_delta)
 
     p_tower = sub.add_parser("tower", help="signed-permutation tower")
     tower_sub = p_tower.add_subparsers(dest="tower_command", required=True)
     p_tc = tower_sub.add_parser("check")
     p_tc.add_argument("--n", type=int, required=True)
+    p_tc.set_defaults(func=cmd_tower_check)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "code":
-            return cmd_code(args)
-        if args.command == "lattice":
-            return cmd_lattice(args)
-        if args.command == "qexp":
-            return cmd_qexp(args)
-        if args.command == "theta":
-            return cmd_theta(args)
-        if args.command == "rep":
-            if args.rep_command == "zmap":
-                return cmd_rep_zmap(args)
-            return cmd_rep_check_main(args)
-        if args.command == "clifford":
-            if args.clifford_command == "verify":
-                return cmd_clifford_verify(args)
-            return cmd_clifford_delta(args)
-        if args.command == "tower":
-            return cmd_tower_check(args)
-        if args.command == "verify":
-            name = args.verify_command
-            if name == "alpbach":
-                report = verify_alpbach_cmd(args)
-            elif name == "sl2f3":
-                zs = [complex(s) for s in args.z] if args.z else \
-                    [1j, 2j, 0.3 + 1.5j]
-                report = verify_sl2f3_cmd(zs, args.tol)
-            elif name == "expansion":
-                report = verify_expansion()
-            elif name == "e8":
-                report = verify_e8()
-            elif name == "golay":
-                report = verify_golay()
-            elif name == "orbits":
-                report = verify_orbits()
-            elif name == "grades":
-                report = verify_grades()
-            elif name == "hamming":
-                report = verify_hamming()
-            elif name == "tower":
-                report = verify_tower()
-            else:
-                report = verify_all_cmd()
-            _emit(report)
-            return 0 if report["pass"] else 1
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

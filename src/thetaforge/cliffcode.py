@@ -15,6 +15,7 @@ from .fpcode import (
     FANO_B_VECTORS, FANO_C_VECTORS, FANO_LINES_FIRST, FANO_LINES_SECOND,
     standard_codes,
 )
+from .linalg import row_reduce_mod_p
 
 FANO_POINTS = frozenset(range(1, 8))
 
@@ -419,10 +420,6 @@ E_MATRICES = tuple(SignedMatrix.from_rows(rows) for rows in (
 ))
 
 
-def e_matrices():
-    return E_MATRICES
-
-
 # ---------------------------------------------------------------------------
 # Spinor representations
 # ---------------------------------------------------------------------------
@@ -704,34 +701,6 @@ def tensor_split(m):
     return [outer] + factors, sign
 
 
-def _rank_mod_p(rows, p=1000003):
-    """Rank of an integer matrix over F_p; full rank certifies full
-    rational rank."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col] * inv % p
-                rows[r] = [(a - f * b) % p
-                           for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def bott_check():
     """Rank, tensor-image, anchor, and restriction checks for the 16x16
     representation."""
@@ -741,7 +710,8 @@ def bott_check():
     flat = []
     for m in images:
         flat.append([v for row in m.rows() for v in row])
-    rank = _rank_mod_p(flat)
+    # full rank mod a prime certifies full rational rank
+    rank = len(row_reduce_mod_p(flat, 1000003)[0])
 
     tensor_ok = True
     seen = set()

@@ -20,6 +20,7 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .fpcode import code_predicates, linear_basis, zero_code
+from .linalg import bareiss_det, fraction_inverse, integer_row_basis
 from .qexp import QSeries
 
 DEFAULT_MAX_NORM = 40
@@ -42,86 +43,8 @@ def _check_cap(bound):
 
 
 # ---------------------------------------------------------------------------
-# Exact integer / rational linear algebra
+# Gram-Schmidt data and basis reduction
 # ---------------------------------------------------------------------------
-
-def integer_row_basis(rows):
-    """Echelon basis (over Z) of the row span of integer rows."""
-    mat = [list(map(int, r)) for r in rows if any(r)]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                if piv is None or abs(mat[i][col]) < abs(mat[piv][col]):
-                    piv = i
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        while True:
-            if mat[rank][col] < 0:
-                mat[rank] = [-a for a in mat[rank]]
-            dirty = False
-            for i in range(rank + 1, len(mat)):
-                if mat[i][col]:
-                    q = mat[i][col] // mat[rank][col]
-                    if q:
-                        mat[i] = [a - q * b
-                                  for a, b in zip(mat[i], mat[rank])]
-                    if mat[i][col]:
-                        mat[rank], mat[i] = mat[i], mat[rank]
-                        dirty = True
-            if not dirty:
-                break
-        rank += 1
-    return mat[:rank]
-
-
-def bareiss_det(gram):
-    """Exact determinant of an integer matrix."""
-    a = [list(map(int, r)) for r in gram]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def fraction_inverse(mat):
-    """Inverse of a square matrix, exactly, as Fractions."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                       for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
 
 def _ldl(gram):
     """G = L D L^T with unit lower triangular L, positive diagonal D."""
@@ -259,11 +182,6 @@ class CodeLattice:
         self.basis = tuple(tuple(r) for r in basis)
         self.gram = tuple(tuple(r) for r in gram)
         self._basis_inv = None
-
-    def basis_elements(self):
-        """Basis rows as tuples of cyclotomic integers."""
-        return tuple(coords_to_elements(row, self.p, self.n)
-                     for row in self.basis)
 
     def basis_inverse(self):
         if self._basis_inv is None:

@@ -205,17 +205,8 @@ class CycRat:
     def p(self):
         return self.num.p
 
-    def _coerce(self, other):
-        if isinstance(other, CycRat):
-            return other
-        if isinstance(other, CycInt):
-            return CycRat(other)
-        if isinstance(other, (int, Fraction)):
-            return CycRat.from_rational(self.p, other)
-        raise ValueError("bad operand: %r" % (other,))
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = as_cycrat(self.p, other)
         return CycRat(self.num * other.den + other.num * self.den,
                       self.den * other.den)
 
@@ -225,13 +216,13 @@ class CycRat:
         return CycRat(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-as_cycrat(self.p, other))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return as_cycrat(self.p, other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = as_cycrat(self.p, other)
         return CycRat(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -247,11 +238,11 @@ class CycRat:
         return CycRat(cofactor * self.den, n)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        return self * as_cycrat(self.p, other).inverse()
 
     def __eq__(self, other):
         try:
-            other = self._coerce(other)
+            other = as_cycrat(self.p, other)
         except ValueError:
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -275,6 +266,24 @@ class CycRat:
 
     def embed(self, r):
         return self.num.embed(r) / self.den
+
+
+def as_cycrat(p, v):
+    """v as a CycRat over Q(zeta_p).
+
+    Accepts a CycRat or CycInt for the same prime, or any rational value
+    Fraction() takes.  Anything else raises ValueError, which CycRat's
+    equality turns into NotImplemented.
+    """
+    if isinstance(v, (CycRat, CycInt)):
+        if v.p != p:
+            raise ValueError("coefficient for prime %d, expected %d"
+                             % (v.p, p))
+        return v if isinstance(v, CycRat) else CycRat(v)
+    try:
+        return CycRat.from_rational(p, v)
+    except (TypeError, OverflowError):
+        raise ValueError("bad operand: %r" % (v,)) from None
 
 
 def zeta(p):

@@ -11,6 +11,7 @@ import itertools
 from collections import Counter
 
 from .cyclotomic import check_prime
+from .linalg import row_reduce_mod_p
 
 # ---------------------------------------------------------------------------
 # Fano plane data.  Two standard labelings of the seven points are in play:
@@ -101,32 +102,6 @@ def _check_word(w, p, n):
     return w
 
 
-def _row_reduce(rows, p):
-    """Row echelon form mod p; returns (pivot rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    basis = []
-    col = 0
-    n = len(rows[0]) if rows else 0
-    while rows and col < n:
-        src = next((i for i, r in enumerate(rows) if r[col] % p != 0), None)
-        if src is None:
-            col += 1
-            continue
-        row = rows.pop(src)
-        inv = pow(row[col], -1, p)
-        row = [(inv * x) % p for x in row]
-        for r in rows:
-            f = r[col] % p
-            if f:
-                for j in range(n):
-                    r[j] = (r[j] - f * row[j]) % p
-        basis.append(tuple(row))
-        pivots.append(col)
-        col += 1
-    return basis, pivots
-
-
 def _span(basis, p, n):
     words = set()
     for coeffs in itertools.product(range(p), repeat=len(basis)):
@@ -160,7 +135,7 @@ def make_code(p, n, words=None, generators=None):
         raise ValueError("give exactly one of words= or generators=")
     if generators is not None:
         gens = [_check_word(g, p, n) for g in generators]
-        basis, _ = _row_reduce(gens, p)
+        basis, _ = row_reduce_mod_p(gens, p)
         span = _span(basis, p, n)
         return Code(p, n, span, generators=gens, dimension=len(basis))
     wlist = {_check_word(w, p, n) for w in words}
@@ -168,7 +143,7 @@ def make_code(p, n, words=None, generators=None):
         raise ValueError("empty code")
     dim = None
     if len(wlist) <= 4096 and _is_closed(wlist, p, n):
-        basis, _ = _row_reduce(sorted(wlist), p)
+        basis, _ = row_reduce_mod_p(sorted(wlist), p)
         dim = len(basis)
         assert p ** dim == len(wlist)
     return Code(p, n, wlist, dimension=dim)
@@ -182,7 +157,7 @@ def linear_basis(code):
     """A row-reduced generating set for a linear code."""
     if not code.is_linear:
         raise ValueError("code is not linear")
-    basis, _ = _row_reduce(code.generators or code.words, code.p)
+    basis, _ = row_reduce_mod_p(code.generators or code.words, code.p)
     return basis
 
 
@@ -191,7 +166,7 @@ def dual_code(code):
     if not code.is_linear:
         raise ValueError("dual of a nonlinear code is undefined here")
     p, n = code.p, code.n
-    basis, pivots = _row_reduce(code.words, p)
+    basis, pivots = row_reduce_mod_p(code.words, p)
     free = [j for j in range(n) if j not in pivots]
     dual_basis = []
     for f in free:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .cliffcode import CliffordWord, SignedMatrix
+from .linalg import rank_f2
 
 MAX_TOWER_N = 6
 
@@ -172,25 +173,6 @@ def _mat_vec_bits(rows, vec):
     return out
 
 
-def _rank_f2(rows):
-    rows = [r for r in rows if r]
-    rank = 0
-    for bit in range(max(rows).bit_length() if rows else 0):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i] >> bit & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] >> bit & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
-
-
 def _compose(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
@@ -243,7 +225,7 @@ def crossed_hom_space(n):
                     nxt.append(h)
         frontier = nxt
     group_order = len(exprs)
-    dim_crossed = nunk - _rank_f2(equations)
+    dim_crossed = nunk - rank_f2(equations)
 
     # principal maps p -> (g -> p + g.p); kernel = invariant classes
     stacked = []
@@ -251,7 +233,7 @@ def crossed_hom_space(n):
         act = _quotient_action(x)
         for r in range(d):
             stacked.append(act[r] ^ (1 << r))
-    dim_invariants = d - _rank_f2(list(stacked))
+    dim_invariants = d - rank_f2(list(stacked))
     dim_principal = d - dim_invariants
     return {
         "n": n,

@@ -11,19 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CycInt, CycRat
-
-
-def _as_cycrat(p, v):
-    if isinstance(v, CycRat):
-        if v.p != p:
-            raise ValueError("coefficient for wrong prime")
-        return v
-    if isinstance(v, CycInt):
-        if v.p != p:
-            raise ValueError("coefficient for wrong prime")
-        return CycRat(v)
-    return CycRat.from_rational(p, v)
+from .cyclotomic import CycInt, CycRat, as_cycrat
 
 
 class QSeries:
@@ -40,7 +28,7 @@ class QSeries:
         self.cutoff = Fraction(cutoff)
         clean = {}
         for k, c in terms.items():
-            c = _as_cycrat(p, c)
+            c = as_cycrat(p, c)
             if c.is_zero():
                 continue
             k = int(k)
@@ -170,7 +158,7 @@ class QSeries:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _as_cycrat(self.p, c)
+        c = as_cycrat(self.p, c)
         return QSeries(self.p, self.N,
                        {k: v * c for k, v in self.terms.items()}, self.cutoff)
 

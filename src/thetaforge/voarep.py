@@ -11,24 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
 from math import comb, factorial
 
 from .codelattice import count_by_norm, standard_lattice, theta_series
-from .cyclotomic import CycInt, CycRat, check_prime
+from .cyclotomic import as_cycrat, check_prime
 from .fpcode import WeightEnumerator, word_profile
 from .qexp import QSeries, compose_enumerator, eta
-
-
-def _as_coeff(p, v):
-    if isinstance(v, CycRat):
-        if v.p != p:
-            raise ValueError("coefficient for wrong prime")
-        return v
-    if isinstance(v, CycInt):
-        if v.p != p:
-            raise ValueError("coefficient for wrong prime")
-        return CycRat(v)
-    return CycRat.from_rational(p, v)
 
 
 class OrbitClass:
@@ -93,6 +82,17 @@ def all_orbits(p, n):
     return [OrbitClass(p, prof) for prof in parts(n, r + 1)]
 
 
+def orbit_members(p, word):
+    """All words reachable by sign flips and coordinate permutations."""
+    n = len(word)
+    members = set()
+    for perm in permutations(range(n)):
+        base = [word[perm[i]] for i in range(n)]
+        for signs in product((1, -1), repeat=n):
+            members.add(tuple((s * d) % p for s, d in zip(signs, base)))
+    return sorted(members)
+
+
 def orbit_size(o):
     """Number of words in the orbit: a class-{+-j} digit has 2 choices."""
     n = o.n
@@ -123,7 +123,7 @@ class RepElement:
                 prof = key.profile
             else:
                 prof = OrbitClass(p, key).profile
-            c = _as_coeff(p, c)
+            c = as_cycrat(p, c)
             if prof in clean:
                 c = clean[prof] + c
             if c.is_zero():
@@ -174,7 +174,7 @@ class RepElement:
         return self + (-other)
 
     def scale(self, c):
-        c = _as_coeff(self.p, c)
+        c = as_cycrat(self.p, c)
         return RepElement(self.p,
                           {k: v * c for k, v in self.terms.items()})
 

@@ -143,6 +143,14 @@ def test_verify_sl2f3(capsys):
     assert data["pass"] and len(data["points"]) == 3
 
 
+def test_verify_alpbach_rejects_a_prime_that_is_not_the_codes(capsys):
+    code = main(["verify", "alpbach", "--prime", "5", "--code", "tetracode"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--prime 5" in captured.err and "prime 3" in captured.err
+
+
 def test_usage_errors():
     proc = subprocess.run(
         [sys.executable, "-m", "thetaforge.cli", "theta", "--prime", "3",
@@ -154,6 +162,24 @@ def test_usage_errors():
          "/nonexistent/code.txt"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+    for option, argv in (
+            ("--order", ["theta", "--prime", "3", "--class", "0",
+                         "--order", "1/0"]),
+            ("--cutoff", ["qexp", "--prime", "3", "--cutoff", "1/0"]),
+            ("--order", ["rep", "zmap", "--prime", "3", "--orbit", "1,3",
+                         "--order", "2/0"]),
+            ("--order", ["theta", "--prime", "3", "--class", "0",
+                         "--order", "-1"]),
+            ("--order", ["rep", "zmap", "--prime", "3", "--orbit", "1,3",
+                         "--order", "-1"]),
+            ("--order", ["verify", "alpbach", "--prime", "3", "--code",
+                         "tetracode", "--order", "-1"])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetaforge.cli"] + argv,
+            capture_output=True, text=True)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith("error: " + option), proc.stderr
 
 
 def test_help_lists_every_subcommand():
@@ -163,6 +189,13 @@ def test_help_lists_every_subcommand():
     assert proc.returncode == 0
     for name in ("code", "lattice", "qexp", "theta", "rep", "verify",
                  "clifford", "tower"):
+        assert name in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetaforge.cli", "verify", "--help"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    for name in ("alpbach", "sl2f3", "expansion", "e8", "golay", "orbits",
+                 "grades", "hamming", "tower", "all"):
         assert name in proc.stdout
 
 

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from thetaforge.codelattice import (
-    bareiss_det, box_count_by_norm, count_by_norm, discriminant,
-    integer_row_basis, is_even, lattice_info, lattice_of_code, lift_word,
-    minimal_norm, short_vectors, standard_lattice, theta_series,
+    box_count_by_norm, count_by_norm, discriminant, is_even, lattice_info,
+    lattice_of_code, lift_word, minimal_norm, short_vectors,
+    standard_lattice, theta_series,
 )
 from thetaforge.cyclotomic import trace_pairing
 from thetaforge.fpcode import make_code, standard_codes, zero_code
+from thetaforge.linalg import bareiss_det, integer_row_basis
 from thetaforge.qexp import QSeries
 
 

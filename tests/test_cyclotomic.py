@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetaforge.cyclotomic import (
-    CycInt, CycRat, check_prime, one_minus_zeta, real_embed_pair,
+    CycInt, CycRat, as_cycrat, check_prime, one_minus_zeta, real_embed_pair,
     trace_pairing, zeta,
 )
 
@@ -134,6 +134,20 @@ def test_cycrat_rational_detection():
     assert not y.is_rational()
     with pytest.raises(ValueError):
         y.as_fraction()
+
+
+def test_as_cycrat_coerces_coefficients_for_one_prime():
+    half = CycRat.from_rational(5, Fraction(1, 2))
+    assert as_cycrat(5, half) is half
+    assert as_cycrat(5, zeta(5)) == CycRat(zeta(5))
+    for value in (Fraction(1, 2), "1/2", 0.5):
+        assert as_cycrat(5, value) == half
+    assert as_cycrat(5, 3) == CycRat.from_rational(5, 3)
+    for bad in (zeta(3), CycRat(zeta(7)), None, 1j, float("inf"), "x"):
+        with pytest.raises(ValueError):
+            as_cycrat(5, bad)
+    assert half != None  # noqa: E711  equality declines foreign operands
+    assert half != CycRat.from_rational(3, Fraction(1, 2))
 
 
 def test_degenerate_p2_ring_is_integers():
