@@ -79,6 +79,15 @@ def _parse_cutoff(text, option):
                          "got %r" % (option, text)) from None
 
 
+def _digits(text):
+    """argparse type for a comma-separated word such as 1,0,2."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers, got %r" % text) from None
+
+
 def _check_order(order):
     if order < 0:
         raise ValueError("--order must be nonnegative, got %s" % order)
@@ -139,8 +148,7 @@ def cmd_theta(args):
 
 
 def cmd_rep_zmap(args):
-    word = tuple(int(t) for t in args.orbit.split(","))
-    orbit = voarep.orbit_of(args.prime, word)
+    orbit = voarep.orbit_of(args.prime, args.orbit)
     series = voarep.z_map(voarep.RepElement.from_orbit(orbit),
                           _check_order(_parse_cutoff(args.order, "--order")))
     _emit({"orbit": list(orbit.profile), "prime": args.prime,
@@ -438,7 +446,7 @@ VERIFY_STAGES = (
 
 
 def cmd_verify_sl2f3(args):
-    zs = [complex(s) for s in args.z] if args.z else SL2F3_POINTS
+    zs = args.z or SL2F3_POINTS
     return _verdict(verify_sl2f3_cmd(zs, args.tol))
 
 
@@ -495,7 +503,7 @@ def build_parser():
     rep_sub = p_rep.add_subparsers(dest="rep_command", required=True)
     p_zmap = rep_sub.add_parser("zmap", help="series of one orbit class")
     p_zmap.add_argument("--prime", type=int, required=True)
-    p_zmap.add_argument("--orbit", required=True,
+    p_zmap.add_argument("--orbit", type=_digits, required=True,
                         help="comma-separated digits of a representative")
     p_zmap.add_argument("--order", required=True)
     p_zmap.set_defaults(func=cmd_rep_zmap)
@@ -518,7 +526,7 @@ def build_parser():
                        help="exact-mode inclusive exponent cutoff")
     p_alp.set_defaults(func=cmd_verify_alpbach)
     p_sl2 = ver_sub.add_parser("sl2f3")
-    p_sl2.add_argument("--z", action="append",
+    p_sl2.add_argument("--z", action="append", type=complex,
                        help="complex point, repeatable; default i, 2i, "
                             "0.3+1.5i")
     p_sl2.add_argument("--tol", type=float, default=1e-7)

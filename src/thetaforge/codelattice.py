@@ -14,7 +14,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -31,7 +31,14 @@ def max_norm_cap():
     raw = os.environ.get("THETA_FORGE_MAX_NORM")
     if raw is None:
         return Fraction(DEFAULT_MAX_NORM)
-    return Fraction(raw)
+    try:
+        cap = Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        cap = None
+    if cap is None or cap < 0:
+        raise ValueError("THETA_FORGE_MAX_NORM must be a nonnegative integer, "
+                         "decimal or a/b with b nonzero, got %r" % raw)
+    return cap
 
 
 def _check_cap(bound):
@@ -46,68 +53,78 @@ def _check_cap(bound):
 # Gram-Schmidt data and basis reduction
 # ---------------------------------------------------------------------------
 
-def _ldl(gram):
-    """G = L D L^T with unit lower triangular L, positive diagonal D."""
+def _integral_gso(gram):
+    """Integral Gram-Schmidt data of a positive definite integer Gram matrix.
+
+    d[i] is the leading principal minor of order i (d[0] = 1, so
+    |b_i*|^2 = d[i+1] / d[i]) and lam[k][j] = d[j+1] mu_kj for j < k.
+    Every division is exact (Cohen, GTM 138, Alg. 2.6.7).
+    """
     n = len(gram)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = []
-    for i in range(n):
-        for j in range(i):
-            s = Fraction(gram[i][j])
-            for k in range(j):
-                s -= L[i][k] * D[k] * L[j][k]
-            L[i][j] = s / D[j]
-        d = Fraction(gram[i][i])
-        for k in range(i):
-            d -= L[i][k] ** 2 * D[k]
-        if d <= 0:
-            raise ValueError("form is not positive definite")
-        D.append(d)
-        L[i][i] = Fraction(1)
-    return D, L
-
-
-def _round_half_down(f):
-    # deterministic nearest integer; used by size reduction
-    return (2 * f.numerator + f.denominator) // (2 * f.denominator)
+    d = [1] * (n + 1)
+    lam = [[0] * k for k in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = gram[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u <= 0:
+                raise ValueError("form is not positive definite")
+            else:
+                d[k + 1] = u
+    return d, lam
 
 
 def lll_reduce(rows, pairf, delta=Fraction(3, 4)):
-    """Exact LLL on integer rows under the inner product pairf."""
+    """LLL on integer rows under the rational inner product pairf.
+
+    Integral LLL (Cohen, GTM 138, Alg. 2.6.7): pairf gives the Gram matrix
+    once, scaled to integers, and the loop updates only the integers d and
+    lam of _integral_gso.  Size reduction of row k rounds every mu_kj,
+    j = k-1 .. 0, as it stood before the pass and only then subtracts them
+    all, where textbook LLL updates mu after each subtraction.  The rows
+    returned meet the Lovasz condition at delta but are not guaranteed to
+    be size-reduced (|mu| <= 1/2).
+    """
     b = [list(map(int, r)) for r in rows]
     n = len(b)
     if n <= 1:
         return b
-
-    def gso():
-        gs, mu, norms = [], [[Fraction(0)] * n for _ in range(n)], []
-        for i in range(n):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                m = pairf(b[i], gs[j]) / norms[j]
-                mu[i][j] = m
-                v = [a - m * c for a, c in zip(v, gs[j])]
-            gs.append(v)
-            norms.append(pairf(v, v))
-        return gs, mu, norms
-
-    gs, mu, norms = gso()
+    delta = Fraction(delta)
+    num, den = delta.numerator, delta.denominator
+    gram = [[pairf(u, v) for v in b] for u in b]
+    scale = lcm(*(x.denominator for row in gram for x in row))
+    d, lam = _integral_gso([[int(x * scale) for x in row] for row in gram])
     k = 1
     while k < n:
-        changed = False
-        for j in range(k - 1, -1, -1):
-            q = _round_half_down(mu[k][j])
+        lk = lam[k]
+        qs = [(j, (2 * lk[j] + d[j + 1]) // (2 * d[j + 1]))
+              for j in range(k - 1, -1, -1)]
+        for j, q in qs:
             if q:
-                b[k] = [a - q * c for a, c in zip(b[k], b[j])]
-                changed = True
-        if changed:
-            gs, mu, norms = gso()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+                lk[j] -= q * d[j + 1]
+        lkk = lk[k - 1]
+        if den * d[k + 1] * d[k - 1] >= num * d[k] ** 2 - den * lkk * lkk:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            gs, mu, norms = gso()
-            k = max(k - 1, 1)
+            continue
+        # exchange rows k-1 and k: their lam rows trade places, d[k] and
+        # lam[i][k-1], lam[i][k] for i > k are updated, nothing else moves
+        b[k], b[k - 1] = b[k - 1], b[k]
+        lam[k][:k - 1], lam[k - 1] = lam[k - 1], lk[:k - 1]
+        dk = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
+            li[k - 1] = (dk * t + lkk * li[k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
     return b
 
 
@@ -299,7 +316,10 @@ def enumerate_coset(gram, shift, bound, emit):
     for the whole run.
     """
     rank = len(gram)
-    D, L = _ldl(gram)
+    minors, lams = _integral_gso(gram)
+    D = [Fraction(minors[i + 1], minors[i]) for i in range(rank)]
+    L = [[Fraction(x, minors[j + 1]) for j, x in enumerate(row)]
+         for row in lams]
     shift = [Fraction(s) for s in shift]
     bound = Fraction(bound)
     q = 1
@@ -376,12 +396,15 @@ def count_by_norm(lattice, bound, shift_word=None):
     shift = ([Fraction(0)] * lattice.rank if shift_word is None
              else lattice.shift_in_basis(shift_word))
     counts = Counter()
+    scale = 1
 
-    def emit(x, scaled, scale):
-        counts[Fraction(scaled, scale)] += 1
+    def emit(x, scaled, run_scale):
+        nonlocal scale
+        counts[scaled] += 1
+        scale = run_scale
 
     enumerate_coset([list(r) for r in lattice.gram], shift, bound, emit)
-    return dict(counts)
+    return {Fraction(k, scale): c for k, c in counts.items()}
 
 
 def short_vectors(lattice, bound, shift_word=None):

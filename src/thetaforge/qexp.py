@@ -194,9 +194,14 @@ class QSeries:
         if e == 0:
             # relative precision is what survives multiplying by x^0
             return QSeries.one(self.p, self.cutoff - self.valuation(), self.N)
-        result = self
-        for _ in range(e - 1):
-            result = result * self
+        # square-and-multiply; exact products make the grouping irrelevant
+        result, base = None, self
+        while e:
+            if e & 1:
+                result = base if result is None else result * base
+            e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):

@@ -98,6 +98,12 @@ def test_qexp_subcommand(capsys):
     assert code == 0
     data = json.loads(out)
     assert data[0]["exp"] == "-1/12"
+    code, out = run_main(capsys,
+                         ["qexp", "--prime", "3", "--cutoff", "1",
+                          "--power", "100000000"])
+    assert code == 0
+    assert json.loads(out) == [{"exp": "12500000/3",
+                                "coef": {"coeffs": [1, 0], "den": 1}}]
 
 
 def test_rep_subcommands(capsys):
@@ -180,6 +186,29 @@ def test_usage_errors():
         assert proc.returncode == 2, argv
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert proc.stderr.startswith("error: " + option), proc.stderr
+    # argparse rejects these itself: usage line, then the option named
+    for option, argv in (
+            ("--z", ["verify", "sl2f3", "--z", "abc"]),
+            ("--orbit", ["rep", "zmap", "--prime", "3", "--orbit", "a",
+                         "--order", "1"])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetaforge.cli"] + argv,
+            capture_output=True, text=True)
+        assert proc.returncode == 2, argv
+        assert "error: argument %s: " % option in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc", "-1"])
+def test_malformed_max_norm_exits_2(monkeypatch, value):
+    monkeypatch.setenv("THETA_FORGE_MAX_NORM", value)
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetaforge.cli", "theta", "--prime", "3",
+         "--class", "0", "--order", "2"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: THETA_FORGE_MAX_NORM"), proc.stderr
 
 
 def test_help_lists_every_subcommand():

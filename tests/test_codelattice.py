@@ -1,12 +1,16 @@
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetaforge.codelattice import (
     box_count_by_norm, count_by_norm, discriminant, is_even, lattice_info,
-    lattice_of_code, lift_word, minimal_norm, short_vectors,
-    standard_lattice, theta_series,
+    lattice_of_code, lift_word, lll_reduce, make_pair_function,
+    minimal_norm, ramified_block_rows, short_vectors, standard_lattice,
+    theta_series,
 )
 from thetaforge.cyclotomic import trace_pairing
 from thetaforge.fpcode import make_code, standard_codes, zero_code
@@ -156,6 +160,10 @@ def test_enumeration_cap(monkeypatch):
         count_by_norm(lat, 8)
     monkeypatch.setenv("THETA_FORGE_MAX_NORM", "8")
     assert count_by_norm(lat, 8)[Fraction(8)] == 6
+    for bad in ("1/0", "abc", "-1", ""):
+        monkeypatch.setenv("THETA_FORGE_MAX_NORM", bad)
+        with pytest.raises(ValueError, match="THETA_FORGE_MAX_NORM"):
+            count_by_norm(lat, 2)
 
 
 def test_golay_lattice_smoke():
@@ -164,3 +172,129 @@ def test_golay_lattice_smoke():
     assert is_even(lat)
     assert discriminant(lat) == 1
     assert count_by_norm(lat, 2) == {Fraction(0): 1, Fraction(2): 72}
+
+
+# ---------------------------------------------------------------------------
+# Basis reduction
+# ---------------------------------------------------------------------------
+
+def fraction_gso_lll(rows, pairf, delta=Fraction(3, 4)):
+    """Reference LLL: a full Fraction Gram-Schmidt in ambient coordinates,
+    recomputed after every change.  Size reduction rounds mu as it stood
+    before the pass, exactly as lll_reduce is specified to."""
+    b = [list(map(int, r)) for r in rows]
+    n = len(b)
+    if n <= 1:
+        return b
+
+    def gso():
+        gs, mu, norms = [], [[Fraction(0)] * n for _ in range(n)], []
+        for i in range(n):
+            v = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                m = pairf(b[i], gs[j]) / norms[j]
+                mu[i][j] = m
+                v = [a - m * c for a, c in zip(v, gs[j])]
+            gs.append(v)
+            norms.append(pairf(v, v))
+        return gs, mu, norms
+
+    gs, mu, norms = gso()
+    k = 1
+    while k < n:
+        changed = False
+        for j in range(k - 1, -1, -1):
+            f = mu[k][j]
+            q = (2 * f.numerator + f.denominator) // (2 * f.denominator)
+            if q:
+                b[k] = [a - q * c for a, c in zip(b[k], b[j])]
+                changed = True
+        if changed:
+            gs, mu, norms = gso()
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            gs, mu, norms = gso()
+            k = max(k - 1, 1)
+    return b
+
+
+def gram_schmidt(gram):
+    """mu (lower triangle) and squared lengths |b_i*|^2 from a Gram matrix."""
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (Fraction(gram[i][j]) - sum(
+                mu[j][t] * mu[i][t] * norms[t] for t in range(j))) / norms[j]
+        norms.append(Fraction(gram[i][i]) - sum(
+            mu[i][t] ** 2 * norms[t] for t in range(i)))
+    return mu, norms
+
+
+def assert_lovasz(gram, delta):
+    mu, norms = gram_schmidt(gram)
+    for k in range(1, len(gram)):
+        assert norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1], k
+
+
+def code_lattice_rows(p, n, generators):
+    """The integer row basis lattice_of_code hands to lll_reduce."""
+    d = p - 1
+    rows = []
+    for i in range(n):
+        for r in ramified_block_rows(p):
+            row = [0] * (n * d)
+            row[i * d:(i + 1) * d] = r
+            rows.append(row)
+    rows += [lift_word(g, p, n) for g in generators]
+    return integer_row_basis(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_lll_matches_fraction_gso_reference(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    n = data.draw(st.integers(1, 16 // (p - 1)))
+    words = data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+        max_size=6))
+    gens = []
+    for w in words:
+        if all(sum(x * y for x, y in zip(w, g)) % p == 0
+               for g in gens + [w]):
+            gens.append(w)
+    rows = code_lattice_rows(p, n, gens)
+    # a few unimodular row operations, so that every prime gives LLL work
+    for i, j, c in data.draw(st.lists(
+            st.tuples(st.integers(0, len(rows) - 1),
+                      st.integers(0, len(rows) - 1), st.integers(-2, 2)),
+            max_size=6)):
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    delta = data.draw(st.sampled_from([Fraction(3, 4), Fraction(99, 100)]))
+    pairf = make_pair_function(p, n)
+    out = lll_reduce(rows, pairf, delta)
+    assert out == fraction_gso_lll(rows, pairf, delta)
+    assert_lovasz([[pairf(u, v) for v in out] for u in out], delta)
+
+
+def test_reduced_bases_are_pinned_and_meet_lovasz():
+    for name, pin in (("tetracode", "b753b543933c05ec"),
+                      ("golay12", "4618a310636b4178")):
+        lat = lattice_of_code(standard_codes(name))
+        digest = hashlib.sha256(json.dumps(lat.basis).encode()).hexdigest()
+        assert digest[:16] == pin, name
+        assert_lovasz(lat.gram, Fraction(3, 4))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: lll_reduce rounds "
+                   "mu from before the size-reduction pass, so golay keeps "
+                   "|mu| up to 4")
+def test_golay_basis_is_size_reduced():
+    lat = lattice_of_code(standard_codes("golay12"))
+    mu, _ = gram_schmidt(lat.gram)
+    assert all(abs(mu[i][j]) <= Fraction(1, 2)
+               for i in range(lat.rank) for j in range(i))

@@ -53,6 +53,31 @@ def test_power_including_negative():
     assert b == S({0: 1, 1: -2, 2: 3, 3: -4, 4: 5}, 4)
 
 
+def _repeated_power(series, e):
+    """x^e by e-1 successive products, the reference for __pow__."""
+    if e < 0:
+        series, e = series.inverse(), -e
+    if e == 0:
+        return series ** 0
+    out = series
+    for _ in range(e - 1):
+        out = out * series
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_power_matches_repeated_products(p):
+    zeta = CycInt.zeta_pow(p, 1)
+    series = (eta(p, 2),
+              S({Fraction(-1, 3): 1, 0: zeta, Fraction(2, 3): 2 - zeta}, 2,
+                p=p, N=3))
+    for x in series:
+        for e in list(range(-6, 25)) + [47]:
+            assert (to_json_obj(x ** e)
+                    == to_json_obj(_repeated_power(x, e))), (p, e)
+            assert (x ** e).cutoff == _repeated_power(x, e).cutoff, (p, e)
+
+
 def test_eta_leading_and_pentagonal_terms():
     e = eta(3, Fraction(1, 24))
     assert e.items() == [(Fraction(1, 24), CycRat.from_rational(3, 1))]
