@@ -88,6 +88,17 @@ def _digits(text):
             "expected comma-separated integers, got %r" % text) from None
 
 
+def _clifford_word(text):
+    """argparse type for clifford delta --word: distinct symbol indices in
+    0..7, comma-separated; the empty text is the empty word."""
+    support = _digits(text) if text else ()
+    if len(set(support)) < len(support) or not all(
+            0 <= i < 8 for i in support):
+        raise argparse.ArgumentTypeError(
+            "expected distinct symbol indices in 0..7, got %r" % text)
+    return support
+
+
 def _check_order(order):
     if order < 0:
         raise ValueError("--order must be nonnegative, got %s" % order)
@@ -166,13 +177,12 @@ def cmd_clifford_verify(args):
 
 
 def cmd_clifford_delta(args):
-    support = [int(t) for t in args.word.split(",")] if args.word else []
-    word = CliffordWord.from_support(8, support)
+    word = CliffordWord.from_support(8, args.word)
     if args.full:
         mat = full_rep(word)
     else:
         mat = spinor_rep(-1 if args.minus else 1, word)
-    _emit({"dim": mat.dim, "rows": mat.rows(), "support": support})
+    _emit({"dim": mat.dim, "rows": mat.rows(), "support": args.word})
     return 0
 
 
@@ -546,7 +556,7 @@ def build_parser():
                                        required=True)
     cliff_sub.add_parser("verify").set_defaults(func=cmd_clifford_verify)
     p_delta = cliff_sub.add_parser("delta")
-    p_delta.add_argument("--word", required=True,
+    p_delta.add_argument("--word", required=True, type=_clifford_word,
                          help="comma-separated symbol indices, e.g. 0,1")
     p_delta.add_argument("--minus", action="store_true",
                          help="use the minus spinor map")

@@ -308,12 +308,43 @@ def is_even(lattice):
 # Exact shifted enumeration (Fincke-Pohst with scaled integer arithmetic)
 # ---------------------------------------------------------------------------
 
+CHUNK = 1 << 12
+
+
+def _isqrt(cap):
+    """Exact floor square roots of a nonnegative array."""
+    if cap.dtype == object:
+        return np.array([isqrt(c) for c in cap], dtype=object)
+    r = np.sqrt(cap.astype(np.float64)).astype(np.int64)
+    r -= r * r > cap
+    r += (r + 1) * (r + 1) <= cap
+    return r
+
+
 def enumerate_coset(gram, shift, bound, emit):
     """Call emit(x, scaled_norm, scale) for every integer x with
-    (x + shift) G (x + shift)^T <= bound.  Exact; deterministic order.
+    (x + shift) G (x + shift)^T <= bound.
 
-    scaled_norm/scale is the exact norm; scale is a fixed positive integer
-    for the whole run.
+    The result is exact: x is a tuple of Python ints and scaled_norm and
+    scale are Python ints, scale the same positive integer for the whole
+    run.  Leaves come in lexicographic order of (x_{rank-1}, ..., x_0),
+    the order of a depth-first Fincke-Pohst (Fincke-Pohst 1985), one emit
+    call per leaf.
+
+    The tree is expanded a level at a time in numpy: a block holds the
+    nodes of one level, and its children are made at most CHUNK at a time
+    (np.repeat of each parent by its child count).  Blocks are taken
+    depth-first, which keeps the leaf order and leaves at most rank blocks
+    of at most CHUNK nodes alive, each node with O(rank) entries: memory is
+    O(rank^2 CHUNK) array entries, about 16 MB at rank 24.
+
+    The remaining norm budget is counted in units of the gcd of the scaled
+    diagonal g_i; its array is int64 when the budget in those units is
+    below 2^62 (every value it takes lies in [0, budget]).  Coordinate
+    arrays (x, w, partial sums) are int64 when a bound on every coordinate
+    value, fixed at set-up, times CHUNK + 1 is below 2^61.  Otherwise each
+    holds Python ints, so no array wraps around.  Square roots are exact:
+    float sqrt corrected by one step on int64, math.isqrt on Python ints.
     """
     rank = len(gram)
     minors, lams = _integral_gso(gram)
@@ -345,6 +376,8 @@ def enumerate_coset(gram, shift, bound, emit):
     gi = [gden * D[i].numerator //
           (D[i].denominator * Lam[i] * Lam[i] * q * q) for i in range(rank)]
     budget = (bound.numerator * gden) // bound.denominator
+    if not rank or budget < 0:
+        return
 
     # cols[i]: updates to deeper levels once n_i is fixed
     cols = [[] for _ in range(rank)]
@@ -352,42 +385,73 @@ def enumerate_coset(gram, shift, bound, emit):
         for (j, c) in lam[i]:
             cols[j].append((i, c))
 
-    xs = [0] * rank
-    ns = [0] * rank
-    acc = [[0] * rank for _ in range(rank + 1)]   # acc[depth] partial sums
+    # Every g_i w^2 is a multiple of unit, so the tree counts the budget in
+    # units: rem // g_i == (rem // unit) // (g_i // unit).  A g_i above the
+    # budget admits only w = 0; clamping it keeps it within int64.
+    unit = gcd(*gi)
+    room = budget // unit
+    g = [min(x // unit, room + 1) for x in gi]
+    # |n_i| < N_i, with a_i = sum_{j>i} c_ij n_j and w_i = Lam_i n_i + a_i,
+    # |w_i| <= isqrt(room // g_i); reach bounds every coordinate value
+    N = [0] * rank
+    reach = 0
+    for i in reversed(range(rank)):
+        a = sum(abs(c) * N[j] for j, c in lam[i])
+        w = isqrt(room // g[i])
+        N[i] = (w + a) // Lam[i] + 1
+        reach = max(reach, w + a + Lam[i] * (abs(sv[i]) + q))
+    nd = np.int64 if room < 1 << 62 else object
+    cd = np.int64 if reach * (CHUNK + 1) < 1 << 61 else object
+    updates = [(np.array([j for j, _ in col], dtype=np.int64),
+                np.array([c for _, c in col], dtype=cd)) for col in cols]
 
-    def descend(i, remaining, used):
-        a = acc[i + 1]
-        lam_i = Lam[i]
-        step = lam_i * q
-        base = lam_i * sv[i] + a[i]
-        cap = remaining // gi[i]
-        wmax = isqrt(cap)
+    def block(x, par, i, rem, acc):
+        """Nodes at level i (their x_{i+1} and parent index one level up)
+        and their children's x ranges, as a stack entry whose last slot is
+        the index of the next child to expand."""
+        base = Lam[i] * sv[i] + acc[:, i]
+        wmax = _isqrt(rem // g[i]).astype(cd)
+        step = Lam[i] * q
         lo = -((wmax + base) // step)
-        hi = (wmax - base) // step
-        col = cols[i]
-        for x in range(lo, hi + 1):
-            w = step * x + base
-            contrib = gi[i] * w * w
-            rem = remaining - contrib
-            if rem < 0:
-                continue
-            xs[i] = x
-            ns[i] = q * x + sv[i]
-            if i == 0:
-                emit(tuple(xs), used + contrib, gden)
-            else:
-                nxt = acc[i]
-                prev = a
-                for t in range(i):
-                    nxt[t] = prev[t]
-                ni = ns[i]
-                for (j, c) in col:
-                    nxt[j] += c * ni
-                descend(i - 1, rem, used + contrib)
+        cnt = np.maximum((wmax - base) // step - lo + 1, 0)
+        ends = np.cumsum(cnt).astype(np.int64)
+        return [x, par, i, rem, acc, base, lo, ends,
+                ends - cnt.astype(np.int64), 0]
 
-    if rank:
-        descend(rank - 1, budget, 0)
+    stack = [block(None, None, rank - 1, np.array([room], dtype=nd),
+                   np.zeros((1, rank), dtype=cd))]
+    while stack:
+        entry = stack[-1]
+        _, _, i, rem, acc, base, lo, ends, starts, start = entry
+        total = int(ends[-1])
+        if start >= total:
+            stack.pop()
+            continue
+        stop = min(start + CHUNK, total)
+        entry[-1] = stop
+        # children start .. stop-1 belong to nodes first .. last-1
+        first = np.searchsorted(ends, start, side="right")
+        last = np.searchsorted(ends, stop - 1, side="right") + 1
+        par = np.repeat(np.arange(first, last), np.minimum(
+            ends[first:last], stop) - np.maximum(starts[first:last], start))
+        x = lo[par] + (np.arange(start, stop) - starts[par])
+        w = Lam[i] * q * x + base[par]
+        if cd is not nd:
+            w = w.astype(nd)
+        rem_c = rem[par] - g[i] * w * w
+        if i == 0:
+            columns = [x.tolist()]
+            for up_x, up_par, *_ in reversed(stack[1:]):
+                columns.append(up_x[par].tolist())
+                par = up_par[par]
+            for leaf, used in zip(zip(*columns), (room - rem_c).tolist()):
+                emit(leaf, unit * used, gden)
+            continue
+        acc_c = acc[par, :i]
+        targets, coefs = updates[i]
+        if len(targets):
+            acc_c[:, targets] += (q * x + sv[i])[:, None] * coefs
+        stack.append(block(x, par, i - 1, rem_c, acc_c))
 
 
 def count_by_norm(lattice, bound, shift_word=None):
@@ -447,7 +511,7 @@ def box_count_by_norm(lattice, bound, shift_word=None, max_rank=8):
     a single cyclotomic coordinate has diagonal exactly 2, so every coset
     vector of norm <= B has all coefficients bounded by sqrt(2B).  Each box
     point is norm-checked and digit-word-filtered with exact int64
-    arithmetic.  Shares nothing with the recursive enumerator beyond the
+    arithmetic.  Shares nothing with the Fincke-Pohst enumerator beyond the
     code itself, so the two serve as independent cross-checks.
     """
     _check_cap(bound)

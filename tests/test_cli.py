@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -133,6 +134,11 @@ def test_clifford_subcommands(capsys):
                          ["clifford", "delta", "--word", "3", "--full"])
     assert code == 0
     assert json.loads(out)["dim"] == 16
+    code, out = run_main(capsys, ["clifford", "delta", "--word", ""])
+    assert code == 0
+    assert json.loads(out) == {
+        "dim": 8, "support": [],
+        "rows": [[int(i == j) for j in range(8)] for i in range(8)]}
 
 
 def test_verify_small_reports(capsys):
@@ -190,7 +196,10 @@ def test_usage_errors():
     for option, argv in (
             ("--z", ["verify", "sl2f3", "--z", "abc"]),
             ("--orbit", ["rep", "zmap", "--prime", "3", "--orbit", "a",
-                         "--order", "1"])):
+                         "--order", "1"]),
+            ("--word", ["clifford", "delta", "--word", "a"]),
+            ("--word", ["clifford", "delta", "--word", "-1"]),
+            ("--word", ["clifford", "delta", "--word", "9"])):
         proc = subprocess.run(
             [sys.executable, "-m", "thetaforge.cli"] + argv,
             capture_output=True, text=True)
@@ -234,3 +243,12 @@ def test_output_byte_stable():
     first = subprocess.run(cmd, capture_output=True).stdout
     second = subprocess.run(cmd, capture_output=True).stdout
     assert first == second and first
+    # exact-integer outputs, pinned by their sha256
+    for argv, digest in (
+            (cmd[3:], "33358258ab71bdc2ce0afff84a73d138"
+                      "e85aa9c2f3199729e5178f54a8d85750"),
+            (["lattice", "--code", "golay12", "--info"],
+             "24449ee59173e1e5378910540660514"
+             "552e70e95db19e6f78e1e8a827e8f7d81")):
+        out = subprocess.run(cmd[:3] + argv, capture_output=True).stdout
+        assert hashlib.sha256(out).hexdigest() == digest, argv

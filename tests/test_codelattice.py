@@ -2,15 +2,17 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thetaforge import codelattice
 from thetaforge.codelattice import (
-    box_count_by_norm, count_by_norm, discriminant, is_even, lattice_info,
-    lattice_of_code, lift_word, lll_reduce, make_pair_function,
-    minimal_norm, ramified_block_rows, short_vectors, standard_lattice,
-    theta_series,
+    CodeLattice, _integral_gso, box_count_by_norm, count_by_norm,
+    discriminant, enumerate_coset, is_even, lattice_info, lattice_of_code,
+    lift_word, lll_reduce, make_pair_function, minimal_norm,
+    ramified_block_rows, short_vectors, standard_lattice, theta_series,
 )
 from thetaforge.cyclotomic import trace_pairing
 from thetaforge.fpcode import make_code, standard_codes, zero_code
@@ -298,3 +300,176 @@ def test_golay_basis_is_size_reduced():
     mu, _ = gram_schmidt(lat.gram)
     assert all(abs(mu[i][j]) <= Fraction(1, 2)
                for i in range(lat.rank) for j in range(i))
+
+
+# ---------------------------------------------------------------------------
+# Enumeration
+# ---------------------------------------------------------------------------
+
+def recursive_enumerate_coset(gram, shift, bound, emit):
+    """Reference enumerator: the depth-first Fincke-Pohst recursion that
+    enumerate_coset replaced, one Python call per tree node."""
+    rank = len(gram)
+    minors, lams = _integral_gso(gram)
+    D = [Fraction(minors[i + 1], minors[i]) for i in range(rank)]
+    L = [[Fraction(x, minors[j + 1]) for j, x in enumerate(row)]
+         for row in lams]
+    shift = [Fraction(s) for s in shift]
+    bound = Fraction(bound)
+    q = 1
+    for s in shift:
+        q = q * s.denominator // gcd(q, s.denominator)
+    sv = [int(s * q) for s in shift]
+
+    lam = [None] * rank     # scaled off-diagonal rows of L^T
+    Lam = [1] * rank
+    for i in range(rank):
+        den = 1
+        for j in range(i + 1, rank):
+            den = den * L[j][i].denominator // gcd(den,
+                                                   L[j][i].denominator)
+        Lam[i] = den
+        lam[i] = [(j, int(L[j][i] * den)) for j in range(i + 1, rank)
+                  if L[j][i] != 0]
+
+    gden = 1
+    for i in range(rank):
+        piece = D[i].denominator * Lam[i] * Lam[i] * q * q
+        gden = gden * piece // gcd(gden, piece)
+    gi = [gden * D[i].numerator //
+          (D[i].denominator * Lam[i] * Lam[i] * q * q) for i in range(rank)]
+    budget = (bound.numerator * gden) // bound.denominator
+
+    # cols[i]: updates to deeper levels once n_i is fixed
+    cols = [[] for _ in range(rank)]
+    for i in range(rank):
+        for (j, c) in lam[i]:
+            cols[j].append((i, c))
+
+    xs = [0] * rank
+    ns = [0] * rank
+    acc = [[0] * rank for _ in range(rank + 1)]   # acc[depth] partial sums
+
+    def descend(i, remaining, used):
+        a = acc[i + 1]
+        lam_i = Lam[i]
+        step = lam_i * q
+        base = lam_i * sv[i] + a[i]
+        cap = remaining // gi[i]
+        wmax = isqrt(cap)
+        lo = -((wmax + base) // step)
+        hi = (wmax - base) // step
+        col = cols[i]
+        for x in range(lo, hi + 1):
+            w = step * x + base
+            contrib = gi[i] * w * w
+            rem = remaining - contrib
+            if rem < 0:
+                continue
+            xs[i] = x
+            ns[i] = q * x + sv[i]
+            if i == 0:
+                emit(tuple(xs), used + contrib, gden)
+            else:
+                nxt = acc[i]
+                prev = a
+                for t in range(i):
+                    nxt[t] = prev[t]
+                ni = ns[i]
+                for (j, c) in col:
+                    nxt[j] += c * ni
+                descend(i - 1, rem, used + contrib)
+
+    if rank:
+        descend(rank - 1, budget, 0)
+
+
+def both_enumerations(gram, shift, bound):
+    """The leaves of enumerate_coset, checked against the reference: the
+    same (x, scaled, scale) triples in the same order, all Python ints."""
+    got, want = [], []
+    enumerate_coset(gram, shift, bound, lambda *leaf: got.append(leaf))
+    recursive_enumerate_coset(gram, shift, bound,
+                              lambda *leaf: want.append(leaf))
+    assert got == want
+    assert all(type(v) is int
+               for x, scaled, scale in got for v in x + (scaled, scale))
+    return got
+
+
+def skewed_gram(m, big):
+    """Gram matrix of the basis (m s + t, s) with |s|^2 = 2, s.t = 1 and
+    |t|^2 = big: large minors, but the short vectors of [[2, 1], [1, big]]."""
+    return [[2 * m * m + 2 * m + big, 2 * m + 1], [2 * m + 1, 2]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_enumerate_coset_matches_recursive_reference(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    n = data.draw(st.integers(1, 8 // (p - 1)))
+    words = data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+        max_size=4))
+    gens = []
+    for w in words:
+        if all(sum(x * y for x, y in zip(w, g)) % p == 0
+               for g in gens + [w]):
+            gens.append(w)
+    rows = code_lattice_rows(p, n, gens)
+    for i, j, c in data.draw(st.lists(
+            st.tuples(st.integers(0, len(rows) - 1),
+                      st.integers(0, len(rows) - 1), st.integers(-2, 2)),
+            max_size=6)):
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    pairf = make_pair_function(p, n)
+    gram = [[int(pairf(u, v)) for v in rows] for u in rows]
+    code = make_code(p, n, generators=gens or [[0] * n])
+    lat = CodeLattice(code, rows, gram)
+    word = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    bound = Fraction(data.draw(st.integers(0, 6 * p)), p)
+    both_enumerations(gram, lat.shift_in_basis(word), bound)
+
+
+def test_enumerate_coset_fixed_cases():
+    golay = lattice_of_code(standard_codes("golay12"))
+    assert len(both_enumerations([list(r) for r in golay.gram],
+                                 [0] * 24, 2)) == 73
+    # minors near 10^18: the norm budget and the coordinates need more
+    # than 64 bits, so both are held as Python ints
+    assert len(both_enumerations(skewed_gram(10 ** 9, 10 ** 12 + 3),
+                                 [0, 0], 6)) == 3
+    # a 66-bit budget over coordinates that fit in int64
+    assert len(both_enumerations(skewed_gram(2 ** 20 + 1, 2 ** 40 + 5),
+                                 [0, 0], 2 ** 24)) == 5793
+    # coordinates near 10^15 fail the int64 coordinate bound; near 10^19
+    # they do not fit in int64 at all
+    a2 = [[2, -1], [-1, 2]]
+    for big in (10 ** 15, 10 ** 19):
+        far = [big + Fraction(1, 3), -big + Fraction(2, 3)]
+        assert len(both_enumerations(a2, far, 6)) == 12
+    # the coset (1/3, 2/3) of A2 has minimum norm 2/3
+    assert both_enumerations(a2, far, Fraction(1, 2)) == []
+    # a scaled diagonal entry far above the budget
+    assert len(both_enumerations([[2, 0], [0, 2 ** 70]], [0, 0], 6)) == 3
+    # the budget is k^2 - 1, k = 3 * 2^28 + 1, where float sqrt gives k
+    k = 3 * 2 ** 28 + 1
+    assert [x for (x,), _, _ in both_enumerations(
+        [[1]], [Fraction(1, 2 ** 28)], Fraction(k * k - 1, 2 ** 56))] == [
+        -3, -2, -1, 0, 1, 2]
+    leaves = []
+    enumerate_coset(a2, [0, 0], -1, lambda *leaf: leaves.append(leaf))
+    assert leaves == []
+
+
+def test_enumerate_coset_in_chunks_of_three(monkeypatch):
+    monkeypatch.setattr(codelattice, "CHUNK", 3)
+    e8 = lattice_of_code(standard_codes("tetracode"))
+    assert len(both_enumerations([list(r) for r in e8.gram],
+                                 e8.shift_in_basis((1, 0, 2, 1)), 4)) == 1437
+    assert len(both_enumerations(skewed_gram(2 ** 20 + 1, 2 ** 40 + 5),
+                                 [0, 0], 2 ** 24)) == 5793
+    assert len(both_enumerations(
+        [[2, -1], [-1, 2]],
+        [10 ** 15 + Fraction(1, 3), -10 ** 15 + Fraction(2, 3)], 6)) == 12
