@@ -18,7 +18,8 @@ from math import comb
 
 from . import qexp, voarep
 from .cliffcode import (
-    CliffordWord, full_rep, spinor_rep, verify_all as clifford_verify_all,
+    CliffordWord, beta_form_check, full_rep, pair_form_sweep, spinor_rep,
+    verify_all as clifford_verify_all,
 )
 from .codelattice import (
     box_count_by_norm, count_by_norm, lattice_info, lattice_of_code,
@@ -30,9 +31,7 @@ from .fpcode import (
 )
 from .hilbert_eval import parse_points_text, verify_alpbach, \
     verify_sl2f3_action
-from .octower import (
-    beta_form_check, crossed_hom_space, pair_form_sweep, tower_report,
-)
+from .octower import crossed_hom_space, tower_report
 
 BUILTIN_CODES = ("tetracode", "hamming8", "golay12")
 
@@ -180,8 +179,11 @@ def cmd_clifford_delta(args):
     word = CliffordWord.from_support(8, args.word)
     if args.full:
         mat = full_rep(word)
-    else:
+    elif word.is_even():
         mat = spinor_rep(-1 if args.minus else 1, word)
+    else:
+        raise ValueError("--word needs an even number of indices "
+                         "without --full, got %d" % len(args.word))
     _emit({"dim": mat.dim, "rows": mat.rows(), "support": args.word})
     return 0
 
@@ -558,10 +560,11 @@ def build_parser():
     p_delta = cliff_sub.add_parser("delta")
     p_delta.add_argument("--word", required=True, type=_clifford_word,
                          help="comma-separated symbol indices, e.g. 0,1")
-    p_delta.add_argument("--minus", action="store_true",
-                         help="use the minus spinor map")
-    p_delta.add_argument("--full", action="store_true",
-                         help="16x16 periodicity image (odd words allowed)")
+    p_map = p_delta.add_mutually_exclusive_group()
+    p_map.add_argument("--minus", action="store_true",
+                       help="use the minus spinor map")
+    p_map.add_argument("--full", action="store_true",
+                       help="16x16 periodicity image (odd words allowed)")
     p_delta.set_defaults(func=cmd_clifford_delta)
 
     p_tower = sub.add_parser("tower", help="signed-permutation tower")

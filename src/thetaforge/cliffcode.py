@@ -13,9 +13,9 @@ import itertools
 
 from .fpcode import (
     FANO_B_VECTORS, FANO_C_VECTORS, FANO_LINES_FIRST, FANO_LINES_SECOND,
-    standard_codes,
+    make_code, standard_codes,
 )
-from .linalg import row_reduce_mod_p
+from .linalg import rank_f2, row_reduce_mod_p
 
 FANO_POINTS = frozenset(range(1, 8))
 
@@ -45,13 +45,6 @@ class FanoData:
         self.incidence = incidence
 
 
-def _span_f2(vectors):
-    space = {frozenset()}
-    for v in vectors:
-        space |= {s ^ v for s in space}
-    return space
-
-
 def fano_structures():
     """Validated Fano data; raises if any structural law fails."""
     lf, ls = FANO_LINES_FIRST, FANO_LINES_SECOND
@@ -77,17 +70,12 @@ def fano_structures():
         assert (cv[i] ^ cv[j] ^ cv[k] == frozenset()) == (
             frozenset({i, j, k}) in lf)
 
-    # the two complement spaces split the even-weight vectors
-    B = _span_f2(bv[1:])
-    C = _span_f2(cv[1:])
-    assert len(B) == 8 and len(C) == 8 and B & C == {frozenset()}
-    even = {frozenset(s) for k in range(0, 8, 2)
-            for s in itertools.combinations(range(1, 8), k)}
-    assert {x ^ y for x in B for y in C} == even and len(even) == 64
-
-    # length-7 code: complements of second-picture lines plus the full set
-    H7 = {x ^ y for x in C for y in ({frozenset(), FANO_POINTS})}
-    assert len(H7) == 16
+    # the two complement spaces (weight 4, so even) split the 6-dimensional
+    # even-weight space; with the full set C spans the length-7 code
+    B = [sum(1 << i for i in v) for v in bv[1:]]
+    C = [sum(1 << i for i in v) for v in cv[1:]]
+    assert rank_f2(B) == 3 and rank_f2(C) == 3 and rank_f2(B + C) == 6
+    assert rank_f2(C + [sum(1 << i for i in FANO_POINTS)]) == 4
 
     incidence = [[None] * 8 for _ in range(8)]
     for i in range(1, 8):
@@ -210,6 +198,30 @@ def all_words(n, even_only=False):
         out.append(CliffordWord(n, 1, bits))
         out.append(CliffordWord(n, -1, bits))
     return out
+
+
+def _commutation_matches_pairing(n, hb, kb):
+    """For even supports h and k the alternating form sum_{i != j} h_i k_j
+    is |h & k| mod 2: the lifts commute exactly when that is even."""
+    wh = CliffordWord(n, 1, hb)
+    wk = CliffordWord(n, 1, kb)
+    return (wh * wk == wk * wh) == (bin(hb & kb).count("1") % 2 == 0)
+
+
+def beta_form_check(n=8):
+    """The commutator form against the pairing on all even vectors."""
+    evens = [bits for bits in range(1 << n)
+             if bin(bits).count("1") % 2 == 0]
+    return all(_commutation_matches_pairing(n, hb, kb)
+               for hb in evens for kb in evens)
+
+
+def pair_form_sweep(n=8):
+    """The weight-2 exhaustive comparison: all pairs of length-2 words."""
+    pairs = [(1 << i) | (1 << j)
+             for i, j in itertools.combinations(range(n), 2)]
+    return len(pairs), all(_commutation_matches_pairing(n, s, t)
+                           for s in pairs for t in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +459,6 @@ def spinor_rep(which, word):
 
     which is +1 or -1: the generator (0, i)-pair maps to +E_i or -E_i.
     """
-    if which in ("+", "plus"):
-        which = 1
-    if which in ("-", "minus"):
-        which = -1
     if which not in (1, -1):
         raise ValueError("which must select one of the two maps")
     if word.n != 8:
@@ -512,7 +520,6 @@ def lifted_subgroup():
 
 def _chi(variant, section_inverse, element):
     """Character value on the lifted subgroup; None off the subgroup."""
-    key = (element.n, 1, element.bits)
     pos = CliffordWord(element.n, 1, element.bits)
     if pos not in section_inverse:
         return None
@@ -619,6 +626,14 @@ def triality_kernels():
 # The 16x16 periodicity representation
 # ---------------------------------------------------------------------------
 
+def _blocks(top, bottom, swap=False):
+    """diag(top, bottom), or [[0, top], [bottom, 0]] when swap."""
+    top_shift, bottom_shift = (top.dim, 0) if swap else (0, top.dim)
+    return SignedMatrix(tuple(c + top_shift for c in top.perm)
+                        + tuple(c + bottom_shift for c in bottom.perm),
+                        top.signs + bottom.signs)
+
+
 def full_rep(word):
     """16x16 image of any word: block form over the even part.
 
@@ -631,34 +646,17 @@ def full_rep(word):
         raise ValueError("periodicity representation lives at n = 8")
     e0 = CliffordWord.generator(8, 0)
     e0inv = e0.inverse()
-    zero = [[0] * 8 for _ in range(8)]
     if word.is_even():
-        a = spinor_rep(1, word).rows()
-        d = spinor_rep(1, e0inv * word * e0).rows()
-        rows = [ra + z for ra, z in zip(a, zero)] + \
-               [z + rd for z, rd in zip(zero, d)]
+        raw = _blocks(spinor_rep(1, word), spinor_rep(1, e0inv * word * e0))
     else:
-        b = spinor_rep(1, word * e0).rows()
-        c = spinor_rep(1, e0inv * word).rows()
-        rows = [z + rb for z, rb in zip(zero, b)] + \
-               [rc + z for rc, z in zip(c, zero)]
-    raw = SignedMatrix.from_rows(rows)
+        raw = _blocks(spinor_rep(1, word * e0), spinor_rep(1, e0inv * word),
+                      swap=True)
     return _BASIS_TWIST_INV * raw * _BASIS_TWIST
 
 
-def _block_diag(a, b):
-    rows = []
-    za = [0] * a.dim
-    for r in a.rows():
-        rows.append(r + za)
-    for r in b.rows():
-        rows.append(za + r)
-    return SignedMatrix.from_rows(rows)
-
-
-_BASIS_TWIST = _block_diag(SignedMatrix.identity(8), -E_MATRICES[0])
-_BASIS_TWIST_INV = _block_diag(SignedMatrix.identity(8),
-                               -E_MATRICES[0].transpose())
+_BASIS_TWIST = _blocks(SignedMatrix.identity(8), -E_MATRICES[0])
+_BASIS_TWIST_INV = _blocks(SignedMatrix.identity(8),
+                           -E_MATRICES[0].transpose())
 
 
 def tensor_split(m):
@@ -667,37 +665,22 @@ def tensor_split(m):
     if m.dim == 1:
         return [], m.signs[0]
     half = m.dim // 2
-    rows = m.rows()
-    b00 = [row[:half] for row in rows[:half]]
-    b01 = [row[half:] for row in rows[:half]]
-    b10 = [row[:half] for row in rows[half:]]
-    b11 = [row[half:] for row in rows[half:]]
-
-    def is_zero(block):
-        return all(all(v == 0 for v in row) for row in block)
-
-    def compare(x, y):
-        same = all(a == b for ra, rb in zip(x, y) for a, b in zip(ra, rb))
-        if same:
-            return 1
-        anti = all(a == -b for ra, rb in zip(x, y) for a, b in zip(ra, rb))
-        if anti:
-            return -1
+    # the top rows must land in one column half, the bottom rows in the other
+    swap = m.perm[0] >= half
+    if any((c >= half) != swap for c in m.perm[:half]):
         raise ValueError("not a tensor product")
-
-    if not is_zero(b00):
-        if not (is_zero(b01) and is_zero(b10)):
-            raise ValueError("not a tensor product")
-        t = compare(b11, b00)
-        outer = SIGMA0 if t == 1 else SIGMA3
-        inner = SignedMatrix.from_rows(b00)
+    top_shift, bottom_shift = (half, 0) if swap else (0, half)
+    top = SignedMatrix([c - top_shift for c in m.perm[:half]],
+                       m.signs[:half])
+    bottom = SignedMatrix([c - bottom_shift for c in m.perm[half:]],
+                          m.signs[half:])
+    if top == bottom:
+        outer = SIGMA1 if swap else SIGMA0
+    elif top == -bottom:
+        outer = SIGMA13 if swap else SIGMA3
     else:
-        if not (is_zero(b00) and is_zero(b11)):
-            raise ValueError("not a tensor product")
-        t = compare(b01, b10)
-        outer = SIGMA1 if t == 1 else SIGMA13
-        inner = SignedMatrix.from_rows(b10)
-    factors, sign = tensor_split(inner)
+        raise ValueError("not a tensor product")
+    factors, sign = tensor_split(bottom if swap else top)
     return [outer] + factors, sign
 
 
@@ -782,24 +765,21 @@ def group_structure_check():
 
     # unique factorization: (lift of B-part) * (lifted-code element)
     fano = fano_structures()
-    bspace = _span_f2([fano.bvecs[i] for i in (1, 2, 4)])
-    assert len(bspace) == 8
-    b_words = {}
-    for s in bspace:
-        bits = 0
-        for i in s:
-            bits |= 1 << i          # parity slot 0 stays empty
-        b_words[bits] = CliffordWord(8, 1, bits)
+    bcode = make_code(2, 8, generators=[     # parity slot 0 stays empty
+        [int(i in fano.bvecs[k]) for i in range(8)] for k in (1, 2, 4)])
+    assert len(bcode) == 8
+    b_words = [CliffordWord(8, 1, sum(x << i for i, x in enumerate(w)))
+               for w in bcode.words]
     subgroup = lifted_subgroup()
     factored = set()
-    for b in b_words.values():
+    for b in b_words:
         for h in subgroup:
             factored.add(b * h)
     semidirect_ok = factored == set(evens) and len(evens) == 256
 
     # conjugation acts on the lifted code by the pairing sign
     conj_ok = True
-    for b in b_words.values():
+    for b in b_words:
         for h in subgroup:
             pairing = bin(b.bits & h.bits).count("1") % 2
             expect = CliffordWord(8, h.sign * (-1 if pairing else 1),
@@ -819,16 +799,7 @@ def group_structure_check():
                 and set().union(*cosets) == odd)
 
     # even lifts commute exactly when supports meet evenly
-    comm_ok = True
-    even_bits = [bits for bits in range(256)
-                 if bin(bits).count("1") % 2 == 0]
-    for sb in even_bits:
-        ws = CliffordWord(8, 1, sb)
-        for tb in even_bits:
-            wt = CliffordWord(8, 1, tb)
-            commutes = ws * wt == wt * ws
-            if commutes != (bin(sb & tb).count("1") % 2 == 0):
-                comm_ok = False
+    comm_ok = beta_form_check(8)
 
     return {
         "order_512": order_ok,

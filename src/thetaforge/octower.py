@@ -2,16 +2,15 @@
 
 The integral orthogonal group in rank n is the group of signed permutation
 matrices.  This module builds its index-2 subgroups and the evenly-signed
-even-permutation subgroup H, decides perfectness by commutator closure,
-solves the crossed-homomorphism system over F_2, and checks the
-commutator form of the quadratic refinement against the Clifford words.
+even-permutation subgroup H, decides perfectness as the normal closure
+of the generator commutators, and solves the crossed-homomorphism system over F_2.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .cliffcode import CliffordWord, SignedMatrix
+from .cliffcode import SignedMatrix
 from .linalg import rank_f2
 
 MAX_TOWER_N = 6
@@ -64,13 +63,9 @@ def subgroup_H(n):
 
 
 def _closure(generators, limit):
-    """Subgroup generated by the given elements, BFS in deterministic
-    order."""
-    ident = SignedMatrix.identity(generators[0].dim) if generators else None
-    if ident is None:
-        return []
-    seen = {ident}
-    frontier = [ident]
+    """Subgroup generated by a nonempty list of elements, as a set."""
+    seen = {SignedMatrix.identity(generators[0].dim)}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for g in frontier:
@@ -82,51 +77,44 @@ def _closure(generators, limit):
                     if len(seen) > limit:
                         raise ValueError("closure exceeded size guard")
         frontier = nxt
-    return sorted(seen, key=lambda m: (m.perm, m.signs))
+    return seen
 
 
-def _generating_subset(elements):
-    """Small generating list for the subgroup formed by the elements."""
+def _span(candidates, limit):
+    """Greedy generating list: a candidate joins only when it lies outside
+    the subgroup spanned so far.  Returns (subgroup, generators)."""
+    subgroup = {SignedMatrix.identity(candidates[0].dim)}
     gens = []
-    known = {SignedMatrix.identity(elements[0].dim)}
-    for g in elements:
-        if g not in known:
-            gens.append(g)
-            known = set(_closure(gens, len(elements)))
-    return gens
+    for c in candidates:
+        if c not in subgroup:
+            gens.append(c)
+            subgroup = _closure(gens, limit)
+    return subgroup, gens
 
 
 def is_perfect(elements):
-    """True when the commutator subgroup is the whole group."""
+    """True when the commutator subgroup is the whole group.
+
+    With S a generating set, [G, G] is the normal closure of the
+    commutators [s, t] for s, t in S: span those, then add the
+    S-conjugates of the derived generators until none is new.
+    """
     if not elements:
         return True
     if len(elements) > 20000:
         raise ValueError("group too large for the closure check")
-    group = set(elements)
-    gens = _generating_subset(list(elements))
+    limit = len(elements)
+    _, gens = _span(elements, limit)
     if not gens:
-        return len(group) == 1
-    comm = []
-    for a in gens:
-        for b in gens:
-            c = a * b * a.transpose() * b.transpose()
-            if not c.is_identity():
-                comm.append(c)
-    if not comm:
-        return len(group) == 1
+        return True                 # every element is the identity
+    derived, dgens = _span([a * b * a.transpose() * b.transpose()
+                            for a in gens for b in gens], limit)
     while True:
-        derived = set(_closure(comm, len(group)))
-        extra = []
-        for g in gens:
-            gt = g.transpose()
-            for d in derived:
-                c = gt * d * g
-                if c not in derived:
-                    extra.append(c)
+        extra = [s.transpose() * d * s for s in gens for d in dgens]
+        extra = [c for c in extra if c not in derived]
         if not extra:
-            return derived == group
-        comm = sorted(derived | set(extra),
-                      key=lambda m: (m.perm, m.signs))
+            return derived == set(elements)
+        derived, dgens = _span(dgens + extra, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -282,45 +270,6 @@ def crossed_hom_solutions(n):
         if ok:
             space.append(f)
     return space
-
-
-# ---------------------------------------------------------------------------
-# The commutator form at n = 8
-# ---------------------------------------------------------------------------
-
-def beta_form_check(n=8):
-    """Commutator signs of lifted even vectors against the alternating
-    form value sum_{i != j} h_i k_j."""
-    evens = [bits for bits in range(1 << n)
-             if bin(bits).count("1") % 2 == 0]
-    for hb in evens:
-        wh = CliffordWord(n, 1, hb)
-        whi = wh.inverse()
-        for kb in evens:
-            wk = CliffordWord(n, 1, kb)
-            comm = wh * wk * whi * wk.inverse()
-            if comm.bits != 0:
-                return False
-            h_wt = bin(hb).count("1")
-            k_wt = bin(kb).count("1")
-            meet = bin(hb & kb).count("1")
-            form = (h_wt * k_wt - meet) % 2
-            if comm.sign != (1 if form == 0 else -1):
-                return False
-    return True
-
-
-def pair_form_sweep(n=8):
-    """The weight-2 exhaustive comparison: all pairs of length-2 words."""
-    pairs = [frozenset(p) for p in itertools.combinations(range(n), 2)]
-    results = []
-    for s in pairs:
-        ws = CliffordWord.from_support(n, sorted(s))
-        for t in pairs:
-            wt = CliffordWord.from_support(n, sorted(t))
-            commutes = ws * wt == wt * ws
-            results.append(commutes == (len(s & t) % 2 == 0))
-    return len(pairs), all(results)
 
 
 def index_two_intersection(n):

@@ -17,8 +17,10 @@ from fractions import Fraction
 from thetaforge.cliffcode import (
     E_MATRICES,
     SignedMatrix,
+    beta_form_check,
     bott_check,
     induced_character_check,
+    pair_form_sweep,
     pauli_hamming,
     triality_kernels,
     verify_all,
@@ -41,10 +43,8 @@ from thetaforge.fpcode import (
 )
 from thetaforge.hilbert_eval import verify_alpbach, verify_sl2f3_action
 from thetaforge.octower import (
-    beta_form_check,
     crossed_hom_space,
     is_perfect,
-    pair_form_sweep,
     subgroup_H,
 )
 from thetaforge.qexp import compose_enumerator, t_shift

@@ -185,7 +185,8 @@ def test_usage_errors():
             ("--order", ["rep", "zmap", "--prime", "3", "--orbit", "1,3",
                          "--order", "-1"]),
             ("--order", ["verify", "alpbach", "--prime", "3", "--code",
-                         "tetracode", "--order", "-1"])):
+                         "tetracode", "--order", "-1"]),
+            ("--word", ["clifford", "delta", "--word", "0,1,2"])):
         proc = subprocess.run(
             [sys.executable, "-m", "thetaforge.cli"] + argv,
             capture_output=True, text=True)
@@ -199,7 +200,9 @@ def test_usage_errors():
                          "--order", "1"]),
             ("--word", ["clifford", "delta", "--word", "a"]),
             ("--word", ["clifford", "delta", "--word", "-1"]),
-            ("--word", ["clifford", "delta", "--word", "9"])):
+            ("--word", ["clifford", "delta", "--word", "9"]),
+            ("--minus", ["clifford", "delta", "--word", "0,1,2", "--full",
+                         "--minus"])):
         proc = subprocess.run(
             [sys.executable, "-m", "thetaforge.cli"] + argv,
             capture_output=True, text=True)
@@ -249,6 +252,18 @@ def test_output_byte_stable():
                       "e85aa9c2f3199729e5178f54a8d85750"),
             (["lattice", "--code", "golay12", "--info"],
              "24449ee59173e1e5378910540660514"
-             "552e70e95db19e6f78e1e8a827e8f7d81")):
+             "552e70e95db19e6f78e1e8a827e8f7d81"),
+            (["clifford", "delta", "--word", "0,1,2", "--full"],
+             "df32f2d8ca2ddd63de6521046ef5ca88"
+             "a7f7a00851d2bd988a158b24a6306bee"),
+            (["clifford", "delta", "--word", "1,2", "--minus"],
+             "f1698d845b49c8e3fb75c43332ab48b4"
+             "0c3b8371ce70829ca9bfaa9f14f2be1c"),
+            (["clifford", "verify"],
+             "d992f82a27921f815814094887b5541d"
+             "db52ed0779af6b0890c1e4c6fce2decc"),
+            (["tower", "check", "--n", "5"],
+             "9718ceceabd0ac172495fb82babdf2ad"
+             "156bb3f623726d5b8a763571dc27fc8f")):
         out = subprocess.run(cmd[:3] + argv, capture_output=True).stdout
         assert hashlib.sha256(out).hexdigest() == digest, argv

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -235,6 +237,10 @@ def test_tensor_split_roundtrip_and_rejection():
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
     with pytest.raises(ValueError):
         tensor_split(bad)
+    # the top rows meet both column halves
+    mixed = SignedMatrix((0, 2, 1, 3), (1, 1, 1, 1))
+    with pytest.raises(ValueError):
+        tensor_split(mixed)
 
 
 def test_periodicity_rank_and_tensor_images():
@@ -249,6 +255,14 @@ def test_periodicity_rank_and_tensor_images():
     assert report["pass"]
     assert full_rep(omega(8)) == tensor_all([SIGMA3, SIGMA0, SIGMA0, SIGMA0])
     assert full_rep(-CliffordWord.identity(8)) == -SignedMatrix.identity(16)
+
+
+def test_full_rep_images_pinned():
+    images = [full_rep(CliffordWord(8, s, bits))
+              for bits in range(256) for s in (1, -1)]
+    text = json.dumps([[list(m.perm), list(m.signs)] for m in images])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "70e01226a5aa89ac13199255f5072fb41849d6f8fd56278469813ba88cc516c3")
 
 
 def test_group_structure():

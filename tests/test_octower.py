@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from thetaforge.cliffcode import CliffordWord, SignedMatrix
+from thetaforge.cliffcode import (
+    CliffordWord, SignedMatrix, beta_form_check, pair_form_sweep,
+)
 from thetaforge.octower import (
-    alternating_generators, beta_form_check, crossed_hom_solutions,
-    crossed_hom_space, det, full_group, index_two_intersection, is_perfect,
-    pair_form_sweep, perm_parity, subgroup_H, tower_report,
-    _compose, _mat_vec_bits, _quotient_action,
+    alternating_generators, crossed_hom_solutions, crossed_hom_space, det,
+    full_group, index_two_intersection, is_perfect, perm_parity, subgroup_H,
+    tower_report, _compose, _mat_vec_bits, _quotient_action,
 )
 
 
@@ -44,6 +45,58 @@ def test_perfectness():
     assert is_perfect(a5)
     a4 = [m for m in subgroup_H(4) if m.signs == (1,) * 4]
     assert not is_perfect(a4)
+
+
+def multiplication_table(elements):
+    index = {m: i for i, m in enumerate(elements)}
+    mul = [[index[a * b] for b in elements] for a in elements]
+    inv = [index[m.transpose()] for m in elements]
+    return index, mul, inv
+
+
+def brute_force_is_perfect(ids, mul, inv):
+    """Reference: close the set of all pairwise commutators of a group,
+    given as indices into a multiplication table, by multiplying out."""
+    derived = {mul[mul[a][b]][mul[inv[a]][inv[b]]] for a in ids for b in ids}
+    frontier = list(derived)
+    while frontier:
+        new = {mul[x][y] for x in frontier for y in derived} - derived
+        derived |= new
+        frontier = list(new)
+    return len(derived) == len(set(ids))
+
+
+def test_perfectness_matches_brute_force_reference():
+    g4 = full_group(4)
+    # the three index-two kernels; H_4 runs the conjugation loop
+    groups = [[m for m in g4 if det(m) == 1],
+              [m for m in g4 if perm_parity(m.perm) == 0],
+              [m for m in g4 if m.signs.count(-1) % 2 == 0], subgroup_H(4)]
+    rng = random.Random(5)
+    for _ in range(30):
+        gens = rng.sample(g4, rng.randint(1, 3))
+        seen = {SignedMatrix.identity(4)}
+        frontier = list(seen)
+        while frontier:
+            frontier = [g * s for g in frontier for s in gens
+                        if g * s not in seen]
+            seen.update(frontier)
+        groups.append(sorted(seen, key=lambda m: (m.perm, m.signs)))
+    index, mul, inv = multiplication_table(g4)
+    for group in groups:
+        ids = [index[m] for m in group]
+        assert is_perfect(group) == brute_force_is_perfect(ids, mul, inv)
+    # whole groups with their own tables; A_5 is the perfect case.  Led
+    # by a 3-cycle and a 5-cycle, A_5 gets two generators whose
+    # commutators span a cyclic group: only conjugation reaches [G, G].
+    a5 = [m for m in subgroup_H(5) if m.signs == (1,) * 5]
+    lead = [SignedMatrix(p, (1,) * 5) for p in alternating_generators(5)]
+    a5_led = lead + [m for m in a5 if m not in lead]
+    for group in (full_group(3), a5, a5_led):
+        _, mul, inv = multiplication_table(group)
+        assert is_perfect(group) == brute_force_is_perfect(
+            range(len(group)), mul, inv)
+    assert is_perfect(a5) and is_perfect(a5_led)
 
 
 def test_perfectness_n6():
