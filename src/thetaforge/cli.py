@@ -422,7 +422,7 @@ def verify_tower():
     r5 = tower_report(5)
     h1_6 = crossed_hom_space(6)["h1_dim"]
     pairs, pair_ok = pair_form_sweep()
-    full_ok = beta_form_check()
+    full_ok = beta_form_check(8)
     ok = (r5["perfect"] and r5["order"] == 960 and not r4["perfect"]
           and r5["h1_dim"] == 0 and h1_6 == 0 and pair_ok and full_ok
           and pairs == 28)

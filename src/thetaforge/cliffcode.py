@@ -10,6 +10,7 @@ triality kernel data, and the 16x16 periodicity representation.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .fpcode import (
     FANO_B_VECTORS, FANO_C_VECTORS, FANO_LINES_FIRST, FANO_LINES_SECOND,
@@ -208,8 +209,12 @@ def _commutation_matches_pairing(n, hb, kb):
     return (wh * wk == wk * wh) == (bin(hb & kb).count("1") % 2 == 0)
 
 
+@lru_cache(maxsize=None)
 def beta_form_check(n=8):
-    """The commutator form against the pairing on all even vectors."""
+    """The commutator form against the pairing on all even vectors.
+
+    Cached: the clifford and tower stages of `verify all` both ask for n=8.
+    """
     evens = [bits for bits in range(1 << n)
              if bin(bits).count("1") % 2 == 0]
     return all(_commutation_matches_pairing(n, hb, kb)

@@ -4,8 +4,10 @@ The lattice attached to a code C in F_p^n is the preimage of C under the
 digitwise reduction of O^n, O the p-th cyclotomic integers, modulo the
 ramified prime.  Vectors live in O^n; internally everything is integer
 coordinates on the power basis (n blocks of size p-1) with the trace form
-scaled by 1/p.  Both enumeration routes (exact Fincke-Pohst and a brute
-force coefficient box) work on that data.
+scaled by 1/p.  Two enumeration routes count coset vectors by norm: exact
+Fincke-Pohst on the reduced basis, and an ambient oracle that needs only the
+code, enumerating power-basis vectors block by block, pruned by norm and by
+codeword prefix, at any rank.
 """
 
 from __future__ import annotations
@@ -212,7 +214,10 @@ class CodeLattice:
             raise ValueError("word length does not match the code")
         target = lift_word(word, self.p, self.n)
         binv = self.basis_inverse()
-        return [sum(Fraction(target[j]) * binv[j][i] for j in range(self.rank))
+        # the lift is nonzero only at the first coordinate of each block
+        lifted = [(target[j], binv[j])
+                  for j in range(0, self.rank, self.p - 1) if target[j]]
+        return [sum((t * row[i] for t, row in lifted), Fraction(0))
                 for i in range(self.rank)]
 
     def __repr__(self):
@@ -498,68 +503,103 @@ def short_vectors(lattice, bound, shift_word=None):
 
 
 # ---------------------------------------------------------------------------
-# Brute force coefficient-box oracle (independent of Fincke-Pohst)
+# Pruned ambient oracle (independent of the basis and of Fincke-Pohst)
 # ---------------------------------------------------------------------------
 
-_BOX_CHUNK = 1 << 19
+def _block_table(p, bound, limit):
+    """Scaled norms and digits of every x in Z^(p-1) with
+    p x.x - (sum x)^2 <= limit, sorted by norm, one entry per x.
+
+    Coordinates are fixed one at a time inside the sqrt(2B) box.  With k
+    of them fixed (sum s, sum of squares t), the least scaled norm over
+    real values of the other p-1-k is p (t - s^2 / (k+1)), so a prefix is
+    kept while p ((k+1) t - s^2) <= (k+1) limit; at k = p-1 this is the
+    exact norm test.
+    """
+    w = isqrt((2 * bound.numerator) // bound.denominator)
+    vals = np.arange(-w, w + 1, dtype=np.int64)
+    s = t = np.zeros(1, dtype=np.int64)
+    for k in range(1, p):
+        s = (s[:, None] + vals).ravel()
+        t = (t[:, None] + vals * vals).ravel()
+        keep = p * ((k + 1) * t - s * s) <= (k + 1) * limit
+        s, t = s[keep], t[keep]
+    norms = p * t - s * s
+    order = np.argsort(norms, kind="stable")
+    return norms[order], s[order] % p
 
 
-def box_count_by_norm(lattice, bound, shift_word=None, max_rank=8):
-    """Norm histogram via an exhaustive coefficient box; ranks <= 8 only.
+def box_count_by_norm(lattice, bound, shift_word=None):
+    """Norm histogram of a code lattice coset by pruned ambient enumeration.
 
-    Works directly on ambient power-basis integer vectors: the dual form of
-    a single cyclotomic coordinate has diagonal exactly 2, so every coset
-    vector of norm <= B has all coefficients bounded by sqrt(2B).  Each box
-    point is norm-checked and digit-word-filtered with exact int64
-    arithmetic.  Shares nothing with the Fincke-Pohst enumerator beyond the
-    code itself, so the two serve as independent cross-checks.
+    Works directly on ambient power-basis integer vectors, one cyclotomic
+    block at a time (Conway-Sloane, SPLAG ch. 7, Construction A): a vector
+    lies in the coset exactly when its block digits (sum of the block's
+    coordinates mod p) form a word of code + shift.  A partial vector is
+    kept while its scaled norm p * norm is within p * bound and its digit
+    prefix is a prefix of such a word.  The tree is expanded depth-first,
+    at most CHUNK children per step, so memory stays bounded at any rank;
+    every vector is one leaf.  Reads only the prime, the length and the
+    code words, so it shares nothing with the basis, its reduction or the
+    Fincke-Pohst enumerator, and the two serve as independent cross-checks.
     """
     _check_cap(bound)
-    rank = lattice.rank
-    if rank > max_rank:
-        raise ValueError("box oracle is limited to rank <= %d" % max_rank)
     p, n = lattice.p, lattice.n
-    d = p - 1
     bound = Fraction(bound)
-    if bound < 0:
-        return {}
-    # p * norm is an integer for every element of O^n
-    limit = (bound.numerator * p) // bound.denominator
-    w = isqrt((2 * bound.numerator) // bound.denominator)
-    size = 2 * w + 1
-
     shift = ((0,) * n if shift_word is None
              else tuple(int(x) % p for x in shift_word))
     if len(shift) != n:
         raise ValueError("shift word length does not match the code")
-    allowed = np.zeros(p ** n, dtype=bool)
-    for word in lattice.code.words:
-        idx = 0
-        for a, b in zip(word, shift):
-            idx = idx * p + (a + b) % p
-        allowed[idx] = True
-    word_pows = np.array([p ** (n - 1 - i) for i in range(n)],
-                         dtype=np.int64)
+    if p ** n >= 1 << 63:
+        raise ValueError("digit words of length %d over F_%d do not fit in "
+                         "int64" % (n, p))
+    if bound < 0:
+        return {}
+    # p * norm is an integer for every element of O^n
+    limit = (bound.numerator * p) // bound.denominator
+    tnorm, tdigit = _block_table(p, bound, limit)
 
-    total = size ** rank
-    strides = np.array([size ** (rank - 1 - i) for i in range(rank)],
-                       dtype=np.int64)
+    # prefixes[j]: sorted digit prefixes of length j of code + shift
+    words = np.array([[(a + b) % p for a, b in zip(word, shift)]
+                      for word in lattice.code.words],
+                     dtype=np.int64).reshape(-1, n)
+    full = words @ (p ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    prefixes = [np.unique(full // p ** (n - j)) for j in range(n + 1)]
+
+    def frame(norm, digits, j):
+        """Nodes with j blocks fixed, their children's table ranges and
+        the index of the next child to make."""
+        cnt = np.searchsorted(tnorm, limit - norm, side="right")
+        ends = np.cumsum(cnt)
+        return [norm, digits, j, ends, ends - cnt, 0]
 
     counts = Counter()
-    for start in range(0, total, _BOX_CHUNK):
-        idx = np.arange(start, min(start + _BOX_CHUNK, total),
-                        dtype=np.int64)
-        x = (idx[:, None] // strides) % size - w
-        blocks = x.reshape(-1, n, d)
-        sums = blocks.sum(axis=2)
-        # per-block scaled norm: p * dot(x, x) - (sum x)^2
-        scaled = (p * (blocks * blocks).sum(axis=2) - sums * sums).sum(axis=1)
-        digits = (sums % p) @ word_pows
-        keep = (scaled <= limit) & allowed[digits]
-        vals, cnts = np.unique(scaled[keep], return_counts=True)
-        for v, c in zip(vals.tolist(), cnts.tolist()):
-            counts[Fraction(v, p)] += c
-    return dict(counts)
+    zero = np.zeros(1, dtype=np.int64)
+    stack = [frame(zero, zero, 0)]
+    while stack:
+        entry = stack[-1]
+        norm, digits, j, ends, starts, start = entry
+        total = int(ends[-1]) if len(ends) else 0
+        if start >= total:
+            stack.pop()
+            continue
+        stop = min(start + CHUNK, total)
+        entry[-1] = stop
+        child = np.arange(start, stop)
+        par = np.searchsorted(ends, child, side="right")
+        row = child - starts[par]
+        norm_c = norm[par] + tnorm[row]
+        digits_c = digits[par] * p + tdigit[row]
+        allowed = prefixes[j + 1]
+        at = np.minimum(np.searchsorted(allowed, digits_c), len(allowed) - 1)
+        keep = allowed[at] == digits_c
+        if j + 1 == n:
+            vals, cnts = np.unique(norm_c[keep], return_counts=True)
+            for v, c in zip(vals.tolist(), cnts.tolist()):
+                counts[v] += c
+        else:
+            stack.append(frame(norm_c[keep], digits_c[keep], j + 1))
+    return {Fraction(v, p): counts[v] for v in sorted(counts)}
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,7 @@ def test_golay_lattice_is_even_unimodular_rank24():
         assert info["discriminant"] == 1
         shells = count_by_norm(lat, Fraction(4))
         assert shells == {0: 1, 2: 72, 4: 194832}
+        assert box_count_by_norm(lat, 4) == {0: 1, 2: 72, 4: 194832}
 
 
 def test_orbit_map_invariance_and_ring_properties():

@@ -3,7 +3,9 @@ import json
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -106,8 +108,7 @@ def test_box_oracle_agrees_with_recursive_enumeration():
     assert (box_count_by_norm(lat5, 4, shift_word=(2,))
             == count_by_norm(lat5, 4, shift_word=(2,)))
     big = lattice_of_code(standard_codes("golay12"))
-    with pytest.raises(ValueError):
-        box_count_by_norm(big, 2)
+    assert box_count_by_norm(big, 4) == count_by_norm(big, 4)
 
 
 def test_shifted_counts_are_negation_symmetric():
@@ -473,3 +474,104 @@ def test_enumerate_coset_in_chunks_of_three(monkeypatch):
     assert len(both_enumerations(
         [[2, -1], [-1, 2]],
         [10 ** 15 + Fraction(1, 3), -10 ** 15 + Fraction(2, 3)], 6)) == 12
+
+
+# ---------------------------------------------------------------------------
+# Pruned ambient oracle
+# ---------------------------------------------------------------------------
+
+def exhaustive_box_count(lattice, bound, shift_word=None):
+    """Reference oracle: the exhaustive coefficient box that the pruned
+    box_count_by_norm replaced.  Every ambient vector with all coefficients
+    within sqrt(2B) (the dual form of one cyclotomic coordinate has
+    diagonal 2) is norm-checked and digit-word-filtered in int64."""
+    p, n = lattice.p, lattice.n
+    d = p - 1
+    rank = n * d
+    bound = Fraction(bound)
+    if bound < 0:
+        return {}
+    limit = (bound.numerator * p) // bound.denominator
+    w = isqrt((2 * bound.numerator) // bound.denominator)
+    size = 2 * w + 1
+    shift = ((0,) * n if shift_word is None
+             else tuple(int(x) % p for x in shift_word))
+    allowed = np.zeros(p ** n, dtype=bool)
+    for word in lattice.code.words:
+        idx = 0
+        for a, b in zip(word, shift):
+            idx = idx * p + (a + b) % p
+        allowed[idx] = True
+    word_pows = np.array([p ** (n - 1 - i) for i in range(n)],
+                         dtype=np.int64)
+    total = size ** rank
+    strides = np.array([size ** (rank - 1 - i) for i in range(rank)],
+                       dtype=np.int64)
+    counts = Counter()
+    for start in range(0, total, 1 << 19):
+        idx = np.arange(start, min(start + (1 << 19), total), dtype=np.int64)
+        x = (idx[:, None] // strides) % size - w
+        blocks = x.reshape(-1, n, d)
+        sums = blocks.sum(axis=2)
+        # per-block scaled norm: p * dot(x, x) - (sum x)^2
+        scaled = (p * (blocks * blocks).sum(axis=2) - sums * sums).sum(axis=1)
+        digits = (sums % p) @ word_pows
+        keep = (scaled <= limit) & allowed[digits]
+        vals, cnts = np.unique(scaled[keep], return_counts=True)
+        for v, c in zip(vals.tolist(), cnts.tolist()):
+            counts[Fraction(v, p)] += c
+    return dict(counts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_box_oracle_matches_exhaustive_box_and_fincke_pohst(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    n = data.draw(st.integers(1, 8 // (p - 1)))
+    words = data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+        max_size=4))
+    gens = []
+    for w in words:
+        if all(sum(x * y for x, y in zip(w, g)) % p == 0
+               for g in gens + [w]):
+            gens.append(w)
+    lat = lattice_of_code(make_code(p, n, generators=gens or [[0] * n]))
+    word = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n,
+                                    max_size=n)))
+    bound = Fraction(data.draw(st.integers(0, 6 * p)), p)
+    got = box_count_by_norm(lat, bound, shift_word=word)
+    assert got == exhaustive_box_count(lat, bound, shift_word=word)
+    assert got == count_by_norm(lat, bound, shift_word=word)
+
+
+def test_box_oracle_fixed_cases(monkeypatch):
+    a2 = standard_lattice(3, 1)
+    assert box_count_by_norm(a2, -1) == {}
+    assert box_count_by_norm(a2, Fraction(-1, 3), shift_word=(1,)) == {}
+    # the coset of the digit 1 has minimum norm 2/3
+    assert box_count_by_norm(a2, Fraction(1, 2), shift_word=(1,)) == {}
+    assert box_count_by_norm(a2, Fraction(2, 3), shift_word=(1,)) == {
+        Fraction(2, 3): 3}
+    with pytest.raises(ValueError, match="length"):
+        box_count_by_norm(a2, 2, shift_word=(1, 0))
+    # 3^40 digit words would wrap the int64 prefix codes
+    long = SimpleNamespace(p=3, n=40, code=zero_code(3, 40))
+    with pytest.raises(ValueError, match="int64"):
+        box_count_by_norm(long, 2)
+    # children of one node split across chunks, chunks spanning nodes
+    monkeypatch.setattr(codelattice, "CHUNK", 3)
+    e8 = lattice_of_code(standard_codes("tetracode"))
+    got = box_count_by_norm(e8, 4, shift_word=(1, 0, 2, 1))
+    assert sum(got.values()) == 1437
+    assert got == exhaustive_box_count(e8, 4, shift_word=(1, 0, 2, 1))
+    monkeypatch.setenv("THETA_FORGE_MAX_NORM", "6")
+    with pytest.raises(ValueError, match="THETA_FORGE_MAX_NORM"):
+        box_count_by_norm(a2, 8)
+
+
+def test_box_oracle_reads_only_the_code():
+    # no gram, no basis: the oracle needs the prime, the length and the words
+    code = standard_codes("tetracode")
+    bare = SimpleNamespace(p=code.p, n=code.n, code=code)
+    assert box_count_by_norm(bare, 6) == {0: 1, 2: 240, 4: 2160, 6: 6720}
