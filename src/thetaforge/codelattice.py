@@ -506,17 +506,18 @@ def short_vectors(lattice, bound, shift_word=None):
 # Pruned ambient oracle (independent of the basis and of Fincke-Pohst)
 # ---------------------------------------------------------------------------
 
-def _block_table(p, bound, limit):
+def _block_table(p, limit):
     """Scaled norms and digits of every x in Z^(p-1) with
     p x.x - (sum x)^2 <= limit, sorted by norm, one entry per x.
 
-    Coordinates are fixed one at a time inside the sqrt(2B) box.  With k
-    of them fixed (sum s, sum of squares t), the least scaled norm over
-    real values of the other p-1-k is p (t - s^2 / (k+1)), so a prefix is
-    kept while p ((k+1) t - s^2) <= (k+1) limit; at k = p-1 this is the
-    exact norm test.
+    Coordinates are fixed one at a time.  With k of them fixed (sum s, sum
+    of squares t), the least scaled norm over real values of the other
+    p-1-k is p (t - s^2 / (k+1)), so a prefix is kept while
+    p ((k+1) t - s^2) <= (k+1) limit.  At k = 1 this is p x^2 <= 2 limit,
+    the box every coordinate is taken from; at k = p-1 it is the exact
+    norm test.
     """
-    w = isqrt((2 * bound.numerator) // bound.denominator)
+    w = isqrt(2 * limit // p)
     vals = np.arange(-w, w + 1, dtype=np.int64)
     s = t = np.zeros(1, dtype=np.int64)
     for k in range(1, p):
@@ -557,7 +558,7 @@ def box_count_by_norm(lattice, bound, shift_word=None):
         return {}
     # p * norm is an integer for every element of O^n
     limit = (bound.numerator * p) // bound.denominator
-    tnorm, tdigit = _block_table(p, bound, limit)
+    tnorm, tdigit = _block_table(p, limit)
 
     # prefixes[j]: sorted digit prefixes of length j of code + shift
     words = np.array([[(a + b) % p for a, b in zip(word, shift)]
