@@ -20,7 +20,6 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .cyclotomic import CycInt
 from .fpcode import code_predicates, linear_basis, zero_code
 from .linalg import bareiss_det, fraction_inverse, integer_row_basis
 from .qexp import QSeries
@@ -223,36 +222,6 @@ class CodeLattice:
     def __repr__(self):
         return "CodeLattice(p=%d, n=%d, rank=%d)" % (self.p, self.n,
                                                      self.rank)
-
-
-def coords_to_elements(coords, p, n):
-    d = p - 1
-    return tuple(CycInt(p, coords[i * d:(i + 1) * d]) for i in range(n))
-
-
-class LatticeVector:
-    """An element of O^n with its norm; coords are power-basis integers."""
-
-    __slots__ = ("p", "n", "coords", "norm")
-
-    def __init__(self, p, n, coords, norm):
-        self.p = p
-        self.n = n
-        self.coords = tuple(int(c) for c in coords)
-        self.norm = norm if isinstance(norm, Fraction) else Fraction(norm)
-
-    def elements(self):
-        return coords_to_elements(self.coords, self.p, self.n)
-
-    def __eq__(self, other):
-        return (isinstance(other, LatticeVector) and other.p == self.p
-                and other.coords == self.coords)
-
-    def __hash__(self):
-        return hash((self.p, self.coords))
-
-    def __repr__(self):
-        return "LatticeVector(%r, norm=%s)" % (list(self.coords), self.norm)
 
 
 def lattice_of_code(code):
@@ -474,32 +443,6 @@ def count_by_norm(lattice, bound, shift_word=None):
 
     enumerate_coset([list(r) for r in lattice.gram], shift, bound, emit)
     return {Fraction(k, scale): c for k, c in counts.items()}
-
-
-def short_vectors(lattice, bound, shift_word=None):
-    """All coset vectors with norm <= bound, as LatticeVectors in O^n."""
-    _check_cap(bound)
-    p, n, rank = lattice.p, lattice.n, lattice.rank
-    if shift_word is None:
-        shift = [Fraction(0)] * rank
-        offset = [0] * (n * (p - 1))
-    else:
-        shift = lattice.shift_in_basis(shift_word)
-        offset = lift_word(shift_word, p, n)
-    basis = lattice.basis
-    out = []
-
-    def emit(x, scaled, scale):
-        coords = list(offset)
-        for c, row in zip(x, basis):
-            if c:
-                for j, rj in enumerate(row):
-                    coords[j] += c * rj
-        out.append(LatticeVector(p, n, coords, Fraction(scaled, scale)))
-
-    enumerate_coset([list(r) for r in lattice.gram], shift, bound, emit)
-    out.sort(key=lambda v: (v.norm, v.coords))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Codes over prime fields F_p: construction, duality, weight statistics.
 
-Words are tuples of digits in 0..p-1.  A Code remembers whether it is
-linear (and then its dimension); all heavier machinery downstream requires
-linearity only where the mathematics does.
+Words are tuples of digits in 0..p-1.  A linear Code carries its echelon
+basis, and linearity is decided by rank: a word set is linear exactly when
+it has p^rank words.  All heavier machinery downstream requires linearity
+only where the mathematics does.
 """
 
 from __future__ import annotations
@@ -60,21 +61,24 @@ _GOLAY_B = (
 
 
 class Code:
-    """A set of words in F_p^n, with linear structure when present."""
+    """A set of words in F_p^n; basis is its echelon basis when linear."""
 
-    def __init__(self, p, n, words, generators=None, dimension=None):
+    def __init__(self, p, n, words, basis=None):
         check_prime(p)
         self.p = p
         self.n = n
         self.words = tuple(sorted(words))
         self.word_set = frozenset(self.words)
-        self.generators = tuple(generators) if generators is not None else None
-        self.dimension = dimension
+        self.basis = tuple(basis) if basis is not None else None
         assert len(self.word_set) == len(self.words)
 
     @property
     def is_linear(self):
-        return self.dimension is not None
+        return self.basis is not None
+
+    @property
+    def dimension(self):
+        return len(self.basis) if self.is_linear else None
 
     def __len__(self):
         return len(self.words)
@@ -114,19 +118,12 @@ def _span(basis, p, n):
     return words
 
 
-def _is_closed(words, p, n):
-    """Closure of a word set under subtraction (hence a linear code)."""
-    if tuple([0] * n) not in words:
-        return False
-    for u in words:
-        for v in words:
-            if tuple((a - b) % p for a, b in zip(u, v)) not in words:
-                return False
-    return True
-
-
 def make_code(p, n, words=None, generators=None):
-    """Build a Code from explicit words or from spanning generators."""
+    """Build a Code from explicit words or from spanning generators.
+
+    A word set is linear exactly when it has p^rank words: it lies in the
+    span of its own echelon basis, which has p^rank elements.
+    """
     check_prime(p)
     n = int(n)
     if n < 1:
@@ -136,17 +133,12 @@ def make_code(p, n, words=None, generators=None):
     if generators is not None:
         gens = [_check_word(g, p, n) for g in generators]
         basis, _ = row_reduce_mod_p(gens, p)
-        span = _span(basis, p, n)
-        return Code(p, n, span, generators=gens, dimension=len(basis))
-    wlist = {_check_word(w, p, n) for w in words}
-    if not wlist:
+        return Code(p, n, _span(basis, p, n), basis)
+    wset = {_check_word(w, p, n) for w in words}
+    if not wset:
         raise ValueError("empty code")
-    dim = None
-    if len(wlist) <= 4096 and _is_closed(wlist, p, n):
-        basis, _ = row_reduce_mod_p(sorted(wlist), p)
-        dim = len(basis)
-        assert p ** dim == len(wlist)
-    return Code(p, n, wlist, dimension=dim)
+    basis, _ = row_reduce_mod_p(sorted(wset), p)
+    return Code(p, n, wset, basis if p ** len(basis) == len(wset) else None)
 
 
 def zero_code(p, n):
@@ -154,11 +146,10 @@ def zero_code(p, n):
 
 
 def linear_basis(code):
-    """A row-reduced generating set for a linear code."""
+    """The echelon basis of a linear code."""
     if not code.is_linear:
         raise ValueError("code is not linear")
-    basis, _ = row_reduce_mod_p(code.generators or code.words, code.p)
-    return basis
+    return list(code.basis)
 
 
 def dual_code(code):
@@ -166,6 +157,8 @@ def dual_code(code):
     if not code.is_linear:
         raise ValueError("dual of a nonlinear code is undefined here")
     p, n = code.p, code.n
+    # w[pivot] = -row[f] needs a reduced echelon basis.  code.basis is not
+    # reduced above its pivots; the echelon form of the sorted words is.
     basis, pivots = row_reduce_mod_p(code.words, p)
     free = [j for j in range(n) if j not in pivots]
     dual_basis = []
@@ -259,13 +252,10 @@ def code_predicates(code):
     """Self-orthogonality and friends, as a plain dict."""
     p = code.p
     self_orth = code.is_linear and all(
-        _inner(u, v, p) == 0
-        for u in (code.generators or code.words)
-        for v in (code.generators or code.words))
+        _inner(u, v, p) == 0 for u in code.basis for v in code.basis)
     out = {
         "self_orthogonal": bool(self_orth),
-        "self_dual": bool(self_orth and code.is_linear
-                          and 2 * code.dimension == code.n),
+        "self_dual": bool(self_orth and 2 * code.dimension == code.n),
         "min_distance": min_distance(code),
     }
     if p == 2:
@@ -357,32 +347,46 @@ def apply_monomial(code, g):
     """Image of a code under a monomial transform."""
     if g.p != code.p or g.n != code.n:
         raise ValueError("transform does not match the code")
-    words = [g.apply_word(w) for w in code.words]
-    return Code(code.p, code.n, words, dimension=code.dimension)
+    return make_code(code.p, code.n,
+                     words=[g.apply_word(w) for w in code.words])
 
 
 # ---------------------------------------------------------------------------
 # File format: first line "p n", one word per line, '#' starts a comment.
 # ---------------------------------------------------------------------------
 
+def _file_int(token, number):
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError("line %d: %r is not an integer"
+                         % (number, token)) from None
+
+
 def parse_code_text(text):
+    """Parse the code-file format; each error names the line at fault."""
     lines = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            lines.append(body)
+            lines.append((number, body))
     if not lines:
         raise ValueError("empty code file")
-    head = lines[0].split()
+    number, body = lines[0]
+    head = body.split()
     if len(head) != 2:
-        raise ValueError("first line must be 'p n'")
-    p, n = int(head[0]), int(head[1])
+        raise ValueError("line %d: the header must be 'p n'" % number)
+    p, n = (_file_int(t, number) for t in head)
+    if n < 1:
+        raise ValueError("line %d: word length n must be positive, got %d"
+                         % (number, n))
     words = []
-    for body in lines[1:]:
+    for number, body in lines[1:]:
         digits = body.split()
         if len(digits) != n:
-            raise ValueError("bad word %r: expected %d digits" % (body, n))
-        words.append(tuple(int(d) for d in digits))
+            raise ValueError("line %d: bad word %r: expected %d digits"
+                             % (number, body, n))
+        words.append(tuple(_file_int(d, number) for d in digits))
     if not words:
         raise ValueError("code file lists no words")
     return make_code(p, n, words=words)

@@ -21,7 +21,6 @@ from .codelattice import (
     enumerate_coset, lift_word, max_norm_cap, standard_lattice,
 )
 from .cyclotomic import check_prime
-from .fpcode import Code
 
 
 class HilbertPoint:
@@ -145,21 +144,11 @@ def theta_class_eval(p, j, z, tail_tol=1e-10):
 
 
 def theta_code_eval(code, z, tail_tol=1e-10):
-    """Numerical theta value of the union of cosets indexed by a code.
-
-    Accepts a Code or a bare iterable of words; an empty iterable gives 0.
-    """
-    if isinstance(code, Code):
-        p, n, words = code.p, code.n, code.words
-    else:
-        words = tuple(tuple(w) for w in code)
-        if not words:
-            return 0j
-        raise ValueError("bare word lists need a Code for p and n")
-    point = as_point(p, z)
+    """Numerical theta value of the union of cosets indexed by a code."""
+    point = as_point(code.p, z)
     total = 0j
-    for w in words:
-        total += _coset_value(p, n, w, point, tail_tol)
+    for w in code.words:
+        total += _coset_value(code.p, code.n, w, point, tail_tol)
     return total
 
 

@@ -153,14 +153,6 @@ def _quotient_action(perm):
     return tuple(rows)
 
 
-def _mat_vec_bits(rows, vec):
-    out = 0
-    for r, row in enumerate(rows):
-        if bin(row & vec).count("1") % 2:
-            out |= 1 << r
-    return out
-
-
 def _compose(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
@@ -231,45 +223,6 @@ def crossed_hom_space(n):
         "dim_invariants": dim_invariants,
         "h1_dim": dim_crossed - dim_principal,
     }
-
-
-def crossed_hom_solutions(n):
-    """Basis of the solution space as explicit maps (dict per basis
-    vector), for independent validation of the linear-system route."""
-    d = n - 1
-    a, b = alternating_generators(n)
-    space = []
-    for bits in range(1 << (2 * d)):
-        fa = bits & ((1 << d) - 1)
-        fb = bits >> d
-        f = {tuple(range(n)): 0, a: fa}
-        ok = True
-        frontier = [tuple(range(n)), a]
-        if b in f:
-            ok = f[b] == fb
-        else:
-            f[b] = fb
-            frontier.append(b)
-        while frontier and ok:
-            nxt = []
-            for g in frontier:
-                act = _quotient_action(g)
-                for x, fx in ((a, fa), (b, fb)):
-                    h = _compose(g, x)
-                    val = f[g] ^ _mat_vec_bits(act, fx)
-                    if h in f:
-                        if f[h] != val:
-                            ok = False
-                            break
-                    else:
-                        f[h] = val
-                        nxt.append(h)
-                if not ok:
-                    break
-            frontier = nxt
-        if ok:
-            space.append(f)
-    return space
 
 
 def index_two_intersection(n):

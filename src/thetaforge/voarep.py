@@ -16,7 +16,7 @@ from math import comb, factorial
 
 from .codelattice import count_by_norm, standard_lattice, theta_series
 from .cyclotomic import as_cycrat, check_prime
-from .fpcode import WeightEnumerator, word_profile
+from .fpcode import WeightEnumerator, weight_enumerator, word_profile
 from .qexp import QSeries, compose_enumerator, eta
 
 
@@ -364,11 +364,7 @@ def module_of_code(code):
     """The code's module class: one orbit term per word, counted."""
     if code.p == 2:
         raise ValueError("need an odd prime")
-    terms = {}
-    for w in code.words:
-        prof = word_profile(w, code.p)
-        terms[prof] = terms.get(prof, 0) + 1
-    return RepElement(code.p, terms)
+    return RepElement(code.p, weight_enumerator(code).coefficients)
 
 
 # ---------------------------------------------------------------------------

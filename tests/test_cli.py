@@ -163,7 +163,7 @@ def test_verify_alpbach_rejects_a_prime_that_is_not_the_codes(capsys):
     assert "--prime 5" in captured.err and "prime 3" in captured.err
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "thetaforge.cli", "theta", "--prime", "3",
          "--class", "0", "--order", "7", "--bogus"],
@@ -209,6 +209,19 @@ def test_usage_errors():
         assert proc.returncode == 2, argv
         assert "error: argument %s: " % option in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr
+    # code files: the message names the line and the token at fault
+    for name, text, message in (
+            ("header.txt", "3 x\n0 0\n", "error: line 1: 'x' "),
+            ("digit.txt", "3 2\n# c\n0 0\n1 y\n", "error: line 4: 'y' "),
+            ("length.txt", "3 -1\n1\n", "error: line 1: word length n")):
+        path = tmp_path / name
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetaforge.cli", "code", "--code",
+             str(path)], capture_output=True, text=True)
+        assert proc.returncode == 2, text
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith(message), proc.stderr
 
 
 @pytest.mark.parametrize("value", ["1/0", "abc", "-1"])

@@ -14,12 +14,50 @@ from thetaforge.codelattice import (
     CodeLattice, _integral_gso, box_count_by_norm, count_by_norm,
     discriminant, enumerate_coset, is_even, lattice_info, lattice_of_code,
     lift_word, lll_reduce, make_pair_function, minimal_norm,
-    ramified_block_rows, short_vectors, standard_lattice, theta_series,
+    ramified_block_rows, standard_lattice, theta_series,
 )
-from thetaforge.cyclotomic import trace_pairing
+from thetaforge.cyclotomic import CycInt, trace_pairing
 from thetaforge.fpcode import make_code, standard_codes, zero_code
 from thetaforge.linalg import bareiss_det, integer_row_basis
 from thetaforge.qexp import QSeries
+
+
+def coords_to_elements(coords, p, n):
+    d = p - 1
+    return tuple(CycInt(p, coords[i * d:(i + 1) * d]) for i in range(n))
+
+
+class LatticeVector:
+    """An element of O^n with its norm; coords are power-basis integers."""
+
+    def __init__(self, p, n, coords, norm):
+        self.p = p
+        self.n = n
+        self.coords = tuple(int(c) for c in coords)
+        self.norm = norm
+
+    def elements(self):
+        return coords_to_elements(self.coords, self.p, self.n)
+
+
+def short_vectors(lattice, bound):
+    """Reference: all lattice vectors with norm <= bound, as LatticeVectors
+    in O^n, from the Fincke-Pohst leaves mapped through the basis."""
+    p, n, basis = lattice.p, lattice.n, lattice.basis
+    out = []
+
+    def emit(x, scaled, scale):
+        coords = [0] * (n * (p - 1))
+        for c, row in zip(x, basis):
+            if c:
+                for j, rj in enumerate(row):
+                    coords[j] += c * rj
+        out.append(LatticeVector(p, n, coords, Fraction(scaled, scale)))
+
+    enumerate_coset([list(r) for r in lattice.gram],
+                    [Fraction(0)] * lattice.rank, bound, emit)
+    out.sort(key=lambda v: (v.norm, v.coords))
+    return out
 
 
 def loeschian_counts(limit):

@@ -1,12 +1,43 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetaforge.fpcode import (
     Code, MonomialTransform, apply_monomial, code_predicates, code_to_text,
     doubly_even, dual_code, make_code, min_distance, parse_code_text,
     standard_codes, weight_enumerator, word_profile, zero_code,
 )
+
+
+def is_closed(words, p, n):
+    """Reference: closure of a word set under subtraction (hence a linear
+    code), by the quadratic test over all pairs."""
+    if tuple([0] * n) not in words:
+        return False
+    for u in words:
+        for v in words:
+            if tuple((a - b) % p for a, b in zip(u, v)) not in words:
+                return False
+    return True
+
+
+def brute_span(words, p, n):
+    """Reference: the F_p-span of a word set, closed up by repeated sums
+    and scalar multiples, with no elimination."""
+    span = {(0,) * n}
+    frontier = set(span)
+    while frontier:
+        new = set()
+        for u in frontier:
+            for w in words:
+                for a in range(1, p):
+                    v = tuple((x + a * y) % p for x, y in zip(u, w))
+                    if v not in span:
+                        new.add(v)
+        span |= new
+        frontier = new
+    return span
 
 
 def test_make_code_from_generators_spans():
@@ -174,3 +205,72 @@ def test_duality_of_enumerator_mass_bound():
     for name, p, n in [("tetracode", 3, 4), ("hamming8", 2, 8)]:
         c = standard_codes(name)
         assert len(c) * len(dual_code(c)) == p ** n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_linearity_by_rank_matches_closure_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 4))
+    word = st.tuples(*[st.integers(0, p - 1)] * n)
+    gens = data.draw(st.lists(word, max_size=n))
+    words = brute_span(gens, p, n)
+    edit = data.draw(st.sampled_from(["none", "add", "remove"]))
+    if edit == "add":
+        words.add(data.draw(word))
+    elif edit == "remove" and len(words) > 1:
+        words.discard(data.draw(st.sampled_from(sorted(words))))
+    code = make_code(p, n, words=words)
+    assert code.is_linear == is_closed(code.word_set, p, n)
+    if code.is_linear:
+        # a closed word set is its own span, so its rank is log_p |C|
+        assert p ** code.dimension == len(words)
+        assert len(code.basis) == code.dimension
+        assert brute_span(code.basis, p, n) == code.word_set
+    else:
+        assert code.dimension is None and code.basis is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dual_code_properties(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 5))
+    word = st.tuples(*[st.integers(0, p - 1)] * n)
+    code = make_code(p, n, generators=data.draw(st.lists(word, min_size=1,
+                                                         max_size=n)))
+    dual = dual_code(code)
+    for u in dual.words:
+        for v in code.words:
+            assert sum(a * b for a, b in zip(u, v)) % p == 0
+    assert dual.dimension + code.dimension == n
+    assert dual_code(dual) == code
+
+
+def test_full_space_as_words_is_linear():
+    # 6561 words: linearity is decided by rank at any size
+    code = make_code(3, 8, words=itertools.product(range(3), repeat=8))
+    assert code.is_linear and code.dimension == 8
+
+
+def test_block_self_dual_f5_code_as_words():
+    gens = []
+    for i in range(6):
+        g = [0] * 12
+        g[2 * i:2 * i + 2] = (1, 2)
+        gens.append(g)
+    text = code_to_text(make_code(5, 12, generators=gens))
+    code = parse_code_text(text)
+    assert len(code) == 5 ** 6
+    assert code.is_linear and code.dimension == 6
+    assert code_predicates(code)["self_dual"]
+
+
+def test_monomial_image_keeps_linearity_and_dimension():
+    g = MonomialTransform(3, sigma=(2, 0, 3, 1), scalars=(1, 2, 2, 1))
+    tetra = standard_codes("tetracode")
+    image = apply_monomial(tetra, g)
+    assert image.is_linear and image.dimension == tetra.dimension == 2
+    nonlinear = make_code(3, 4, words=[(0, 0, 0, 0), (1, 2, 0, 1)])
+    image = apply_monomial(nonlinear, g)
+    assert not image.is_linear and image.dimension is None

@@ -57,7 +57,6 @@ def test_diagonal_point_reduces_to_series_for_p5():
 
 
 def test_code_eval_empty_and_e8():
-    assert theta_code_eval([], 1j) == 0j
     tetra = standard_codes("tetracode")
     series = theta_series(
         __import__("thetaforge.codelattice", fromlist=["lattice_of_code"])

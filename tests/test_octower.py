@@ -6,10 +6,58 @@ from thetaforge.cliffcode import (
     CliffordWord, SignedMatrix, beta_form_check, pair_form_sweep,
 )
 from thetaforge.octower import (
-    alternating_generators, crossed_hom_solutions, crossed_hom_space, det,
-    full_group, index_two_intersection, is_perfect, perm_parity, subgroup_H,
-    tower_report, _compose, _mat_vec_bits, _quotient_action,
+    alternating_generators, crossed_hom_space, det, full_group,
+    index_two_intersection, is_perfect, perm_parity, subgroup_H,
+    tower_report, _compose, _quotient_action,
 )
+
+
+def _mat_vec_bits(rows, vec):
+    out = 0
+    for r, row in enumerate(rows):
+        if bin(row & vec).count("1") % 2:
+            out |= 1 << r
+    return out
+
+
+def crossed_hom_solutions(n):
+    """Reference: every crossed homomorphism as an explicit map (a dict on
+    the group), found by brute force over f(a), f(b); independent of the
+    linear-system route of crossed_hom_space."""
+    d = n - 1
+    a, b = alternating_generators(n)
+    space = []
+    for bits in range(1 << (2 * d)):
+        fa = bits & ((1 << d) - 1)
+        fb = bits >> d
+        f = {tuple(range(n)): 0, a: fa}
+        ok = True
+        frontier = [tuple(range(n)), a]
+        if b in f:
+            ok = f[b] == fb
+        else:
+            f[b] = fb
+            frontier.append(b)
+        while frontier and ok:
+            nxt = []
+            for g in frontier:
+                act = _quotient_action(g)
+                for x, fx in ((a, fa), (b, fb)):
+                    h = _compose(g, x)
+                    val = f[g] ^ _mat_vec_bits(act, fx)
+                    if h in f:
+                        if f[h] != val:
+                            ok = False
+                            break
+                    else:
+                        f[h] = val
+                        nxt.append(h)
+                if not ok:
+                    break
+            frontier = nxt
+        if ok:
+            space.append(f)
+    return space
 
 
 def test_subgroup_sizes():
