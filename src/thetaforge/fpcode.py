@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+import numpy as np
+
 from .cyclotomic import check_prime
 from .linalg import row_reduce_mod_p
 
@@ -157,9 +159,16 @@ def dual_code(code):
     if not code.is_linear:
         raise ValueError("dual of a nonlinear code is undefined here")
     p, n = code.p, code.n
-    # w[pivot] = -row[f] needs a reduced echelon basis.  code.basis is not
-    # reduced above its pivots; the echelon form of the sorted words is.
-    basis, pivots = row_reduce_mod_p(code.words, p)
+    # w[pivot] = -row[f] needs a reduced echelon basis: clear each pivot
+    # column above its row, last row first.  Pivots are 1 and lead their row.
+    basis = [list(row) for row in code.basis]
+    pivots = [row.index(1) for row in basis]
+    for i in reversed(range(len(basis))):
+        for above in basis[:i]:
+            f = above[pivots[i]]
+            if f:
+                for j in range(n):
+                    above[j] = (above[j] - f * basis[i][j]) % p
     free = [j for j in range(n) if j not in pivots]
     dual_basis = []
     for f in free:
@@ -233,11 +242,18 @@ def min_distance(code):
         return None
     if code.is_linear:
         return min(hamming_weight(w) for w in code.words if any(w))
-    best = None
-    for u, v in itertools.combinations(code.words, 2):
-        d = sum(1 for a, b in zip(u, v) if a != b)
-        if best is None or d < best:
-            best = d
+    words = np.array(code.words, dtype=np.int64)
+    best = code.n
+    # each block of rows against itself and every later word, the block
+    # sized so that its distance array stays near 2^21 entries
+    step = max(1, (1 << 21) // len(words))
+    for s in range(0, len(words), step):
+        block = words[s:s + step]
+        dist = np.zeros((len(block), len(words) - s), dtype=np.int32)
+        for j in range(code.n):
+            dist += block[:, j, None] != words[None, s:, j]
+        dist[dist == 0] = code.n        # the words are distinct: 0 is w vs w
+        best = min(best, int(dist.min()))
     return best
 
 
@@ -377,6 +393,10 @@ def parse_code_text(text):
     if len(head) != 2:
         raise ValueError("line %d: the header must be 'p n'" % number)
     p, n = (_file_int(t, number) for t in head)
+    try:
+        check_prime(p)
+    except ValueError as exc:
+        raise ValueError("line %d: %s" % (number, exc)) from None
     if n < 1:
         raise ValueError("line %d: word length n must be positive, got %d"
                          % (number, n))

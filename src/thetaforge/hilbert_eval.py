@@ -2,10 +2,13 @@
 
 For an element x of O^n with y = sum_i x_i conj(x_i), the summand attached
 to a point (z_1, ..., z_r) is exp(2 pi i sum_l z_l sigma_l(y) / p), the
-sigma_l running over one embedding per conjugate pair.  Sums are taken
-shell by shell in increasing norm until the worst-case contribution of a
-shell drops below tail_tol/10; the enumeration bound grows on demand up to
-the THETA_FORGE_MAX_NORM cap.
+sigma_l running over one embedding per conjugate pair.  Each coset is
+enumerated once per bound into a table that does not depend on the point:
+the r values sigma_l(y) of every vector, rows sorted by norm, and the
+shells' norms and end rows.  At a point, sums are taken shell by shell in
+increasing norm until the worst-case contribution of a shell drops below
+tail_tol/10, and only the rows before that shell are exponentiated; the
+enumeration bound grows on demand up to the THETA_FORGE_MAX_NORM cap.
 """
 
 from __future__ import annotations
@@ -61,9 +64,12 @@ def as_point(p, z):
 
 @lru_cache(maxsize=64)
 def _coset_arrays(p, n, word, bound):
-    """One enumeration pass over a coset: ambient power-basis coordinates
-    and exact scaled norms, as numpy arrays.  Cached so that evaluating the
-    same coset at several points enumerates once."""
+    """One enumeration pass over a coset, reduced to a table that serves
+    every point: sigma, an (M, r) array with sigma_l(y) = sum_i
+    |sigma_l(x_i)|^2 in column l-1, rows sorted by the exact norm; the
+    distinct norms, ascending; and the end row of each norm's shell.
+    Cached so that evaluating the same coset at several points enumerates
+    once."""
     lat = standard_lattice(p, n)
     shift = lat.shift_in_basis(word)
     rows = []
@@ -77,63 +83,54 @@ def _coset_arrays(p, n, word, bound):
 
     enumerate_coset([list(r) for r in lat.gram], shift, bound, emit)
     d = p - 1
-    if not rows:
-        return (np.zeros((0, n * d), dtype=np.int64),
-                np.zeros(0, dtype=np.int64), 1)
     basis = np.array(lat.basis, dtype=np.int64)
-    coords = (np.array(rows, dtype=np.int64) @ basis
+    coords = (np.array(rows, dtype=np.int64).reshape(-1, lat.rank) @ basis
               + np.array(lift_word(word, p, n), dtype=np.int64))
-    return coords, np.array(norms, dtype=np.int64), scale_box[0]
-
-
-def _shell_sum(p, coords, norms_scaled, scale, point, tail_tol):
-    """Shell-ordered sum of exp(2 pi i sum_l z_l sigma_l(y) / p) over the
-    enumerated vectors, y = sum_i x_i conj(x_i).  sigma_l(y) is computed as
-    sum_i |sigma_l(x_i)|^2 in floating point; the shell structure itself
-    comes from the exact scaled norms.  Returns (value, finished)."""
-    if coords.shape[0] == 0:
-        return 0j, False
-    d = p - 1
-    n = coords.shape[1] // d
     blocks = coords.reshape(-1, n, d).astype(np.float64)
-    phase = np.zeros(coords.shape[0], dtype=np.complex128)
-    for l, z in enumerate(point.values, start=1):
-        w = np.exp((2j * np.pi * l / p) * np.arange(d))
-        emb = blocks @ w
-        phase += z * (emb.real ** 2 + emb.imag ** 2).sum(axis=1)
-    terms = np.exp((2j * np.pi / p) * phase)
-    order = np.argsort(norms_scaled, kind="stable")
-    uniq, starts, counts = np.unique(norms_scaled[order],
-                                     return_index=True, return_counts=True)
-    terms = terms[order]
-    y_min = point.y_min
-    total = 0j
-    for u, s0, cnt in zip(uniq.tolist(), starts.tolist(), counts.tolist()):
-        est = cnt * math.exp(-math.pi * y_min * (u / scale))
-        if est < tail_tol / 10:
-            return total, True
-        total += complex(terms[s0:s0 + cnt].sum())
-    return total, False
+    sigma = np.empty((len(rows), d // 2))
+    for l in range(1, d // 2 + 1):
+        emb = blocks @ np.exp((2j * np.pi * l / p) * np.arange(d))
+        sigma[:, l - 1] = (emb.real ** 2 + emb.imag ** 2).sum(axis=1)
+    norms = np.array(norms, dtype=np.int64)
+    uniq, counts = np.unique(norms, return_counts=True)
+    return (sigma[np.argsort(norms, kind="stable")], uniq / scale_box[0],
+            np.cumsum(counts))
 
 
 def _coset_value(p, n, word, point, tail_tol):
+    """Shell-ordered sum of exp(2 pi i sum_l z_l sigma_l(y) / p) over the
+    coset, up to the first shell of norm u whose count times
+    exp(-pi y_min u) is below tail_tol/10; only the shells before it are
+    exponentiated."""
     # initial bound sized so the stop rule usually fires on the first pass
     cap = max_norm_cap()
-    guess = 1.3 * math.log(10 / tail_tol) / (math.pi * point.y_min) + 2
+    y_min = point.y_min
+    guess = 1.3 * math.log(10 / tail_tol) / (math.pi * y_min) + 2
     bound = Fraction(max(6, math.ceil(guess)))
     word = tuple(int(c) % p for c in word)
     while True:
         use = min(bound, cap)
-        coords, norms, scale = _coset_arrays(p, n, word, use)
-        value, finished = _shell_sum(p, coords, norms, scale, point,
-                                     tail_tol)
-        if finished:
-            return value
+        sigma, shell_norms, shell_ends = _coset_arrays(p, n, word, use)
+        ends = [0] + shell_ends.tolist()
+        stop = next((k for k, u in enumerate(shell_norms.tolist())
+                     if (ends[k + 1] - ends[k])
+                     * math.exp(-math.pi * y_min * u) < tail_tol / 10),
+                    None)
+        if stop is not None:
+            break
         if use >= cap:
             raise ValueError(
                 "tail still above %g at the enumeration cap %s; raise "
                 "THETA_FORGE_MAX_NORM or loosen tail_tol" % (tail_tol, cap))
         bound = bound * 2
+    phase = np.zeros(ends[stop], dtype=np.complex128)
+    for l, z in enumerate(point.values):
+        phase += z * sigma[:ends[stop], l]
+    terms = np.exp((2j * np.pi / p) * phase)
+    total = 0j
+    for s0, s1 in zip(ends[:stop], ends[1:stop + 1]):
+        total += complex(terms[s0:s1].sum())
+    return total
 
 
 def theta_class_eval(p, j, z, tail_tol=1e-10):
@@ -176,7 +173,7 @@ def galois_permutation(p, k):
     return perm
 
 
-def verify_alpbach(code, points, tol=1e-8, tail_tol=None):
+def verify_alpbach(code, points, tol=1e-8):
     """Compare the coset-sum theta against the enumerator composition.
 
     Returns a report dict with one entry per point carrying both values,
@@ -184,8 +181,7 @@ def verify_alpbach(code, points, tol=1e-8, tail_tol=None):
     """
     p = code.p
     r = (p - 1) // 2
-    if tail_tol is None:
-        tail_tol = tol / 100
+    tail_tol = tol / 100
     rows = []
     ok = True
     for z in points:
@@ -215,7 +211,7 @@ def verify_alpbach(code, points, tol=1e-8, tail_tol=None):
     return {"prime": p, "tol": tol, "points": rows, "pass": ok}
 
 
-def verify_sl2f3_action(z, tol=1e-7, tail_tol=None):
+def verify_sl2f3_action(z, tol=1e-7):
     """Check the weight-one transformation rules of the two classes at p=3.
 
     The inversion z -> -1/z mixes the classes through the matrix
@@ -223,8 +219,7 @@ def verify_sl2f3_action(z, tol=1e-7, tail_tol=None):
     fixes class 0 and multiplies class 1 by zeta.  Applying the inversion
     rule twice must return the inputs.
     """
-    if tail_tol is None:
-        tail_tol = tol / 100
+    tail_tol = tol / 100
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("need Im(z) > 0")

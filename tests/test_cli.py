@@ -213,7 +213,11 @@ def test_usage_errors(tmp_path):
     for name, text, message in (
             ("header.txt", "3 x\n0 0\n", "error: line 1: 'x' "),
             ("digit.txt", "3 2\n# c\n0 0\n1 y\n", "error: line 4: 'y' "),
-            ("length.txt", "3 -1\n1\n", "error: line 1: word length n")):
+            ("length.txt", "3 -1\n1\n", "error: line 1: word length n"),
+            ("composite.txt", "4 2\n0 0\n",
+             "error: line 1: p must be prime, got 4"),
+            ("one.txt", "# p = 1\n1 2\n0 0\n",
+             "error: line 2: p must be a prime integer, got 1")):
         path = tmp_path / name
         path.write_text(text)
         proc = subprocess.run(

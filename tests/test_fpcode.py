@@ -1,7 +1,9 @@
+import functools
 import itertools
+import operator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from thetaforge.fpcode import (
     Code, MonomialTransform, apply_monomial, code_predicates, code_to_text,
@@ -38,6 +40,16 @@ def brute_span(words, p, n):
         span |= new
         frontier = new
     return span
+
+
+def pairwise_min_distance(code):
+    """Reference: minimum Hamming distance over every pair of words."""
+    best = None
+    for u, v in itertools.combinations(code.words, 2):
+        d = sum(1 for a, b in zip(u, v) if a != b)
+        if best is None or d < best:
+            best = d
+    return best
 
 
 def test_make_code_from_generators_spans():
@@ -245,6 +257,36 @@ def test_dual_code_properties(data):
             assert sum(a * b for a, b in zip(u, v)) % p == 0
     assert dual.dimension + code.dimension == n
     assert dual_code(dual) == code
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_min_distance_matches_pairwise_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 5))
+    word = st.tuples(*[st.integers(0, p - 1)] * n)
+    code = make_code(p, n, words=data.draw(st.sets(word, min_size=2,
+                                                   max_size=40)))
+    assume(not code.is_linear)
+    assert min_distance(code) == pairwise_min_distance(code)
+
+
+def test_min_distance_across_row_blocks():
+    # the binary Hamming [15,11] code has distance 3 and is perfect; drop
+    # the zero word and add 0111...1, which is within 1 of 1111...1 only.
+    # Sorted, they are rows 1023 and 2047, in different row blocks.
+    def syndrome(w):
+        return functools.reduce(operator.xor,
+                                (j + 1 for j in range(15) if w[j]), 0)
+
+    hamming = [w for w in itertools.product(range(2), repeat=15)
+               if syndrome(w) == 0]
+    words = set(hamming) - {(0,) * 15} | {(0,) + (1,) * 14}
+    code = make_code(2, 15, words=words)
+    assert not code.is_linear and len(code) == 2048
+    assert min_distance(code) == 1
+    nonzero = make_code(2, 15, words=set(hamming) - {(0,) * 15})
+    assert min_distance(nonzero) == 3
 
 
 def test_full_space_as_words_is_linear():

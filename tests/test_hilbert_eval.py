@@ -1,13 +1,17 @@
 import cmath
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from thetaforge.codelattice import standard_lattice, theta_series
+from thetaforge.codelattice import (
+    enumerate_coset, lift_word, max_norm_cap, standard_lattice, theta_series,
+)
 from thetaforge.fpcode import make_code, standard_codes
 from thetaforge.hilbert_eval import (
-    HilbertPoint, galois_permutation, parse_points_text, theta_class_eval,
-    theta_code_eval, verify_alpbach, verify_sl2f3_action,
+    HilbertPoint, as_point, galois_permutation, parse_points_text,
+    theta_class_eval, theta_code_eval, verify_alpbach, verify_sl2f3_action,
 )
 from thetaforge.qexp import evaluate_at
 
@@ -119,3 +123,106 @@ def test_points_file_parsing():
         parse_points_text("1j\n", 5)
     with pytest.raises(ValueError):
         parse_points_text("# nothing\n", 3)
+
+
+# Reference evaluator: it recomputes the embedding sums, the norm order and
+# every row's exponential at each point.  The per-coset table must give the
+# same floats bit for bit.
+
+def reference_coset_arrays(p, n, word, bound):
+    lat = standard_lattice(p, n)
+    shift = lat.shift_in_basis(word)
+    rows = []
+    norms = []
+    scale_box = [1]
+
+    def emit(x, scaled, scale):
+        rows.append(x)
+        norms.append(scaled)
+        scale_box[0] = scale
+
+    enumerate_coset([list(r) for r in lat.gram], shift, bound, emit)
+    d = p - 1
+    if not rows:
+        return (np.zeros((0, n * d), dtype=np.int64),
+                np.zeros(0, dtype=np.int64), 1)
+    basis = np.array(lat.basis, dtype=np.int64)
+    coords = (np.array(rows, dtype=np.int64) @ basis
+              + np.array(lift_word(word, p, n), dtype=np.int64))
+    return coords, np.array(norms, dtype=np.int64), scale_box[0]
+
+
+def reference_shell_sum(p, coords, norms_scaled, scale, point, tail_tol):
+    if coords.shape[0] == 0:
+        return 0j, False
+    d = p - 1
+    n = coords.shape[1] // d
+    blocks = coords.reshape(-1, n, d).astype(np.float64)
+    phase = np.zeros(coords.shape[0], dtype=np.complex128)
+    for l, z in enumerate(point.values, start=1):
+        w = np.exp((2j * np.pi * l / p) * np.arange(d))
+        emb = blocks @ w
+        phase += z * (emb.real ** 2 + emb.imag ** 2).sum(axis=1)
+    terms = np.exp((2j * np.pi / p) * phase)
+    order = np.argsort(norms_scaled, kind="stable")
+    uniq, starts, counts = np.unique(norms_scaled[order],
+                                     return_index=True, return_counts=True)
+    terms = terms[order]
+    y_min = point.y_min
+    total = 0j
+    for u, s0, cnt in zip(uniq.tolist(), starts.tolist(), counts.tolist()):
+        est = cnt * math.exp(-math.pi * y_min * (u / scale))
+        if est < tail_tol / 10:
+            return total, True
+        total += complex(terms[s0:s0 + cnt].sum())
+    return total, False
+
+
+def reference_coset_value(p, n, word, point, tail_tol):
+    cap = max_norm_cap()
+    guess = 1.3 * math.log(10 / tail_tol) / (math.pi * point.y_min) + 2
+    bound = Fraction(max(6, math.ceil(guess)))
+    word = tuple(int(c) % p for c in word)
+    while True:
+        use = min(bound, cap)
+        coords, norms, scale = reference_coset_arrays(p, n, word, use)
+        value, finished = reference_shell_sum(p, coords, norms, scale, point,
+                                              tail_tol)
+        if finished:
+            return value
+        if use >= cap:
+            raise ValueError(
+                "tail still above %g at the enumeration cap %s; raise "
+                "THETA_FORGE_MAX_NORM or loosen tail_tol" % (tail_tol, cap))
+        bound = bound * 2
+
+
+@pytest.mark.parametrize("tail_tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("z", [1j, 0.3 + 1.5j])
+@pytest.mark.parametrize("j", [0, 1])
+def test_class_eval_matches_reference_exactly(j, z, tail_tol):
+    ref = reference_coset_value(3, 1, (j,), as_point(3, z), tail_tol)
+    assert theta_class_eval(3, j, z, tail_tol=tail_tol) == ref
+
+
+@pytest.mark.parametrize("tail_tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("z", [(1j, 1.5j), (0.2 + 1.2j, 1.3j)])
+def test_code_eval_matches_reference_exactly(z, tail_tol):
+    point = as_point(5, z)
+    code = make_code(5, 2, words=[(0, 0), (1, 2), (2, 4)])
+    total = 0j
+    for w in code.words:
+        value = reference_coset_value(5, 2, w, point, tail_tol)
+        single = make_code(5, 2, words=[w])
+        assert theta_code_eval(single, z, tail_tol=tail_tol) == value
+        total += value
+    assert theta_code_eval(code, z, tail_tol=tail_tol) == total
+
+
+def test_cap_error_matches_reference(monkeypatch):
+    monkeypatch.delenv("THETA_FORGE_MAX_NORM", raising=False)
+    message = "tail still above 1e-10 at the enumeration cap 40"
+    with pytest.raises(ValueError, match=message):
+        reference_coset_value(3, 1, (0,), as_point(3, 0.2j), 1e-10)
+    with pytest.raises(ValueError, match=message):
+        theta_class_eval(3, 0, 0.2j, tail_tol=1e-10)
