@@ -39,6 +39,9 @@ class HilbertPoint:
         values = tuple(complex(v) for v in values)
         if len(values) != r:
             raise ValueError("point needs %d components for p=%d" % (r, p))
+        for v in values:
+            if not cmath.isfinite(v):
+                raise ValueError("component %r is not finite" % v)
         if any(v.imag <= 0 for v in values):
             raise ValueError("all components need positive imaginary part")
         self.p = p
@@ -97,56 +100,71 @@ def _coset_arrays(p, n, word, bound):
             np.cumsum(counts))
 
 
-def _coset_value(p, n, word, point, tail_tol):
-    """Shell-ordered sum of exp(2 pi i sum_l z_l sigma_l(y) / p) over the
-    coset, up to the first shell of norm u whose count times
-    exp(-pi y_min u) is below tail_tol/10; only the shells before it are
-    exponentiated."""
+def _coset_values(p, n, word, points, tail_tol):
+    """Shell-ordered sums of exp(2 pi i sum_l z_l sigma_l(y) / p) over the
+    coset, one per point, each up to the first shell of norm u whose count
+    times exp(-pi y_min u) is below tail_tol/10; only the shells before it
+    are exponentiated.  All points share one table, enumerated to the bound
+    of the smallest Im z and grown by 5/4 until it holds every point's stop
+    shell.  Shells are complete up to the bound and keep the enumeration
+    order, so a point's value does not depend on the table it is read from.
+    """
+    if not points:
+        return []
     # initial bound sized so the stop rule usually fires on the first pass
     cap = max_norm_cap()
-    y_min = point.y_min
-    guess = 1.3 * math.log(10 / tail_tol) / (math.pi * y_min) + 2
+    y_mins = [point.y_min for point in points]
+    guess = 1.3 * math.log(10 / tail_tol) / (math.pi * min(y_mins)) + 2
     bound = Fraction(max(6, math.ceil(guess)))
     word = tuple(int(c) % p for c in word)
     while True:
         use = min(bound, cap)
         sigma, shell_norms, shell_ends = _coset_arrays(p, n, word, use)
         ends = [0] + shell_ends.tolist()
-        stop = next((k for k, u in enumerate(shell_norms.tolist())
-                     if (ends[k + 1] - ends[k])
-                     * math.exp(-math.pi * y_min * u) < tail_tol / 10),
-                    None)
-        if stop is not None:
+        shells = list(zip(shell_norms.tolist(), np.diff(ends).tolist()))
+        stops = [next((k for k, (u, cnt) in enumerate(shells)
+                       if cnt * math.exp(-math.pi * y_min * u)
+                       < tail_tol / 10), None)
+                 for y_min in y_mins]
+        if None not in stops:
             break
         if use >= cap:
             raise ValueError(
                 "tail still above %g at the enumeration cap %s; raise "
-                "THETA_FORGE_MAX_NORM or loosen tail_tol" % (tail_tol, cap))
-        bound = bound * 2
-    phase = np.zeros(ends[stop], dtype=np.complex128)
-    for l, z in enumerate(point.values):
-        phase += z * sigma[:ends[stop], l]
-    terms = np.exp((2j * np.pi / p) * phase)
-    total = 0j
-    for s0, s1 in zip(ends[:stop], ends[1:stop + 1]):
-        total += complex(terms[s0:s1].sum())
-    return total
+                "THETA_FORGE_MAX_NORM or loosen --tol" % (tail_tol, cap))
+        bound = bound * 5 / 4
+    values = []
+    for point, stop in zip(points, stops):
+        phase = np.zeros(ends[stop], dtype=np.complex128)
+        for l, z in enumerate(point.values):
+            phase += z * sigma[:ends[stop], l]
+        terms = np.exp((2j * np.pi / p) * phase)
+        total = 0j
+        for s0, s1 in zip(ends[:stop], ends[1:stop + 1]):
+            total += complex(terms[s0:s1].sum())
+        values.append(total)
+    return values
+
+
+def _code_values(code, points, tail_tol):
+    """Coset sums over the code at each point, added in code.words order."""
+    totals = [0j] * len(points)
+    for w in code.words:
+        values = _coset_values(code.p, code.n, w, points, tail_tol)
+        totals = [t + v for t, v in zip(totals, values)]
+    return totals
 
 
 def theta_class_eval(p, j, z, tail_tol=1e-10):
     """Numerical theta value of the coset with digit j, one coordinate."""
     check_prime(p)
     point = as_point(p, z)
-    return _coset_value(p, 1, (int(j) % p,), point, tail_tol)
+    return _coset_values(p, 1, (int(j) % p,), [point], tail_tol)[0]
 
 
 def theta_code_eval(code, z, tail_tol=1e-10):
     """Numerical theta value of the union of cosets indexed by a code."""
-    point = as_point(code.p, z)
-    total = 0j
-    for w in code.words:
-        total += _coset_value(code.p, code.n, w, point, tail_tol)
-    return total
+    return _code_values(code, [as_point(code.p, z)], tail_tol)[0]
 
 
 def _enumerator_value(code, theta_values):
@@ -182,22 +200,24 @@ def verify_alpbach(code, points, tol=1e-8):
     p = code.p
     r = (p - 1) // 2
     tail_tol = tol / 100
+    points = [as_point(p, z) for z in points]
+    # three sweeps, each reading one table per coset for all the points
+    lhs_values = _code_values(code, points, tail_tol)
+    class_values = [_coset_values(p, 1, (j,), points, tail_tol)
+                    for j in range(r + 1)]
+    galois_residuals = [0.0] * len(points)
+    if r >= 2:
+        perm = galois_permutation(p, 2)
+        permuted = [HilbertPoint(p, [point.values[perm[l]] for l in range(r)])
+                    for point in points]
+        galois_residuals = [abs(lhs_perm - lhs) for lhs_perm, lhs in zip(
+            _code_values(code, permuted, tail_tol), lhs_values)]
     rows = []
     ok = True
-    for z in points:
-        point = as_point(p, z)
-        lhs = theta_code_eval(code, point, tail_tol)
-        thetas = [theta_class_eval(p, j, point, tail_tol)
-                  for j in range(r + 1)]
+    for point, lhs, galois_residual, thetas in zip(
+            points, lhs_values, galois_residuals, zip(*class_values)):
         rhs = _enumerator_value(code, thetas)
         residual = abs(lhs - rhs)
-        galois_residual = 0.0
-        if r >= 2:
-            perm = galois_permutation(p, 2)
-            permuted = HilbertPoint(
-                p, [point.values[perm[l]] for l in range(r)])
-            lhs_perm = theta_code_eval(code, permuted, tail_tol)
-            galois_residual = abs(lhs_perm - lhs)
         passed = residual < tol and galois_residual < tol
         ok = ok and passed
         rows.append({
@@ -221,8 +241,8 @@ def verify_sl2f3_action(z, tol=1e-7):
     """
     tail_tol = tol / 100
     z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("need Im(z) > 0")
+    if not cmath.isfinite(z) or z.imag <= 0:
+        raise ValueError("need a finite z with Im(z) > 0, got %r" % z)
     zeta = cmath.exp(2j * cmath.pi / 3)
     t0 = theta_class_eval(3, 0, z, tail_tol)
     t1 = theta_class_eval(3, 1, z, tail_tol)
@@ -255,19 +275,31 @@ def verify_sl2f3_action(z, tol=1e-7):
     }
 
 
+def _point_component(token):
+    try:
+        return complex(token)
+    except ValueError:
+        raise ValueError("%r is not a complex number" % token) from None
+
+
 def parse_points_text(text, p):
-    """Point file: one point per line, r complex numbers, '#' comments."""
+    """Point file: one point per line, r complex numbers, '#' comments.
+    Each error names the line at fault."""
     r = (p - 1) // 2
     points = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
         parts = body.split()
         if len(parts) != r:
-            raise ValueError("expected %d components per line, got %r"
-                             % (r, body))
-        points.append(HilbertPoint(p, [complex(s) for s in parts]))
+            raise ValueError("line %d: expected %d components per line, "
+                             "got %r" % (number, r, body))
+        try:
+            points.append(HilbertPoint(p, [_point_component(s)
+                                           for s in parts]))
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (number, exc)) from None
     if not points:
         raise ValueError("no points in file")
     return points

@@ -226,6 +226,30 @@ def test_usage_errors(tmp_path):
         assert proc.returncode == 2, text
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert proc.stderr.startswith(message), proc.stderr
+    # points files and --z: non-finite or malformed values name the input
+    code = tmp_path / "p5.txt"
+    code.write_text("5 2\n0 0\n")
+    for name, text, message in (
+            ("nan.txt", "nan+1j 1j\n",
+             "error: line 1: component (nan+1j) is not finite"),
+            ("inf.txt", "# c\n1j 2j\ninfj 1j\n",
+             "error: line 3: component infj is not finite"),
+            ("abc.txt", "abc 1j\n",
+             "error: line 1: 'abc' is not a complex number")):
+        path = tmp_path / name
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetaforge.cli", "verify", "alpbach",
+             "--prime", "5", "--code", str(code), "--points", str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2, text
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith(message), proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetaforge.cli", "verify", "sl2f3",
+         "--z=nanj"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: need a finite z with Im(z) > 0, got nanj\n"
 
 
 @pytest.mark.parametrize("value", ["1/0", "abc", "-1"])

@@ -10,8 +10,9 @@ from thetaforge.codelattice import (
 )
 from thetaforge.fpcode import make_code, standard_codes
 from thetaforge.hilbert_eval import (
-    HilbertPoint, as_point, galois_permutation, parse_points_text,
-    theta_class_eval, theta_code_eval, verify_alpbach, verify_sl2f3_action,
+    HilbertPoint, _coset_arrays, _coset_values, _enumerator_value, as_point,
+    galois_permutation, parse_points_text, theta_class_eval, theta_code_eval,
+    verify_alpbach, verify_sl2f3_action,
 )
 from thetaforge.qexp import evaluate_at
 
@@ -23,6 +24,9 @@ def test_point_validation():
         HilbertPoint(5, [1j])
     with pytest.raises(ValueError):
         HilbertPoint(3, [1.0 - 1j])        # lower half plane
+    for bad in (complex("nan+1j"), complex("infj"), complex(1, float("nan"))):
+        with pytest.raises(ValueError, match="is not finite"):
+            HilbertPoint(5, [1j, bad])
     pt = HilbertPoint(5, [1j, 0.5 + 2j])
     assert pt.y_min == 1.0
 
@@ -110,7 +114,7 @@ def test_tail_tolerance_refinement_is_monotone():
 
 def test_enumeration_cap_error(monkeypatch):
     monkeypatch.setenv("THETA_FORGE_MAX_NORM", "4")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loosen --tol"):
         theta_class_eval(3, 0, 0.3j, tail_tol=1e-10)
 
 
@@ -119,8 +123,12 @@ def test_points_file_parsing():
     assert len(pts) == 2 and pts[1].values[0] == 0.3 + 1.5j
     pts5 = parse_points_text("1j 2j\n", 5)
     assert pts5[0].values == (1j, 2j)
-    with pytest.raises(ValueError):
-        parse_points_text("1j\n", 5)
+    with pytest.raises(ValueError, match="^line 2: expected 2 components"):
+        parse_points_text("1j 1j\n1j\n", 5)
+    with pytest.raises(ValueError, match="^line 1: 'abc' is not a complex"):
+        parse_points_text("abc 1j\n", 5)
+    with pytest.raises(ValueError, match="^line 1: component"):
+        parse_points_text("nan+1j 1j\n", 5)
     with pytest.raises(ValueError):
         parse_points_text("# nothing\n", 3)
 
@@ -226,3 +234,38 @@ def test_cap_error_matches_reference(monkeypatch):
         reference_coset_value(3, 1, (0,), as_point(3, 0.2j), 1e-10)
     with pytest.raises(ValueError, match=message):
         theta_class_eval(3, 0, 0.2j, tail_tol=1e-10)
+
+
+def test_bound_growth_matches_reference():
+    # The stop shell at Im z = 0.7 lies past the first bound, so a second,
+    # larger table is enumerated; the point at Im z = 1.5 reads it too.
+    points = [as_point(5, 0.7j), as_point(5, [1.5j, 0.2 + 1.6j])]
+    _coset_arrays.cache_clear()
+    values = _coset_values(5, 2, (1, 2), points, 1e-10)
+    assert _coset_arrays.cache_info().misses == 2
+    assert values == [reference_coset_value(5, 2, (1, 2), point, 1e-10)
+                      for point in points]
+
+
+def test_alpbach_reads_one_table_per_coset():
+    code = make_code(5, 2, words=[(0, 0), (1, 2), (3, 3), (2, 4)])
+    points = [HilbertPoint(5, [1j, 1.5j]), HilbertPoint(5, [0.3 + 2j, 2.2j]),
+              HilbertPoint(5, [0.1 + 1.2j, 1.3j])]
+    tol = 1e-8
+    _coset_arrays.cache_clear()
+    report = verify_alpbach(code, points, tol=tol)
+    # k code cosets and r + 1 = 3 class cosets; the Galois sweep hits
+    info = _coset_arrays.cache_info()
+    assert (info.misses, info.hits) == (len(code.words) + 3, len(code.words))
+    assert report["pass"]
+    perm = galois_permutation(5, 2)
+    for point, row in zip(points, report["points"]):
+        lhs = theta_code_eval(code, point, tol / 100)
+        rhs = _enumerator_value(code, [theta_class_eval(5, j, point, tol / 100)
+                                       for j in range(3)])
+        permuted = HilbertPoint(5, [point.values[l] for l in perm])
+        assert complex(*row["lhs"]) == lhs
+        assert complex(*row["rhs"]) == rhs
+        assert row["residual"] == abs(lhs - rhs)
+        assert row["galois_residual"] == abs(
+            theta_code_eval(code, permuted, tol / 100) - lhs)
