@@ -2,13 +2,14 @@
 
 For an element x of O^n with y = sum_i x_i conj(x_i), the summand attached
 to a point (z_1, ..., z_r) is exp(2 pi i sum_l z_l sigma_l(y) / p), the
-sigma_l running over one embedding per conjugate pair.  Each coset is
-enumerated once per bound into a table that does not depend on the point:
-the r values sigma_l(y) of every vector, rows sorted by norm, and the
-shells' norms and end rows.  At a point, sums are taken shell by shell in
-increasing norm until the worst-case contribution of a shell drops below
-tail_tol/10, and only the rows before that shell are exponentiated; the
-enumeration bound grows on demand up to the THETA_FORGE_MAX_NORM cap.
+sigma_l running over one embedding per conjugate pair.  Each call
+enumerates a coset once, into one table for all of its points, at the
+bound of the smallest Im z: the r values sigma_l(y) of every vector, rows
+sorted by norm, and the shells' norms and end rows.  At a point, sums are
+taken shell by shell in increasing norm until the worst-case contribution
+of a shell drops below tail_tol/10, and only the rows before that shell
+are exponentiated; while some point's stop shell lies past the table, the
+bound grows by 5/4 up to the THETA_FORGE_MAX_NORM cap.
 """
 
 from __future__ import annotations
