@@ -41,9 +41,6 @@ def _progress(msg):
 
 
 def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj.numerator) if obj.denominator == 1 else \
-            "%d/%d" % (obj.numerator, obj.denominator)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, dict):
@@ -98,10 +95,21 @@ def _clifford_word(text):
     return support
 
 
-def _check_order(order):
-    if order < 0:
-        raise ValueError("--order must be nonnegative, got %s" % order)
-    return order
+def _tolerance(text):
+    """argparse type for --tol: a finite float above zero."""
+    try:
+        if 0 < float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        "expected a finite number above 0, got %r" % text)
+
+
+def _nonnegative(value, option):
+    if value < 0:
+        raise ValueError("%s must be nonnegative, got %s" % (option, value))
+    return value
 
 
 def _verdict(report):
@@ -149,7 +157,7 @@ def cmd_qexp(args):
 
 
 def cmd_theta(args):
-    order = _check_order(_parse_cutoff(args.order, "--order"))
+    order = _nonnegative(_parse_cutoff(args.order, "--order"), "--order")
     lat = standard_lattice(args.prime, 1)
     series = theta_series(lat, order, (args.digit_class % args.prime,))
     _emit({"class": args.digit_class, "order": str(order),
@@ -159,8 +167,8 @@ def cmd_theta(args):
 
 def cmd_rep_zmap(args):
     orbit = voarep.orbit_of(args.prime, args.orbit)
-    series = voarep.z_map(voarep.RepElement.from_orbit(orbit),
-                          _check_order(_parse_cutoff(args.order, "--order")))
+    order = _nonnegative(_parse_cutoff(args.order, "--order"), "--order")
+    series = voarep.z_map(voarep.RepElement.from_orbit(orbit), order)
     _emit({"orbit": list(orbit.profile), "prime": args.prime,
            "series": qexp.to_json_obj(series)})
     return 0
@@ -168,7 +176,8 @@ def cmd_rep_zmap(args):
 
 def cmd_rep_check_main(args):
     return _verdict(voarep.main_theorem_check(
-        args.prime, args.n, _parse_cutoff(args.cutoff, "--cutoff")))
+        args.prime, _nonnegative(args.n, "--n"),
+        _parse_cutoff(args.cutoff, "--cutoff")))
 
 
 def cmd_clifford_verify(args):
@@ -239,7 +248,7 @@ def verify_expansion():
 
 
 def cmd_verify_alpbach(args):
-    _check_order(args.order)
+    _nonnegative(args.order, "--order")
     code = _load_code(args.code)
     if args.prime != code.p:
         raise ValueError("--prime %d does not match the prime %d of code %s"
@@ -534,7 +543,7 @@ def build_parser():
     p_alp.add_argument("--code", required=True)
     p_alp.add_argument("--points", help="file of evaluation points; "
                        "omit for the exact mode")
-    p_alp.add_argument("--tol", type=float, default=1e-8)
+    p_alp.add_argument("--tol", type=_tolerance, default=1e-8)
     p_alp.add_argument("--order", type=int, default=3,
                        help="exact-mode inclusive exponent cutoff")
     p_alp.set_defaults(func=cmd_verify_alpbach)
@@ -542,7 +551,7 @@ def build_parser():
     p_sl2.add_argument("--z", action="append", type=complex,
                        help="complex point, repeatable; default i, 2i, "
                             "0.3+1.5i")
-    p_sl2.add_argument("--tol", type=float, default=1e-7)
+    p_sl2.add_argument("--tol", type=_tolerance, default=1e-7)
     p_sl2.set_defaults(func=cmd_verify_sl2f3)
     # alpbach_* and sl2f3 run through the subcommands above; clifford is
     # `thetaforge clifford verify`.  The other stages take no arguments.

@@ -16,7 +16,7 @@ from .fpcode import (
     FANO_B_VECTORS, FANO_C_VECTORS, FANO_LINES_FIRST, FANO_LINES_SECOND,
     make_code, standard_codes,
 )
-from .linalg import rank_f2, row_reduce_mod_p
+from .linalg import row_reduce_mod_p
 
 FANO_POINTS = frozenset(range(1, 8))
 
@@ -73,10 +73,11 @@ def fano_structures():
 
     # the two complement spaces (weight 4, so even) split the 6-dimensional
     # even-weight space; with the full set C spans the length-7 code
-    B = [sum(1 << i for i in v) for v in bv[1:]]
-    C = [sum(1 << i for i in v) for v in cv[1:]]
-    assert rank_f2(B) == 3 and rank_f2(C) == 3 and rank_f2(B + C) == 6
-    assert rank_f2(C + [sum(1 << i for i in FANO_POINTS)]) == 4
+    B = [[int(i in v) for i in range(8)] for v in bv[1:]]
+    C = [[int(i in v) for i in range(8)] for v in cv[1:]]
+    full = [[int(i in FANO_POINTS) for i in range(8)]]
+    assert [len(row_reduce_mod_p(rows, 2)[0])
+            for rows in (B, C, B + C, C + full)] == [3, 3, 6, 4]
 
     incidence = [[None] * 8 for _ in range(8)]
     for i in range(1, 8):

@@ -16,12 +16,12 @@ import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
 from .fpcode import code_predicates, linear_basis, zero_code
-from .linalg import bareiss_det, fraction_inverse, integer_row_basis
+from .linalg import fraction_inverse, integer_row_basis, integral_gso
 from .qexp import QSeries
 
 DEFAULT_MAX_NORM = 40
@@ -51,43 +51,20 @@ def _check_cap(bound):
 
 
 # ---------------------------------------------------------------------------
-# Gram-Schmidt data and basis reduction
+# Basis reduction
 # ---------------------------------------------------------------------------
 
-def _integral_gso(gram):
-    """Integral Gram-Schmidt data of a positive definite integer Gram matrix.
+def lll_reduce(rows, gram, delta=Fraction(3, 4)):
+    """LLL on integer rows whose integer Gram matrix is gram.
 
-    d[i] is the leading principal minor of order i (d[0] = 1, so
-    |b_i*|^2 = d[i+1] / d[i]) and lam[k][j] = d[j+1] mu_kj for j < k.
-    Every division is exact (Cohen, GTM 138, Alg. 2.6.7).
-    """
-    n = len(gram)
-    d = [1] * (n + 1)
-    lam = [[0] * k for k in range(n)]
-    for k in range(n):
-        for j in range(k + 1):
-            u = gram[k][j]
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-            elif u <= 0:
-                raise ValueError("form is not positive definite")
-            else:
-                d[k + 1] = u
-    return d, lam
-
-
-def lll_reduce(rows, pairf, delta=Fraction(3, 4)):
-    """LLL on integer rows under the rational inner product pairf.
-
-    Integral LLL (Cohen, GTM 138, Alg. 2.6.7): pairf gives the Gram matrix
-    once, scaled to integers, and the loop updates only the integers d and
-    lam of _integral_gso.  Size reduction of row k rounds every mu_kj,
-    j = k-1 .. 0, as it stood before the pass and only then subtracts them
-    all, where textbook LLL updates mu after each subtraction.  The rows
-    returned meet the Lovasz condition at delta but are not guaranteed to
-    be size-reduced (|mu| <= 1/2).
+    Integral LLL (Cohen, GTM 138, Alg. 2.6.7): the loop updates only the
+    integers d and lam of linalg.integral_gso.  Scaling gram by s scales
+    d_i by s^i and lam_kj by s^(j+1), which changes no rounding and no swap,
+    so any integer multiple of the form gives the same rows.  Size reduction
+    of row k rounds every mu_kj, j = k-1 .. 0, as it stood before the pass
+    and only then subtracts them all, where textbook LLL updates mu after
+    each subtraction.  The rows returned meet the Lovasz condition at delta
+    but are not guaranteed to be size-reduced (|mu| <= 1/2).
     """
     b = [list(map(int, r)) for r in rows]
     n = len(b)
@@ -95,9 +72,7 @@ def lll_reduce(rows, pairf, delta=Fraction(3, 4)):
         return b
     delta = Fraction(delta)
     num, den = delta.numerator, delta.denominator
-    gram = [[pairf(u, v) for v in b] for u in b]
-    scale = lcm(*(x.denominator for row in gram for x in row))
-    d, lam = _integral_gso([[int(x * scale) for x in row] for row in gram])
+    d, lam = integral_gso(gram)
     k = 1
     while k < n:
         lk = lam[k]
@@ -133,31 +108,16 @@ def lll_reduce(rows, pairf, delta=Fraction(3, 4)):
 # The trace form on power-basis coordinates
 # ---------------------------------------------------------------------------
 
-def make_pair_function(p, n):
-    """Inner product of two coordinate vectors (length n*(p-1)).
-
-    Per cyclotomic coordinate the form is dot(x, y) - sum(x) sum(y) / p.
-    Accepts ints or Fractions entrywise.
-    """
+def trace_gram(rows, p):
+    """p times the trace form on rows of power-basis coordinates (n blocks
+    of p-1), as an integer Gram matrix: per block p dot(x, y) - sum(x)
+    sum(y)."""
     d = p - 1
-
-    def pairf(u, v):
-        total = Fraction(0)
-        for i in range(n):
-            lo = i * d
-            dot = 0
-            su = 0
-            sv = 0
-            for a in range(d):
-                x = u[lo + a]
-                y = v[lo + a]
-                dot += x * y
-                su += x
-                sv += y
-            total += dot - Fraction(su * sv, p)
-        return total
-
-    return pairf
+    sums = [[sum(r[i:i + d]) for i in range(0, len(r), d)] for r in rows]
+    return [[p * sum(x * y for x, y in zip(u, v))
+             - sum(x * y for x, y in zip(su, sv))
+             for v, sv in zip(rows, sums)]
+            for u, su in zip(rows, sums)]
 
 
 def ramified_block_rows(p):
@@ -243,7 +203,6 @@ def lattice_of_code(code):
             row = [0] * (n * d)
             row[i * d:(i + 1) * d] = r
             rows.append(row)
-    pairf = make_pair_function(p, n)
     if code.dimension == 0:
         basis = rows                  # block basis is already reduced
     else:
@@ -251,17 +210,12 @@ def lattice_of_code(code):
             rows.append(lift_word(g, p, n))
         basis = integer_row_basis(rows)
         assert len(basis) == n * d, "lattice rank mismatch"
-        basis = lll_reduce(basis, pairf)
-    gram = []
-    for u in basis:
-        grow = []
-        for v in basis:
-            val = pairf(u, v)
-            if val.denominator != 1:
-                raise ValueError("non-integral Gram entry %s: "
-                                 "code is not self-orthogonal" % (val,))
-            grow.append(int(val))
-        gram.append(grow)
+        basis = lll_reduce(basis, trace_gram(basis, p))
+    gram = trace_gram(basis, p)
+    if any(x % p for row in gram for x in row):
+        raise ValueError("non-integral Gram entry: code is not "
+                         "self-orthogonal")
+    gram = [[x // p for x in row] for row in gram]
     for i in range(len(gram)):
         if gram[i][i] % 2:
             raise ValueError("odd diagonal Gram entry: lattice is not even")
@@ -269,7 +223,7 @@ def lattice_of_code(code):
 
 
 def discriminant(lattice):
-    return bareiss_det([list(r) for r in lattice.gram])
+    return integral_gso(lattice.gram)[0][-1]
 
 
 def is_even(lattice):
@@ -321,7 +275,7 @@ def enumerate_coset(gram, shift, bound, emit):
     float sqrt corrected by one step on int64, math.isqrt on Python ints.
     """
     rank = len(gram)
-    minors, lams = _integral_gso(gram)
+    minors, lams = integral_gso(gram)
     D = [Fraction(minors[i + 1], minors[i]) for i in range(rank)]
     L = [[Fraction(x, minors[j + 1]) for j, x in enumerate(row)]
          for row in lams]

@@ -1,10 +1,10 @@
 """Exact elimination shared by the lattice, code and group layers.
 
-Three kernels, each written once: echelon form over Z (with a Bareiss
-determinant and a Fraction inverse beside it), echelon form over F_p, and
-rank over F_2 on rows packed as integer bitmasks.  Each routine returns the
-same rows in the same order for the same input; the lattice basis reduction
-downstream depends on that.
+Four jobs, each written once: echelon form over Z, integral Gram-Schmidt
+(whose last leading minor is the determinant), the exact Fraction inverse,
+and echelon form over F_p (whose length is the rank, F_2 included).  Each
+routine returns the same rows in the same order for the same input; the
+lattice basis reduction downstream depends on that.
 """
 
 from __future__ import annotations
@@ -47,27 +47,30 @@ def integer_row_basis(rows):
     return mat[:rank]
 
 
-def bareiss_det(gram):
-    """Exact determinant of an integer matrix."""
-    a = [list(map(int, r)) for r in gram]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def integral_gso(gram):
+    """Integral Gram-Schmidt data of a positive definite integer Gram matrix.
+
+    d[i] is the leading principal minor of order i (d[0] = 1, so
+    |b_i*|^2 = d[i+1] / d[i] and d[-1] is the determinant) and
+    lam[k][j] = d[j+1] mu_kj for j < k.  Every division is exact (Cohen,
+    GTM 138, Alg. 2.6.7).  A Gram matrix that is not positive definite
+    raises ValueError.
+    """
+    n = len(gram)
+    d = [1] * (n + 1)
+    lam = [[0] * k for k in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = gram[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u <= 0:
+                raise ValueError("form is not positive definite")
+            else:
+                d[k + 1] = u
+    return d, lam
 
 
 def fraction_inverse(mat):
@@ -117,23 +120,3 @@ def row_reduce_mod_p(rows, p):
         pivots.append(col)
         col += 1
     return basis, pivots
-
-
-def rank_f2(rows):
-    """Rank over F_2 of rows given as integer bitmasks."""
-    rows = [r for r in rows if r]
-    rank = 0
-    for bit in range(max(rows).bit_length() if rows else 0):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i] >> bit & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] >> bit & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank

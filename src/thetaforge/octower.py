@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .cliffcode import SignedMatrix
-from .linalg import rank_f2
+from .linalg import row_reduce_mod_p
 
 MAX_TOWER_N = 6
 
@@ -153,6 +153,13 @@ def _quotient_action(perm):
     return tuple(rows)
 
 
+def _rank_of_masks(masks, width):
+    """Rank over F_2 of rows given as bitmasks of the given width; repeated
+    rows, which leave the rank unchanged, are dropped first."""
+    rows = [[m >> j & 1 for j in range(width)] for m in set(masks)]
+    return len(row_reduce_mod_p(rows, 2)[0])
+
+
 def _compose(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
@@ -205,7 +212,7 @@ def crossed_hom_space(n):
                     nxt.append(h)
         frontier = nxt
     group_order = len(exprs)
-    dim_crossed = nunk - rank_f2(equations)
+    dim_crossed = nunk - _rank_of_masks(equations, nunk)
 
     # principal maps p -> (g -> p + g.p); kernel = invariant classes
     stacked = []
@@ -213,7 +220,7 @@ def crossed_hom_space(n):
         act = _quotient_action(x)
         for r in range(d):
             stacked.append(act[r] ^ (1 << r))
-    dim_invariants = d - rank_f2(list(stacked))
+    dim_invariants = d - _rank_of_masks(stacked, d)
     dim_principal = d - dim_invariants
     return {
         "n": n,

@@ -306,10 +306,6 @@ def evaluate_at(series, z, embedding=1):
 
 def to_json_obj(series):
     """Stable JSON-ready form: exponents as reduced 'a/b' strings."""
-    out = []
-    for e, c in series.items():
-        exp = str(e.numerator) if e.denominator == 1 else \
-            "%d/%d" % (e.numerator, e.denominator)
-        out.append({"exp": exp,
-                    "coef": {"coeffs": list(c.num.coeffs), "den": c.den}})
-    return out
+    return [{"exp": str(e),
+             "coef": {"coeffs": list(c.num.coeffs), "den": c.den}}
+            for e, c in series.items()]

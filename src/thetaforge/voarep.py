@@ -185,11 +185,7 @@ class RepElement:
 
     def __eq__(self, other):
         return (isinstance(other, RepElement) and other.p == self.p
-                and self.keys_coeffs() == other.keys_coeffs())
-
-    def keys_coeffs(self):
-        return {k: (tuple(c.num.coeffs), c.den)
-                for k, c in self.terms.items()}
+                and self.terms == other.terms)
 
     def __repr__(self):
         bits = ["%s*%r" % (c, list(k)) for k, c in sorted(
@@ -230,11 +226,7 @@ def _digit_minimum(p, j):
 
 def conformal_weight(o):
     """Half the minimal norm over the orbit's coset; additive in digits."""
-    h = Fraction(0)
-    for j, l in enumerate(o.profile):
-        if l:
-            h += l * _digit_minimum(o.p, j)[0]
-    return h / 2
+    return _leading_data(o)[0]
 
 
 class PartitionMeta:

@@ -186,6 +186,7 @@ def test_usage_errors(tmp_path):
                          "--order", "-1"]),
             ("--order", ["verify", "alpbach", "--prime", "3", "--code",
                          "tetracode", "--order", "-1"]),
+            ("--n", ["rep", "check-main", "--prime", "3", "--n", "-1"]),
             ("--word", ["clifford", "delta", "--word", "0,1,2"])):
         proc = subprocess.run(
             [sys.executable, "-m", "thetaforge.cli"] + argv,
@@ -202,7 +203,15 @@ def test_usage_errors(tmp_path):
             ("--word", ["clifford", "delta", "--word", "-1"]),
             ("--word", ["clifford", "delta", "--word", "9"]),
             ("--minus", ["clifford", "delta", "--word", "0,1,2", "--full",
-                         "--minus"])):
+                         "--minus"]),
+            ("--tol", ["verify", "sl2f3", "--tol", "0"]),
+            ("--tol", ["verify", "sl2f3", "--tol", "-1"]),
+            ("--tol", ["verify", "sl2f3", "--tol", "inf"]),
+            ("--tol", ["verify", "sl2f3", "--tol", "nan"]),
+            ("--tol", ["verify", "alpbach", "--prime", "5", "--code", "F",
+                       "--points", "P", "--tol", "0"]),
+            ("--tol", ["verify", "alpbach", "--prime", "5", "--code", "F",
+                       "--points", "P", "--tol", "nan"])):
         proc = subprocess.run(
             [sys.executable, "-m", "thetaforge.cli"] + argv,
             capture_output=True, text=True)
@@ -305,6 +314,9 @@ def test_output_byte_stable():
              "db52ed0779af6b0890c1e4c6fce2decc"),
             (["tower", "check", "--n", "5"],
              "9718ceceabd0ac172495fb82babdf2ad"
-             "156bb3f623726d5b8a763571dc27fc8f")):
+             "156bb3f623726d5b8a763571dc27fc8f"),
+            (["verify", "all", "--level", "desk"],
+             "776ea4b3479fe0f9d2a3f557acfadc10"
+             "d4676f64d76b488e8ca7fae8df59e249")):
         out = subprocess.run(cmd[:3] + argv, capture_output=True).stdout
         assert hashlib.sha256(out).hexdigest() == digest, argv

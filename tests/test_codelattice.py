@@ -11,14 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from thetaforge import codelattice
 from thetaforge.codelattice import (
-    CodeLattice, _integral_gso, box_count_by_norm, count_by_norm,
-    discriminant, enumerate_coset, is_even, lattice_info, lattice_of_code,
-    lift_word, lll_reduce, make_pair_function, minimal_norm,
-    ramified_block_rows, standard_lattice, theta_series,
+    CodeLattice, box_count_by_norm, count_by_norm, discriminant,
+    enumerate_coset, is_even, lattice_info, lattice_of_code, lift_word,
+    lll_reduce, minimal_norm, ramified_block_rows, standard_lattice,
+    theta_series, trace_gram,
 )
 from thetaforge.cyclotomic import CycInt, trace_pairing
 from thetaforge.fpcode import make_code, standard_codes, zero_code
-from thetaforge.linalg import bareiss_det, integer_row_basis
+from thetaforge.linalg import integer_row_basis, integral_gso
 from thetaforge.qexp import QSeries
 
 
@@ -73,11 +73,13 @@ def loeschian_counts(limit):
 
 
 def test_linear_algebra_helpers():
-    assert bareiss_det([[2, -1], [-1, 2]]) == 3
-    assert bareiss_det([[1, 2], [2, 4]]) == 0
+    assert integral_gso([[2, -1], [-1, 2]])[0][-1] == 3
+    with pytest.raises(ValueError):
+        integral_gso([[1, 2], [2, 4]])
     basis = integer_row_basis([[2, 4], [3, 6], [0, 5]])
     assert len(basis) == 2
-    assert bareiss_det(basis) in (5, -5)
+    assert integral_gso([[sum(x * y for x, y in zip(u, v)) for v in basis]
+                         for u in basis])[0][-1] == 25
 
 
 def test_rank_two_block_gram_and_counts():
@@ -219,6 +221,19 @@ def test_golay_lattice_smoke():
 # Basis reduction
 # ---------------------------------------------------------------------------
 
+def trace_form(p):
+    """Reference pairing: the trace form on power-basis coordinates, per
+    block dot(x, y) - sum(x) sum(y) / p, on ints or Fractions."""
+    d = p - 1
+
+    def pairf(u, v):
+        return sum(x * y for x, y in zip(u, v)) - sum(
+            Fraction(sum(u[i:i + d]) * sum(v[i:i + d]), p)
+            for i in range(0, len(u), d))
+
+    return pairf
+
+
 def fraction_gso_lll(rows, pairf, delta=Fraction(3, 4)):
     """Reference LLL: a full Fraction Gram-Schmidt in ambient coordinates,
     recomputed after every change.  Size reduction rounds mu as it stood
@@ -316,10 +331,9 @@ def test_lll_matches_fraction_gso_reference(data):
         if i != j:
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
     delta = data.draw(st.sampled_from([Fraction(3, 4), Fraction(99, 100)]))
-    pairf = make_pair_function(p, n)
-    out = lll_reduce(rows, pairf, delta)
-    assert out == fraction_gso_lll(rows, pairf, delta)
-    assert_lovasz([[pairf(u, v) for v in out] for u in out], delta)
+    out = lll_reduce(rows, trace_gram(rows, p), delta)
+    assert out == fraction_gso_lll(rows, trace_form(p), delta)
+    assert_lovasz(trace_gram(out, p), delta)
 
 
 def test_reduced_bases_are_pinned_and_meet_lovasz():
@@ -349,7 +363,7 @@ def recursive_enumerate_coset(gram, shift, bound, emit):
     """Reference enumerator: the depth-first Fincke-Pohst recursion that
     enumerate_coset replaced, one Python call per tree node."""
     rank = len(gram)
-    minors, lams = _integral_gso(gram)
+    minors, lams = integral_gso(gram)
     D = [Fraction(minors[i + 1], minors[i]) for i in range(rank)]
     L = [[Fraction(x, minors[j + 1]) for j, x in enumerate(row)]
          for row in lams]
@@ -462,8 +476,7 @@ def test_enumerate_coset_matches_recursive_reference(data):
             max_size=6)):
         if i != j:
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-    pairf = make_pair_function(p, n)
-    gram = [[int(pairf(u, v)) for v in rows] for u in rows]
+    gram = [[x // p for x in row] for row in trace_gram(rows, p)]
     code = make_code(p, n, generators=gens or [[0] * n])
     lat = CodeLattice(code, rows, gram)
     word = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
