@@ -149,9 +149,7 @@ def cmd_lattice(args):
 
 def cmd_qexp(args):
     cutoff = _parse_cutoff(args.cutoff, "--cutoff")
-    series = qexp.eta(args.prime, cutoff)
-    if args.power != 1:
-        series = series ** args.power
+    series = qexp.eta_power(args.prime, args.power, cutoff)
     _emit(qexp.to_json_obj(series))
     return 0
 
@@ -369,7 +367,7 @@ def verify_orbits():
                 members = voarep.orbit_members(p, rep_word)
                 swept += len(members)
                 for w in members:
-                    if theta_series(lat, cutoff, w) != base:
+                    if w != rep_word and theta_series(lat, cutoff, w) != base:
                         invariance = False
     rng = random.Random(1)
     mult = True

@@ -250,29 +250,37 @@ def _isqrt(cap):
 
 
 def enumerate_coset(gram, shift, bound, emit):
-    """Call emit(x, scaled_norm, scale) for every integer x with
-    (x + shift) G (x + shift)^T <= bound.
+    """Hand every integer x with (x + shift) G (x + shift)^T <= bound to
+    emit(X, scaled, scale), a block of leaves per call.
 
-    The result is exact: x is a tuple of Python ints and scaled_norm and
-    scale are Python ints, scale the same positive integer for the whole
-    run.  Leaves come in lexicographic order of (x_{rank-1}, ..., x_0),
-    the order of a depth-first Fincke-Pohst (Fincke-Pohst 1985), one emit
-    call per leaf.
+    Each call hands over one chunk of at most CHUNK leaves: X is an
+    (m, rank) matrix whose rows are the leaves x, scaled the (m,) array of
+    their scaled norms, and scale a Python int, the same positive integer
+    for the whole run, with norm = scaled / scale.  Rows come in
+    lexicographic order of (x_{rank-1}, ..., x_0), the order of a
+    depth-first Fincke-Pohst (Fincke-Pohst 1985), one emit call per chunk;
+    an empty coset makes no call.  The values are exact: X and scaled are
+    each int64 when every entry provably fits, and otherwise object arrays
+    of Python ints.  No float is involved.
 
     The tree is expanded a level at a time in numpy: a block holds the
     nodes of one level, and its children are made at most CHUNK at a time
     (np.repeat of each parent by its child count).  Blocks are taken
     depth-first, which keeps the leaf order and leaves at most rank blocks
     of at most CHUNK nodes alive, each node with O(rank) entries: memory is
-    O(rank^2 CHUNK) array entries, about 16 MB at rank 24.
+    O(rank^2 CHUNK) array entries, about 16 MB at rank 24.  The leaf
+    matrix is stacked from the level columns already held, so a chunk adds
+    O(rank CHUNK) entries, and the caller decides what to keep.
 
     The remaining norm budget is counted in units of the gcd of the scaled
-    diagonal g_i; its array is int64 when the budget in those units is
-    below 2^62 (every value it takes lies in [0, budget]).  Coordinate
-    arrays (x, w, partial sums) are int64 when a bound on every coordinate
-    value, fixed at set-up, times CHUNK + 1 is below 2^61.  Otherwise each
-    holds Python ints, so no array wraps around.  Square roots are exact:
-    float sqrt corrected by one step on int64, math.isqrt on Python ints.
+    diagonal g_i; its array is int64 when the budget in those units, room,
+    is below 2^62 (every value it takes lies in [0, room]).  A scaled norm
+    is unit times the room used, so scaled is int64 when unit * max(room, 1)
+    is below 2^62.  Coordinate arrays (x, w, partial sums, and so X) are
+    int64 when a bound on every coordinate value, fixed at set-up, times
+    CHUNK + 1 is below 2^61.  Otherwise each holds Python ints, so no array
+    wraps around.  Square roots are exact: float sqrt corrected by one
+    step on int64, math.isqrt on Python ints.
     """
     rank = len(gram)
     minors, lams = integral_gso(gram)
@@ -329,6 +337,7 @@ def enumerate_coset(gram, shift, bound, emit):
         N[i] = (w + a) // Lam[i] + 1
         reach = max(reach, w + a + Lam[i] * (abs(sv[i]) + q))
     nd = np.int64 if room < 1 << 62 else object
+    sd = np.int64 if unit * max(room, 1) < 1 << 62 else object
     cd = np.int64 if reach * (CHUNK + 1) < 1 << 61 else object
     updates = [(np.array([j for j, _ in col], dtype=np.int64),
                 np.array([c for _, c in col], dtype=cd)) for col in cols]
@@ -368,12 +377,12 @@ def enumerate_coset(gram, shift, bound, emit):
             w = w.astype(nd)
         rem_c = rem[par] - g[i] * w * w
         if i == 0:
-            columns = [x.tolist()]
+            columns = [x]
             for up_x, up_par, *_ in reversed(stack[1:]):
-                columns.append(up_x[par].tolist())
+                columns.append(up_x[par])
                 par = up_par[par]
-            for leaf, used in zip(zip(*columns), (room - rem_c).tolist()):
-                emit(leaf, unit * used, gden)
+            emit(np.stack(columns, axis=1),
+                 unit * (room - rem_c).astype(sd, copy=False), gden)
             continue
         acc_c = acc[par, :i]
         targets, coefs = updates[i]
@@ -383,16 +392,21 @@ def enumerate_coset(gram, shift, bound, emit):
 
 
 def count_by_norm(lattice, bound, shift_word=None):
-    """Exact norm histogram of a lattice coset up to a bound (Fincke-Pohst)."""
+    """Exact norm histogram of a lattice coset up to a bound (Fincke-Pohst).
+
+    Each block of leaves is counted with np.unique on its scaled norms (int64
+    or Python ints, never floats), so only the distinct norms of a block
+    reach Python."""
     _check_cap(bound)
     shift = ([Fraction(0)] * lattice.rank if shift_word is None
              else lattice.shift_in_basis(shift_word))
     counts = Counter()
     scale = 1
 
-    def emit(x, scaled, run_scale):
+    def emit(X, scaled, run_scale):
         nonlocal scale
-        counts[scaled] += 1
+        vals, cnts = np.unique(scaled, return_counts=True)
+        counts.update(dict(zip(vals.tolist(), cnts.tolist())))
         scale = run_scale
 
     enumerate_coset([list(r) for r in lattice.gram], shift, bound, emit)

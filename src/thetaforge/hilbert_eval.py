@@ -72,30 +72,32 @@ def _coset_arrays(p, n, word, bound):
     every point: sigma, an (M, r) array with sigma_l(y) = sum_i
     |sigma_l(x_i)|^2 in column l-1, rows sorted by the exact norm; the
     distinct norms, ascending; and the end row of each norm's shell.
-    Cached so that evaluating the same coset at several points enumerates
-    once."""
+    The enumerator's blocks of leaves and scaled norms are concatenated
+    and mapped through the basis in one product; an empty coset gives a
+    (0, r) table.  Cached so that evaluating the same coset at several
+    points enumerates once."""
     lat = standard_lattice(p, n)
     shift = lat.shift_in_basis(word)
-    rows = []
-    norms = []
+    leaves = [np.zeros((0, lat.rank), dtype=np.int64)]
+    norms = [np.zeros(0, dtype=np.int64)]
     scale_box = [1]
 
-    def emit(x, scaled, scale):
-        rows.append(x)
+    def emit(X, scaled, scale):
+        leaves.append(X)
         norms.append(scaled)
         scale_box[0] = scale
 
     enumerate_coset([list(r) for r in lat.gram], shift, bound, emit)
     d = p - 1
     basis = np.array(lat.basis, dtype=np.int64)
-    coords = (np.array(rows, dtype=np.int64).reshape(-1, lat.rank) @ basis
+    coords = (np.concatenate(leaves).astype(np.int64, copy=False) @ basis
               + np.array(lift_word(word, p, n), dtype=np.int64))
+    norms = np.concatenate(norms).astype(np.int64, copy=False)
     blocks = coords.reshape(-1, n, d).astype(np.float64)
-    sigma = np.empty((len(rows), d // 2))
+    sigma = np.empty((len(norms), d // 2))
     for l in range(1, d // 2 + 1):
         emb = blocks @ np.exp((2j * np.pi * l / p) * np.arange(d))
         sigma[:, l - 1] = (emb.real ** 2 + emb.imag ** 2).sum(axis=1)
-    norms = np.array(norms, dtype=np.int64)
     uniq, counts = np.unique(norms, return_counts=True)
     return (sigma[np.argsort(norms, kind="stable")], uniq / scale_box[0],
             np.cumsum(counts))

@@ -253,6 +253,23 @@ def eta(p, cutoff):
     return QSeries(p, 24, terms, cutoff)
 
 
+def eta_power(p, power, cutoff):
+    """eta^power, exact through the inclusive cutoff (at least 1/24).
+
+    A power e < 1 divides out q^(1/24) and is exact only (1 - e)/24 below
+    the cutoff of the eta it is taken from, so eta is expanded that much
+    further and the power cut back to the cutoff.  A positive power keeps
+    the cutoff of its product, which is at least the one asked for.
+    """
+    cutoff = Fraction(cutoff)
+    if cutoff < Fraction(1, 24):
+        raise ValueError("cutoff below the leading exponent 1/24")
+    power = int(power)
+    if power >= 1:
+        return eta(p, cutoff) ** power
+    return (eta(p, cutoff + Fraction(1 - power, 24)) ** power).truncate(cutoff)
+
+
 def t_shift(series):
     """Send q^(k/N) to e^(2 pi i k / N) q^(k/N); needs N | p (or N = 1)."""
     p = series.p

@@ -99,6 +99,14 @@ def test_qexp_subcommand(capsys):
     assert code == 0
     data = json.loads(out)
     assert data[0]["exp"] == "-1/12"
+    # eta^-1 = q^(-1/24) sum_n p(n) q^n through the inclusive cutoff
+    for cutoff, last in (("1", ("23/24", 1)), ("3", ("71/24", 3))):
+        code, out = run_main(capsys,
+                             ["qexp", "--prime", "3", "--cutoff", cutoff,
+                              "--power", "-1"])
+        assert code == 0
+        data = json.loads(out)
+        assert (data[-1]["exp"], data[-1]["coef"]["coeffs"][0]) == last
     code, out = run_main(capsys,
                          ["qexp", "--prime", "3", "--cutoff", "1",
                           "--power", "100000000"])

@@ -46,13 +46,14 @@ def short_vectors(lattice, bound):
     p, n, basis = lattice.p, lattice.n, lattice.basis
     out = []
 
-    def emit(x, scaled, scale):
-        coords = [0] * (n * (p - 1))
-        for c, row in zip(x, basis):
-            if c:
-                for j, rj in enumerate(row):
-                    coords[j] += c * rj
-        out.append(LatticeVector(p, n, coords, Fraction(scaled, scale)))
+    def emit(X, scaled, scale):
+        for x, norm in zip(X.tolist(), scaled.tolist()):
+            coords = [0] * (n * (p - 1))
+            for c, row in zip(x, basis):
+                if c:
+                    for j, rj in enumerate(row):
+                        coords[j] += c * rj
+            out.append(LatticeVector(p, n, coords, Fraction(norm, scale)))
 
     enumerate_coset([list(r) for r in lattice.gram],
                     [Fraction(0)] * lattice.rank, bound, emit)
@@ -439,9 +440,20 @@ def recursive_enumerate_coset(gram, shift, bound, emit):
 
 def both_enumerations(gram, shift, bound):
     """The leaves of enumerate_coset, checked against the reference: the
-    same (x, scaled, scale) triples in the same order, all Python ints."""
+    blocks, flattened, give the same (x, scaled, scale) triples in the same
+    order, all Python ints.  Each block is an int64 or object matrix of at
+    most CHUNK rows with one scaled norm per row."""
     got, want = [], []
-    enumerate_coset(gram, shift, bound, lambda *leaf: got.append(leaf))
+
+    def emit(X, scaled, scale):
+        for block in (X, scaled):
+            assert block.dtype in (np.int64, object)
+        assert X.shape[1:] == (len(gram),)
+        assert len(X) == len(scaled) <= codelattice.CHUNK
+        got.extend((tuple(x), norm, scale)
+                   for x, norm in zip(X.tolist(), scaled.tolist()))
+
+    enumerate_coset(gram, shift, bound, emit)
     recursive_enumerate_coset(gram, shift, bound,
                               lambda *leaf: want.append(leaf))
     assert got == want
@@ -505,6 +517,12 @@ def test_enumerate_coset_fixed_cases():
     assert both_enumerations(a2, far, Fraction(1, 2)) == []
     # a scaled diagonal entry far above the budget
     assert len(both_enumerations([[2, 0], [0, 2 ** 70]], [0, 0], 6)) == 3
+    # the budget fits in int64 but the scaled norms, up to 2^66, do not
+    leaves = both_enumerations([[2 ** 60]], [0], 2 ** 66)
+    assert [x for (x,), _, _ in leaves] == list(range(-8, 9))
+    assert max(scaled for _, scaled, _ in leaves) == 2 ** 66
+    # an empty budget with a unit of 2^70: the one leaf has scaled norm 0
+    assert both_enumerations([[2 ** 70]], [0], 0) == [((0,), 0, 1)]
     # the budget is k^2 - 1, k = 3 * 2^28 + 1, where float sqrt gives k
     k = 3 * 2 ** 28 + 1
     assert [x for (x,), _, _ in both_enumerations(

@@ -144,9 +144,9 @@ def reference_coset_arrays(p, n, word, bound):
     norms = []
     scale_box = [1]
 
-    def emit(x, scaled, scale):
-        rows.append(x)
-        norms.append(scaled)
+    def emit(X, scaled, scale):
+        rows.extend(X.tolist())
+        norms.extend(scaled.tolist())
         scale_box[0] = scale
 
     enumerate_coset([list(r) for r in lat.gram], shift, bound, emit)
@@ -234,6 +234,24 @@ def test_cap_error_matches_reference(monkeypatch):
         reference_coset_value(3, 1, (0,), as_point(3, 0.2j), 1e-10)
     with pytest.raises(ValueError, match=message):
         theta_class_eval(3, 0, 0.2j, tail_tol=1e-10)
+
+
+def test_empty_coset_table_matches_reference(monkeypatch):
+    # the coset (1, 2) of the p=5, n=2 standard lattice has minimum norm 2
+    bound = Fraction(3, 2)
+    sigma, shell_norms, shell_ends = _coset_arrays(5, 2, (1, 2), bound)
+    assert sigma.shape == (0, 2)
+    assert shell_norms.shape == shell_ends.shape == (0,)
+    coords, norms, _ = reference_coset_arrays(5, 2, (1, 2), bound)
+    assert coords.shape == (0, 8) and norms.shape == (0,)
+    # capped below the minimum, every table is empty and no shell stops the
+    # sum: both evaluators fail at the cap with the same message
+    monkeypatch.setenv("THETA_FORGE_MAX_NORM", "3/2")
+    message = "tail still above 1e-10 at the enumeration cap 3/2"
+    with pytest.raises(ValueError, match=message):
+        reference_coset_value(5, 2, (1, 2), as_point(5, 1j), 1e-10)
+    with pytest.raises(ValueError, match=message):
+        theta_code_eval(make_code(5, 2, words=[(1, 2)]), 1j, tail_tol=1e-10)
 
 
 def test_bound_growth_matches_reference():

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from thetaforge.cyclotomic import CycInt, CycRat
 from thetaforge.fpcode import standard_codes, weight_enumerator
-from thetaforge.qexp import QSeries, compose_enumerator, eta, t_shift, to_json_obj
+from thetaforge.qexp import (
+    QSeries, compose_enumerator, eta, eta_power, t_shift, to_json_obj,
+)
 
 
 def S(terms, cutoff, p=3, N=1):
@@ -88,6 +90,35 @@ def test_eta_leading_and_pentagonal_terms():
     assert e.coeff(3).is_zero()
     with pytest.raises(ValueError):
         eta(3, Fraction(1, 48))
+
+
+def partition_numbers(m):
+    """p(0), ..., p(m) by the standard recurrence over parts of size k."""
+    counts = [1] + [0] * m
+    for k in range(1, m + 1):
+        for n in range(k, m + 1):
+            counts[n] += counts[n - k]
+    return counts
+
+
+def test_eta_inverse_is_partition_generating_function():
+    # eta^-1 = q^(-1/24) sum_n p(n) q^n, through the inclusive cutoff
+    parts = partition_numbers(6)
+    for cutoff in (Fraction(1, 24), Fraction(23, 24), 1, 3, Fraction(145, 24)):
+        series = eta_power(3, -1, cutoff)
+        assert series.cutoff == cutoff
+        want = [(n - Fraction(1, 24), parts[n]) for n in range(7)
+                if n - Fraction(1, 24) <= cutoff]
+        assert [(e, c.as_fraction()) for e, c in series.items()] == want
+    # other powers e < 1: eta^e eta^-e = 1 through the cutoff
+    for power in (-3, -2, 0):
+        series = eta_power(3, power, 2)
+        assert series.cutoff == 2
+        product = series * eta(3, 4) ** -power
+        assert product.cutoff >= 2 and product == QSeries.one(3, 2)
+    assert eta_power(3, 2, 1) == eta(3, 1) ** 2
+    with pytest.raises(ValueError):
+        eta_power(3, -1, 0)
 
 
 def test_eta_24th_power_is_discriminant_series():
