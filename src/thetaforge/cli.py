@@ -23,7 +23,7 @@ from .cliffcode import (
 )
 from .codelattice import (
     box_count_by_norm, count_by_norm, lattice_info, lattice_of_code,
-    standard_lattice, theta_series,
+    standard_lattice, theta_series, theta_series_by_word,
 )
 from .fpcode import (
     code_predicates, hamming_weight, read_code_file, standard_codes,
@@ -360,15 +360,13 @@ def verify_orbits():
     swept = 0
     for p in (3, 5):
         for n in (1, 2, 3):
-            lat = standard_lattice(p, n)
+            table = theta_series_by_word(p, n, cutoff)
             for orbit in voarep.all_orbits(p, n):
                 rep_word = orbit.representative()
-                base = theta_series(lat, cutoff, rep_word)
                 members = voarep.orbit_members(p, rep_word)
                 swept += len(members)
-                for w in members:
-                    if w != rep_word and theta_series(lat, cutoff, w) != base:
-                        invariance = False
+                if any(table[w] != table[rep_word] for w in members):
+                    invariance = False
     rng = random.Random(1)
     mult = True
     orbits3 = list(voarep.all_orbits(3, 1)) + list(voarep.all_orbits(3, 2))

@@ -16,6 +16,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt
 
 import numpy as np
@@ -270,17 +271,23 @@ def enumerate_coset(gram, shift, bound, emit):
     of at most CHUNK nodes alive, each node with O(rank) entries: memory is
     O(rank^2 CHUNK) array entries, about 16 MB at rank 24.  The leaf
     matrix is stacked from the level columns already held, so a chunk adds
-    O(rank CHUNK) entries, and the caller decides what to keep.
+    O(rank CHUNK) entries, and the caller decides what to keep.  Fixing x_i
+    adds n_i = q x_i + shift_i times one coefficient row to the partial
+    sums of the deeper levels; the row runs from the first level it touches
+    to i - 1, zeros included, so each node step is one slice update.
 
     The remaining norm budget is counted in units of the gcd of the scaled
     diagonal g_i; its array is int64 when the budget in those units, room,
-    is below 2^62 (every value it takes lies in [0, room]).  A scaled norm
-    is unit times the room used, so scaled is int64 when unit * max(room, 1)
-    is below 2^62.  Coordinate arrays (x, w, partial sums, and so X) are
-    int64 when a bound on every coordinate value, fixed at set-up, times
-    CHUNK + 1 is below 2^61.  Otherwise each holds Python ints, so no array
-    wraps around.  Square roots are exact: float sqrt corrected by one
-    step on int64, math.isqrt on Python ints.
+    is below 2^62 (every value it takes lies in [0, room]).  A norm is unit
+    times the room used over the lcm gden of the GSO denominators; unit and
+    gden are divided by their gcd after room and the g_i are fixed, so scale
+    is gden reduced (about 4.5 * 10^15 for golay, where gden is about
+    2 * 10^31), and scaled is int64 when unit * max(room, 1) is below 2^62
+    for the reduced unit.  Coordinate arrays (x, w, partial sums, and so
+    X) are int64 when a bound on every coordinate value, fixed at set-up,
+    times CHUNK + 1 is below 2^61.  Otherwise each holds Python ints, so no
+    array wraps around.  Square roots are exact: float sqrt corrected by
+    one step on int64, math.isqrt on Python ints.
     """
     rank = len(gram)
     minors, lams = integral_gso(gram)
@@ -315,12 +322,6 @@ def enumerate_coset(gram, shift, bound, emit):
     if not rank or budget < 0:
         return
 
-    # cols[i]: updates to deeper levels once n_i is fixed
-    cols = [[] for _ in range(rank)]
-    for i in range(rank):
-        for (j, c) in lam[i]:
-            cols[j].append((i, c))
-
     # Every g_i w^2 is a multiple of unit, so the tree counts the budget in
     # units: rem // g_i == (rem // unit) // (g_i // unit).  A g_i above the
     # budget admits only w = 0; clamping it keeps it within int64.
@@ -336,11 +337,21 @@ def enumerate_coset(gram, shift, bound, emit):
         w = isqrt(room // g[i])
         N[i] = (w + a) // Lam[i] + 1
         reach = max(reach, w + a + Lam[i] * (abs(sv[i]) + q))
+    # a scaled norm is unit * (room used) / gden: reduce the fraction
+    h = gcd(unit, gden)
+    unit, gden = unit // h, gden // h
     nd = np.int64 if room < 1 << 62 else object
     sd = np.int64 if unit * max(room, 1) < 1 << 62 else object
     cd = np.int64 if reach * (CHUNK + 1) < 1 << 61 else object
-    updates = [(np.array([j for j, _ in col], dtype=np.int64),
-                np.array([c for _, c in col], dtype=cd)) for col in cols]
+    # updates[j]: fixing n_j adds n_j * Lam_i L_ji to the partial sum a_i of
+    # each deeper level i; one row from the first nonzero coefficient to
+    # j - 1, zeros included, makes the update one slice
+    updates = [None] * rank
+    for j in range(rank):
+        row = [int(L[j][i] * Lam[i]) for i in range(j)]
+        j0 = next((i for i, c in enumerate(row) if c), j)
+        if j0 < j:
+            updates[j] = (j0, np.array(row[j0:], dtype=cd))
 
     def block(x, par, i, rem, acc):
         """Nodes at level i (their x_{i+1} and parent index one level up)
@@ -385,9 +396,9 @@ def enumerate_coset(gram, shift, bound, emit):
                  unit * (room - rem_c).astype(sd, copy=False), gden)
             continue
         acc_c = acc[par, :i]
-        targets, coefs = updates[i]
-        if len(targets):
-            acc_c[:, targets] += (q * x + sv[i])[:, None] * coefs
+        if updates[i] is not None:
+            j0, row = updates[i]
+            acc_c[:, j0:] += (q * x + sv[i])[:, None] * row
         stack.append(block(x, par, i - 1, rem_c, acc_c))
 
 
@@ -529,6 +540,48 @@ def theta_series(lattice, order, shift_word=None):
         assert k.denominator == 1, "norm outside the expected (2/p)Z grid"
         terms[int(k)] = cnt
     return QSeries(p, p, terms, order)
+
+
+def theta_series_by_word(p, n, order):
+    """Exact theta expansion of every coset of standard_lattice(p, n), all
+    p^n of them from one Fincke-Pohst run, as {word: QSeries}.
+
+    The cosets are the classes of O^n modulo (1 - zeta) O^n, and the class
+    of a vector is its digit word: the coordinate sums of its blocks mod p
+    (zeta = 1 modulo 1 - zeta).  So one enumeration of O^n itself, on
+    power-basis coordinates with the integer Gram p times the trace form
+    (p I - J per block) and bound p * 2 * order, meets each coset vector of
+    norm at most 2 * order once.  Its leaves are binned by digit word and
+    exact norm, one integer key per leaf (int64, or Python ints when
+    width * p^n reaches 2^62) counted with np.unique.  Each value equals
+    theta_series(standard_lattice(p, n), order, word).
+    """
+    order = Fraction(order)
+    _check_cap(2 * order)
+    d = p - 1
+    rank = n * d
+    gram = [[(p if i == j else 0) - (i // d == j // d) for j in range(rank)]
+            for i in range(rank)]
+    width = max(int(p * order), 0) + 1   # k = p * exponent lies in [0, width)
+    kd = np.int64 if width * p ** n < 1 << 62 else object
+    place = np.array([p ** (n - 1 - b) for b in range(n)], dtype=kd)
+    counts = Counter()
+
+    def emit(X, scaled, scale):
+        # p * norm = scaled / scale is an even integer on O^n
+        digits = sum(X[:, j::d] for j in range(d)) % p
+        keys = (digits.astype(kd) @ place) * width + (
+            scaled // (2 * scale)).astype(kd)
+        vals, cnts = np.unique(keys, return_counts=True)
+        counts.update(dict(zip(vals.tolist(), cnts.tolist())))
+
+    enumerate_coset(gram, [0] * rank, 2 * p * order, emit)
+    terms = [{} for _ in range(p ** n)]
+    for key, c in counts.items():
+        w, k = divmod(key, width)
+        terms[w][k] = c
+    return {word: QSeries(p, p, terms[i], order)
+            for i, word in enumerate(product(range(p), repeat=n))}
 
 
 def minimal_norm(lattice):

@@ -20,15 +20,19 @@ from .fpcode import WeightEnumerator, weight_enumerator, word_profile
 from .qexp import QSeries, compose_enumerator, eta
 
 
+def _check_odd_prime(p):
+    check_prime(p)
+    if p == 2:
+        raise ValueError("need an odd prime")
+
+
 class OrbitClass:
     """A word orbit under {+-1}^n x| Sigma_n, keyed by its digit profile."""
 
     __slots__ = ("p", "profile")
 
     def __init__(self, p, profile):
-        check_prime(p)
-        if p == 2:
-            raise ValueError("need an odd prime")
+        _check_odd_prime(p)
         r = (p - 1) // 2
         profile = tuple(int(l) for l in profile)
         if len(profile) != r + 1:
@@ -63,8 +67,8 @@ class OrbitClass:
 
 def orbit_of(p, word):
     """The orbit class of a word; entries are reduced mod p first."""
-    o = OrbitClass(p, word_profile(tuple(word), p))
-    return o
+    _check_odd_prime(p)     # word_profile reduces mod p
+    return OrbitClass(p, word_profile(tuple(word), p))
 
 
 def all_orbits(p, n):

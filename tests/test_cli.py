@@ -171,7 +171,7 @@ def test_verify_alpbach_rejects_a_prime_that_is_not_the_codes(capsys):
     assert "--prime 5" in captured.err and "prime 3" in captured.err
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "thetaforge.cli", "theta", "--prime", "3",
          "--class", "0", "--order", "7", "--bogus"],
@@ -226,6 +226,12 @@ def test_usage_errors(tmp_path):
         assert proc.returncode == 2, argv
         assert "error: argument %s: " % option in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr
+    # the prime is checked before the orbit word is reduced mod it
+    for prime in ("0", "-5"):
+        assert main(["rep", "zmap", "--prime", prime, "--orbit", "1",
+                     "--order", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: p must be a prime integer, got %s\n" % prime)
     # code files: the message names the line and the token at fault
     for name, text, message in (
             ("header.txt", "3 x\n0 0\n", "error: line 1: 'x' "),

@@ -2,6 +2,7 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from thetaforge.codelattice import (
     CodeLattice, box_count_by_norm, count_by_norm, discriminant,
     enumerate_coset, is_even, lattice_info, lattice_of_code, lift_word,
     lll_reduce, minimal_norm, ramified_block_rows, standard_lattice,
-    theta_series, trace_gram,
+    theta_series, theta_series_by_word, trace_gram,
 )
 from thetaforge.cyclotomic import CycInt, trace_pairing
 from thetaforge.fpcode import make_code, standard_codes, zero_code
@@ -189,6 +190,36 @@ def test_coset_decomposition_sums_to_code_lattice_theta():
         part = theta_series(block, 2, shift_word=w)
         total = part if total is None else total + part
     assert total == theta_series(lat, 2)
+
+
+def test_theta_series_by_word_matches_each_coset():
+    # one binned run over O^n against one Fincke-Pohst run per coset
+    for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)):
+        lat = standard_lattice(p, n)
+        for order in (Fraction(1), Fraction(5, 2)):
+            table = theta_series_by_word(p, n, order)
+            assert list(table) == list(product(range(p), repeat=n))
+            for word, series in table.items():
+                assert series.cutoff == order
+                assert series == theta_series(lat, order, word), (p, word)
+    # and against the pruned ambient oracle, norm by norm
+    word, order = (1, 3), Fraction(5, 2)
+    series = theta_series_by_word(5, 2, order)[word]
+    assert {Fraction(2 * k, 5): c.as_fraction()
+            for k, c in series.terms.items()} == box_count_by_norm(
+        standard_lattice(5, 2), 2 * order, word)
+
+
+def test_theta_series_by_word_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("THETA_FORGE_MAX_NORM", "4")
+    assert theta_series_by_word(3, 1, 2)[(0,)] == theta_series(
+        standard_lattice(3, 1), 2, (0,))
+    with pytest.raises(ValueError) as per_coset:
+        theta_series(standard_lattice(3, 1), Fraction(7, 3), (0,))
+    with pytest.raises(ValueError) as binned:
+        theta_series_by_word(3, 1, Fraction(7, 3))
+    assert str(binned.value) == str(per_coset.value)
+    assert "THETA_FORGE_MAX_NORM" in str(binned.value)
 
 
 def test_lattice_info_shape():
@@ -440,9 +471,10 @@ def recursive_enumerate_coset(gram, shift, bound, emit):
 
 def both_enumerations(gram, shift, bound):
     """The leaves of enumerate_coset, checked against the reference: the
-    blocks, flattened, give the same (x, scaled, scale) triples in the same
-    order, all Python ints.  Each block is an int64 or object matrix of at
-    most CHUNK rows with one scaled norm per row."""
+    blocks, flattened, give the same (x, norm) pairs in the same order, with
+    norm = scaled / scale (enumerate_coset reduces the scale, the reference
+    does not).  Each block is an int64 or object matrix of at most CHUNK
+    rows with one scaled norm per row, all Python ints once listed."""
     got, want = [], []
 
     def emit(X, scaled, scale):
@@ -450,15 +482,15 @@ def both_enumerations(gram, shift, bound):
             assert block.dtype in (np.int64, object)
         assert X.shape[1:] == (len(gram),)
         assert len(X) == len(scaled) <= codelattice.CHUNK
-        got.extend((tuple(x), norm, scale)
-                   for x, norm in zip(X.tolist(), scaled.tolist()))
+        for x, norm in zip(X.tolist(), scaled.tolist()):
+            assert all(type(v) is int for v in x + [norm, scale])
+            got.append((tuple(x), Fraction(norm, scale)))
 
     enumerate_coset(gram, shift, bound, emit)
-    recursive_enumerate_coset(gram, shift, bound,
-                              lambda *leaf: want.append(leaf))
+    recursive_enumerate_coset(
+        gram, shift, bound,
+        lambda x, used, scale: want.append((x, Fraction(used, scale))))
     assert got == want
-    assert all(type(v) is int
-               for x, scaled, scale in got for v in x + (scaled, scale))
     return got
 
 
@@ -496,10 +528,28 @@ def test_enumerate_coset_matches_recursive_reference(data):
     both_enumerations(gram, lat.shift_in_basis(word), bound)
 
 
+# integral_gso of this Gram has lam_31 = 0 between nonzero lam_30 and
+# lam_32, and lam_10 = 0: fixing x_3 updates levels 0 and 2 through a slice
+# with a zero inside, and fixing x_1 updates nothing
+SLICE_GRAM = [[2, 0, 2, -2], [0, 2, 2, 0], [2, 2, 6, 0], [-2, 0, 0, 6]]
+SLICE_SHIFT = [Fraction(1, 2), Fraction(1, 3), 0, Fraction(-1, 2)]
+
+
 def test_enumerate_coset_fixed_cases():
     golay = lattice_of_code(standard_codes("golay12"))
-    assert len(both_enumerations([list(r) for r in golay.gram],
-                                 [0] * 24, 2)) == 73
+    gram = [list(r) for r in golay.gram]
+    assert len(both_enumerations(gram, [0] * 24, 2)) == 73
+    # golay's scale shares a factor of about 4.5 * 10^15 with its unit;
+    # reduced, the scaled norms fit in int64
+    dtypes = set()
+    enumerate_coset(gram, [0] * 24, 2,
+                    lambda X, scaled, scale: dtypes.add(
+                        (X.dtype, scaled.dtype)))
+    assert dtypes == {(np.dtype(np.int64), np.dtype(np.int64))}
+    lams = integral_gso(SLICE_GRAM)[1]
+    assert [[x != 0 for x in row[:j]] for j, row in enumerate(lams)] == [
+        [], [False], [True, True], [True, False, True]]
+    assert len(both_enumerations(SLICE_GRAM, SLICE_SHIFT, 12)) == 172
     # minors near 10^18: the norm budget and the coordinates need more
     # than 64 bits, so both are held as Python ints
     assert len(both_enumerations(skewed_gram(10 ** 9, 10 ** 12 + 3),
@@ -519,13 +569,13 @@ def test_enumerate_coset_fixed_cases():
     assert len(both_enumerations([[2, 0], [0, 2 ** 70]], [0, 0], 6)) == 3
     # the budget fits in int64 but the scaled norms, up to 2^66, do not
     leaves = both_enumerations([[2 ** 60]], [0], 2 ** 66)
-    assert [x for (x,), _, _ in leaves] == list(range(-8, 9))
-    assert max(scaled for _, scaled, _ in leaves) == 2 ** 66
-    # an empty budget with a unit of 2^70: the one leaf has scaled norm 0
-    assert both_enumerations([[2 ** 70]], [0], 0) == [((0,), 0, 1)]
+    assert [x for (x,), _ in leaves] == list(range(-8, 9))
+    assert max(norm for _, norm in leaves) == 2 ** 66
+    # an empty budget with a unit of 2^70: the one leaf has norm 0
+    assert both_enumerations([[2 ** 70]], [0], 0) == [((0,), 0)]
     # the budget is k^2 - 1, k = 3 * 2^28 + 1, where float sqrt gives k
     k = 3 * 2 ** 28 + 1
-    assert [x for (x,), _, _ in both_enumerations(
+    assert [x for (x,), _ in both_enumerations(
         [[1]], [Fraction(1, 2 ** 28)], Fraction(k * k - 1, 2 ** 56))] == [
         -3, -2, -1, 0, 1, 2]
     leaves = []
@@ -543,6 +593,7 @@ def test_enumerate_coset_in_chunks_of_three(monkeypatch):
     assert len(both_enumerations(
         [[2, -1], [-1, 2]],
         [10 ** 15 + Fraction(1, 3), -10 ** 15 + Fraction(2, 3)], 6)) == 12
+    assert len(both_enumerations(SLICE_GRAM, SLICE_SHIFT, 12)) == 172
 
 
 # ---------------------------------------------------------------------------
