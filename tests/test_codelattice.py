@@ -547,7 +547,7 @@ def test_enumerate_coset_fixed_cases():
                         (X.dtype, scaled.dtype)))
     assert dtypes == {(np.dtype(np.int64), np.dtype(np.int64))}
     lams = integral_gso(SLICE_GRAM)[1]
-    assert [[x != 0 for x in row[:j]] for j, row in enumerate(lams)] == [
+    assert [[x != 0 for x in row] for row in lams] == [
         [], [False], [True, True], [True, False, True]]
     assert len(both_enumerations(SLICE_GRAM, SLICE_SHIFT, 12)) == 172
     # minors near 10^18: the norm budget and the coordinates need more
