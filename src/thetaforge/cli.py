@@ -175,7 +175,7 @@ def cmd_rep_zmap(args):
 def cmd_rep_check_main(args):
     return _verdict(voarep.main_theorem_check(
         args.prime, _nonnegative(args.n, "--n"),
-        _parse_cutoff(args.cutoff, "--cutoff")))
+        _nonnegative(_parse_cutoff(args.cutoff, "--cutoff"), "--cutoff")))
 
 
 def cmd_clifford_verify(args):

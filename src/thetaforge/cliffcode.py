@@ -252,6 +252,13 @@ class SignedMatrix:
         self.signs = signs
 
     @classmethod
+    def _trusted(cls, perm, signs):
+        """Unchecked: products of signed permutations are always valid."""
+        m = object.__new__(cls)
+        m.dim, m.perm, m.signs = len(perm), perm, signs
+        return m
+
+    @classmethod
     def identity(cls, dim):
         return cls(tuple(range(dim)), (1,) * dim)
 
@@ -279,10 +286,10 @@ class SignedMatrix:
         perm = tuple(other.perm[self.perm[r]] for r in range(self.dim))
         signs = tuple(self.signs[r] * other.signs[self.perm[r]]
                       for r in range(self.dim))
-        return SignedMatrix(perm, signs)
+        return SignedMatrix._trusted(perm, signs)
 
     def __neg__(self):
-        return SignedMatrix(self.perm, tuple(-s for s in self.signs))
+        return SignedMatrix._trusted(self.perm, tuple(-s for s in self.signs))
 
     def transpose(self):
         perm = [0] * self.dim
@@ -290,7 +297,7 @@ class SignedMatrix:
         for r in range(self.dim):
             perm[self.perm[r]] = r
             signs[self.perm[r]] = self.signs[r]
-        return SignedMatrix(perm, signs)
+        return SignedMatrix._trusted(tuple(perm), tuple(signs))
 
     def trace(self):
         return sum(self.signs[r] for r in range(self.dim)
@@ -307,7 +314,7 @@ class SignedMatrix:
             for b in range(other.dim):
                 perm.append(self.perm[a] * other.dim + other.perm[b])
                 signs.append(self.signs[a] * other.signs[b])
-        return SignedMatrix(perm, signs)
+        return SignedMatrix._trusted(tuple(perm), tuple(signs))
 
     def __eq__(self, other):
         return (isinstance(other, SignedMatrix) and other.dim == self.dim

@@ -1,19 +1,22 @@
-"""Signed-permutation groups and the small-n tower checks.
+"""Signed-permutation groups and the tower checks for 3 <= n <= 12.
 
 The integral orthogonal group in rank n is the group of signed permutation
-matrices.  This module builds its index-2 subgroups and the evenly-signed
-even-permutation subgroup H, decides perfectness as the normal closure
-of the generator commutators, and solves the crossed-homomorphism system over F_2.
+matrices.  Every group here is a stabilizer chain on generators, which
+gives orders and membership by sifting; no group is listed.  The module
+builds the index-2 kernels and the evenly-signed even-permutation subgroup
+H, decides perfectness as the normal closure of the generator commutators,
+and solves the crossed-homomorphism system over F_2 from Carmichael's
+presentation of the alternating group.
 """
 
 from __future__ import annotations
 
-import itertools
+from math import prod
 
 from .cliffcode import SignedMatrix
 from .linalg import row_reduce_mod_p
 
-MAX_TOWER_N = 6
+MAX_TOWER_N = 12
 
 
 def signed_perm(perm, signs):
@@ -22,135 +25,148 @@ def signed_perm(perm, signs):
 
 
 def perm_parity(perm):
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return inv % 2
+    n = len(perm)
+    return sum(perm[i] > perm[j] for i in range(n)
+               for j in range(i + 1, n)) % 2
 
 
 def det(m):
-    d = 1
-    for s in m.signs:
-        d *= s
-    return d * (-1 if perm_parity(m.perm) else 1)
+    return (-1) ** (m.signs.count(-1) + perm_parity(m.perm))
 
 
-def full_group(n):
-    """All signed permutation matrices; order 2^n n!."""
-    if n > MAX_TOWER_N:
-        raise ValueError("full group too large beyond n = %d" % MAX_TOWER_N)
-    out = []
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            out.append(signed_perm(perm, signs))
-    return out
-
-
-def subgroup_H(n):
-    """Evenly signed even permutations; order n!/2 * 2^(n-1)."""
+def _three_cycles(n):
+    """The 3-cycles (0 1 i) for 2 <= i < n, checking 3 <= n <= 12."""
     if n < 3 or n > MAX_TOWER_N:
         raise ValueError("supported range is 3 <= n <= %d" % MAX_TOWER_N)
-    out = []
-    for perm in itertools.permutations(range(n)):
-        if perm_parity(perm):
-            continue
-        for signs in itertools.product((1, -1), repeat=n):
-            if signs.count(-1) % 2 == 0:
-                out.append(signed_perm(perm, signs))
-    return out
+    return [(1, i) + tuple(range(2, i)) + (0,) + tuple(range(i + 1, n))
+            for i in range(2, n)]
 
 
-def _closure(generators, limit):
-    """Subgroup generated by a nonempty list of elements, as a set."""
-    seen = {SignedMatrix.identity(generators[0].dim)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in generators:
-                prod = g * h
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > limit:
-                        raise ValueError("closure exceeded size guard")
-        frontier = nxt
-    return seen
+# ---------------------------------------------------------------------------
+# The stabilizer chain
+# ---------------------------------------------------------------------------
+
+def _points(m):
+    """m as a permutation of the 2n points: 2r is +e_r and 2r + 1 is -e_r.
+    The row vector e_r.m is signs[r].e_perm[r], so m.m' acts as m first."""
+    return tuple(x for c, s in zip(m.perm, m.signs)
+                 for x in (2 * c + (s < 0), 2 * c + (s > 0)))
 
 
-def _span(candidates, limit):
-    """Greedy generating list: a candidate joins only when it lies outside
-    the subgroup spanned so far.  Returns (subgroup, generators)."""
-    subgroup = {SignedMatrix.identity(candidates[0].dim)}
-    gens = []
-    for c in candidates:
-        if c not in subgroup:
-            gens.append(c)
-            subgroup = _closure(gens, limit)
-    return subgroup, gens
+def _mul(p, q):
+    """p first, then q."""
+    return tuple(map(q.__getitem__, p))
+
+
+def _inverse(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+class Chain:
+    """Stabilizer chain of a group of signed permutations of rank n.
+
+    An element fixing every +e_k is the identity, so the points 2k form a
+    base.  Level k holds generators T_k, which fix +e_0..+e_{k-1}, and for
+    each point x in the orbit of 2k under <T_k> a pair (u, u^-1) with u
+    taking 2k to x.  Each Schreier generator u.t.u_{x.t}^-1 of level k is
+    sifted into level k + 1 and joins T_{k+1} when it is not a member, so
+    <T_{k+1}> is the stabilizer of 2k in <T_k> and the order is the
+    product of the orbit lengths (Sims 1970; Knuth 1991).
+    """
+
+    def __init__(self, n, elements=()):
+        self.n = n
+        self.gens = [[] for _ in range(n)]
+        ident = tuple(range(2 * n))
+        self.orbits = [{2 * k: (ident, ident)} for k in range(n)]
+        for m in elements:
+            self.extend(m)
+
+    def _sift(self, p, level):
+        for k in range(level, self.n):
+            x = p[2 * k]
+            if x != 2 * k:
+                rep = self.orbits[k].get(x)
+                if rep is None:
+                    return False
+                p = _mul(p, rep[1])
+        return True
+
+    def _add(self, p, level):
+        if self._sift(p, level):
+            return False
+        gens, orbit, base = self.gens[level], self.orbits[level], 2 * level
+        gens.append(p)
+        todo = [(u, p) for u, _ in list(orbit.values())]
+        while todo:
+            u, t = todo.pop()
+            ut = _mul(u, t)
+            x = ut[base]
+            if x in orbit:
+                self._add(_mul(ut, orbit[x][1]), level + 1)
+            else:
+                orbit[x] = (ut, _inverse(ut))
+                todo += [(ut, s) for s in gens]
+        return True
+
+    def extend(self, m):
+        """Add m to the group; False when it was a member already."""
+        return self._add(_points(m), 0)
+
+    def __contains__(self, m):
+        return self._sift(_points(m), 0)
+
+    def order(self):
+        return prod(len(orbit) for orbit in self.orbits)
+
+
+def group_order(elements):
+    """Order of the group generated by a nonempty list of elements."""
+    return Chain(elements[0].dim, elements).order()
+
+
+def h_generators(n):
+    """Generators of H, the evenly signed even permutations (order
+    n!/2 * 2^(n-1)): the 3-cycles (0 1 i) and the sign flips on {0, i}."""
+    return ([signed_perm(x, (1,) * n) for x in _three_cycles(n)]
+            + [signed_perm(range(n), [-1 if j in (0, i) else 1
+                                      for j in range(n)])
+               for i in range(1, n)])
 
 
 def is_perfect(elements):
-    """True when the commutator subgroup is the whole group.
+    """True when the group generated by the elements is its own
+    commutator subgroup.
 
-    With S a generating set, [G, G] is the normal closure of the
-    commutators [s, t] for s, t in S: span those, then add the
-    S-conjugates of the derived generators until none is new.
+    The elements that extend a chain form a generating list S, and [G, G]
+    is the normal closure of the commutators [s, t] for s, t in S:
+    conjugate its generators by S until none is new, then compare orders.
     """
     if not elements:
         return True
-    if len(elements) > 20000:
-        raise ValueError("group too large for the closure check")
-    limit = len(elements)
-    _, gens = _span(elements, limit)
-    if not gens:
-        return True                 # every element is the identity
-    derived, dgens = _span([a * b * a.transpose() * b.transpose()
-                            for a in gens for b in gens], limit)
-    while True:
-        extra = [s.transpose() * d * s for s in gens for d in dgens]
-        extra = [c for c in extra if c not in derived]
-        if not extra:
-            return derived == set(elements)
-        derived, dgens = _span(dgens + extra, limit)
+    group = Chain(elements[0].dim)
+    gens = [m for m in elements if group.extend(m)]
+    derived = Chain(group.n)
+    todo = [c for c in (a * b * a.transpose() * b.transpose()
+                        for a in gens for b in gens) if derived.extend(c)]
+    while todo:
+        d = todo.pop()
+        todo += [c for c in (s.transpose() * d * s for s in gens)
+                 if derived.extend(c)]
+    return derived.order() == group.order()
 
 
 # ---------------------------------------------------------------------------
 # Crossed homomorphisms from the alternating group
 # ---------------------------------------------------------------------------
 
-def alternating_generators(n):
-    """A 3-cycle and a long even cycle generating the alternating group."""
-    a = tuple([1, 2, 0] + list(range(3, n)))
-    if n % 2:
-        b = tuple(list(range(1, n)) + [0])
-    else:
-        b = tuple([0] + list(range(2, n)) + [1])
-    assert perm_parity(a) == 0 and perm_parity(b) == 0
-    return a, b
-
-
 def _quotient_action(perm):
     """Action of a permutation on F_2^n / <all-ones>, in the basis given
-    by the first n-1 coordinate classes.  Rows are bitmasks."""
-    n = len(perm)
-    cols = []
-    for i in range(n - 1):
-        j = perm[i]
-        if j < n - 1:
-            cols.append(1 << j)
-        else:
-            cols.append((1 << (n - 1)) - 1)
-    rows = []
-    for r in range(n - 1):
-        mask = 0
-        for c in range(n - 1):
-            if cols[c] >> r & 1:
-                mask |= 1 << c
-        rows.append(mask)
-    return tuple(rows)
+    by the first n-1 coordinate classes.  Rows are bitmasks; e_(n-1) is
+    the sum of the basis classes."""
+    d = len(perm) - 1
+    return tuple(sum(1 << c for c in range(d) if perm[c] in (r, d))
+                 for r in range(d))
 
 
 def _rank_of_masks(masks, width):
@@ -160,71 +176,41 @@ def _rank_of_masks(masks, width):
     return len(row_reduce_mod_p(rows, 2)[0])
 
 
-def _compose(p, q):
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
 def crossed_hom_space(n):
     """Dimensions of the crossed-homomorphism space, its principal
     subspace, and the quotient, for maps from the alternating group to
-    F_2^n / <all-ones>."""
-    if n < 3 or n > MAX_TOWER_N:
-        raise ValueError("supported range is 3 <= n <= %d" % MAX_TOWER_N)
-    d = n - 1
-    a, b = alternating_generators(n)
-    gens = (a, b)
-    nunk = 2 * d                    # coordinates of f(a) and f(b)
+    F_2^n / <all-ones>.
 
-    # expression for f(g): d rows, each a bitmask over the unknowns
-    ident = tuple(range(n))
-    exprs = {ident: (0,) * d}
-    actions = {ident: _quotient_action(ident)}
-    gen_expr = []
-    for k in range(2):
-        gen_expr.append(tuple(1 << (k * d + r) for r in range(d)))
+    A_n has Carmichael's presentation on x_i = (0 1 i+2), i < n - 2, with
+    relations x_i^3 = (x_i x_j)^2 = 1.  The unknowns are the coordinates
+    of the f(x_i); a relation y_1...y_m asks sum_k (y_1...y_(k-1)).f(y_k)
+    = 0, and those equations cut out the crossed homomorphisms.
+    """
+    gens = _three_cycles(n)
+    d = n - 1
+    words = [(i, i, i) for i in range(n - 2)]
+    words += [(i, j, i, j) for i in range(n - 2) for j in range(i)]
     equations = []
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            fg = exprs[g]
-            act = actions[g]
-            for k, x in enumerate(gens):
-                h = _compose(g, x)
-                # f(gx) = f(g) + g.f(x); act rows give the mixing
-                fx = gen_expr[k]
-                mixed = []
-                for r in range(d):
-                    acc = fg[r]
-                    row = act[r]
-                    for c in range(d):
-                        if row >> c & 1:
-                            acc ^= fx[c]
-                    mixed.append(acc)
-                if h in exprs:
-                    for r in range(d):
-                        eq = exprs[h][r] ^ mixed[r]
-                        if eq:
-                            equations.append(eq)
-                else:
-                    exprs[h] = tuple(mixed)
-                    actions[h] = _quotient_action(h)
-                    nxt.append(h)
-        frontier = nxt
-    group_order = len(exprs)
+    for word in words:
+        prefix = tuple(range(n))
+        eq = [0] * d
+        for k in word:
+            # row r of prefix.f(x_k) is prefix row r on f(x_k)'s unknowns
+            for r, row in enumerate(_quotient_action(prefix)):
+                eq[r] ^= row << (k * d)
+            prefix = _mul(gens[k], prefix)
+        equations += eq
+    nunk = (n - 2) * d
     dim_crossed = nunk - _rank_of_masks(equations, nunk)
 
     # principal maps p -> (g -> p + g.p); kernel = invariant classes
-    stacked = []
-    for x in gens:
-        act = _quotient_action(x)
-        for r in range(d):
-            stacked.append(act[r] ^ (1 << r))
+    stacked = [row ^ (1 << r) for x in gens
+               for r, row in enumerate(_quotient_action(x))]
     dim_invariants = d - _rank_of_masks(stacked, d)
     dim_principal = d - dim_invariants
     return {
         "n": n,
-        "group_order": group_order,
+        "group_order": group_order([signed_perm(x, (1,) * n) for x in gens]),
         "dim_crossed": dim_crossed,
         "dim_principal": dim_principal,
         "dim_invariants": dim_invariants,
@@ -232,32 +218,57 @@ def crossed_hom_space(n):
     }
 
 
+def _kernel_generators(gens, chi):
+    """Schreier generators of the kernel of a character chi = +-1 on the
+    group generated by gens, for the transversal {1, t} with chi(t) = -1:
+    for u in {1, t} and each s, the element u.s, times t^-1 when chi(u.s)
+    is -1.  A character trivial on every generator keeps the group."""
+    t = next((s for s in gens if chi(s) < 0), None)
+    if t is None:
+        return list(gens)
+    out = []
+    for u in (SignedMatrix.identity(t.dim), t):
+        for s in gens:
+            us = u * s
+            out.append(us * t.transpose() if chi(us) < 0 else us)
+    return out
+
+
 def index_two_intersection(n):
     """The determinant, permutation-parity, and sign-parity kernels of
     the full signed-permutation group, and their intersection."""
-    group = full_group(n)
-    det_ker = {m for m in group if det(m) == 1}
-    perm_ker = {m for m in group if perm_parity(m.perm) == 0}
-    sign_ker = {m for m in group if m.signs.count(-1) % 2 == 0}
-    inter = det_ker & perm_ker & sign_ker
+    h = h_generators(n)
+    cycle = signed_perm(list(range(1, n)) + [0], (1,) * n)
+    swap = signed_perm([1, 0] + list(range(2, n)), (1,) * n)
+    flip = signed_perm(range(n), [-1] + [1] * (n - 1))
+    full = [cycle, swap, flip]
+    characters = (det, lambda m: -1 if perm_parity(m.perm) else 1,
+                  lambda m: -1 if m.signs.count(-1) % 2 else 1)
+    orders = [group_order(_kernel_generators(full, chi))
+              for chi in characters]
+    inter = full
+    for chi in characters:
+        inter = _kernel_generators(inter, chi)
+    inter = Chain(n, inter)
     return {
-        "order": len(group),
-        "det_kernel": len(det_ker),
-        "perm_kernel": len(perm_ker),
-        "sign_kernel": len(sign_ker),
-        "intersection": len(inter),
-        "intersection_is_H": inter == set(subgroup_H(n)),
+        "order": group_order(full),
+        "det_kernel": orders[0],
+        "perm_kernel": orders[1],
+        "sign_kernel": orders[2],
+        "intersection": inter.order(),
+        "intersection_is_H": (inter.order() == group_order(h)
+                              and all(m in inter for m in h)),
     }
 
 
 def tower_report(n):
     """Order, perfectness, and first-cohomology dimension for one n."""
-    group = subgroup_H(n)
+    gens = h_generators(n)
     hom = crossed_hom_space(n)
     return {
         "n": n,
-        "order": len(group),
-        "perfect": is_perfect(group),
+        "order": group_order(gens),
+        "perfect": is_perfect(gens),
         "h1_dim": hom["h1_dim"],
         "dim_crossed": hom["dim_crossed"],
         "dim_principal": hom["dim_principal"],

@@ -250,6 +250,7 @@ class PartitionMeta:
         return "PartitionMeta(c=%d, h=%s)" % (self.c, self.h)
 
 
+@lru_cache(maxsize=64)
 def orbit_theta(o, cutoff):
     """Exact coset theta expansion of the orbit, exponents in (1/p)Z."""
     p = o.p

@@ -44,8 +44,9 @@ from thetaforge.fpcode import (
 from thetaforge.hilbert_eval import verify_alpbach, verify_sl2f3_action
 from thetaforge.octower import (
     crossed_hom_space,
+    group_order,
+    h_generators,
     is_perfect,
-    subgroup_H,
 )
 from thetaforge.qexp import compose_enumerator, t_shift
 from thetaforge.voarep import RepElement, all_orbits, orbit_of, z_map, z_tilde
@@ -272,11 +273,11 @@ def test_hamming8_code_properties():
 
 def test_tower_perfectness_cohomology_and_commutator_form():
     with wall_clock(120.0):
-        h5 = subgroup_H(5)
-        assert len(h5) == 960
+        h5 = h_generators(5)
+        assert group_order(h5) == 960
         assert is_perfect(h5)
-        h4 = subgroup_H(4)
-        assert len(h4) == 96
+        h4 = h_generators(4)
+        assert group_order(h4) == 96
         assert not is_perfect(h4)
         for n in (5, 6):
             assert crossed_hom_space(n)["h1_dim"] == 0

@@ -62,6 +62,17 @@ def test_tower_check_reports_without_failing(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"n": 5, "order": 960, "perfect": True, "h1_dim": 0}
+    # n = 7..12 are in range since the tower runs on a stabilizer chain
+    for n, order in ((7, 161280), (12, 490497638400)):
+        code, out = run_main(capsys, ["tower", "check", "--n", str(n)])
+        assert code == 0
+        assert json.loads(out) == {"n": n, "order": order, "perfect": True,
+                                   "h1_dim": 0}
+    for n in ("2", "13"):
+        assert main(["tower", "check", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: supported range is 3 <= n <= 12\n"
 
 
 def test_lattice_info_builtin_and_file(capsys, tmp_path):
@@ -195,6 +206,8 @@ def test_usage_errors(tmp_path, capsys):
             ("--order", ["verify", "alpbach", "--prime", "3", "--code",
                          "tetracode", "--order", "-1"]),
             ("--n", ["rep", "check-main", "--prime", "3", "--n", "-1"]),
+            ("--cutoff", ["rep", "check-main", "--prime", "3", "--n", "2",
+                          "--cutoff=-5"]),
             ("--word", ["clifford", "delta", "--word", "0,1,2"])):
         proc = subprocess.run(
             [sys.executable, "-m", "thetaforge.cli"] + argv,

@@ -104,6 +104,45 @@ def test_signed_matrix_algebra():
     assert rows[0] == [0, 0, 1, 0] and rows[3] == [0, -1, 0, 0]
 
 
+def test_derived_matrices_match_validated_construction():
+    """Products, negations, transposes and tensors skip re-validation; each
+    must equal the matrix built from its rows through every check."""
+    rng = random.Random(13)
+
+    def random_matrix(dim):
+        perm = rng.sample(range(dim), dim)
+        return SignedMatrix(perm, [rng.choice((1, -1)) for _ in range(dim)])
+
+    for _ in range(100):
+        dim = rng.randint(1, 6)
+        a, b = random_matrix(dim), random_matrix(dim)
+        rows_a, rows_b = a.rows(), b.rows()
+        matmul = [[sum(rows_a[i][k] * rows_b[k][j] for k in range(dim))
+                   for j in range(dim)] for i in range(dim)]
+        assert a * b == SignedMatrix.from_rows(matmul)
+        assert -a == SignedMatrix.from_rows([[-v for v in row]
+                                             for row in rows_a])
+        assert a.transpose() == SignedMatrix.from_rows(
+            [list(col) for col in zip(*rows_a)])
+        c = random_matrix(rng.randint(1, 3))
+        rows_c = c.rows()
+        kron = [[rows_a[i // c.dim][j // c.dim] * rows_c[i % c.dim][j % c.dim]
+                 for j in range(dim * c.dim)] for i in range(dim * c.dim)]
+        assert a.tensor(c) == SignedMatrix.from_rows(kron)
+        for m in (a * b, -a, a.transpose(), a.tensor(c)):
+            assert m == SignedMatrix.from_rows(m.rows())
+            assert m.dim == len(m.perm) == len(m.signs)
+            assert type(m.perm) is tuple and type(m.signs) is tuple
+    for perm, signs in (((0, 0), (1, 1)), ((0, 2), (1, 1)), ((1, 0), (1,)),
+                        ((1, 0), (1, 2)), ((0, 1), (1, 0))):
+        with pytest.raises(ValueError):
+            SignedMatrix(perm, signs)
+    for rows in ([[1, 1], [0, 1]], [[2, 0], [0, 1]], [[0, 0], [0, 1]],
+                 [[1, 0], [-1, 0]]):
+        with pytest.raises(ValueError):
+            SignedMatrix.from_rows(rows)
+
+
 def test_spinor_rep_generators_and_center():
     g1 = CliffordWord.generator(8, 0) * CliffordWord.generator(8, 1)
     assert spinor_rep(1, g1) == E_MATRICES[0]

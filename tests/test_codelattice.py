@@ -377,7 +377,7 @@ def test_reduced_bases_are_pinned_and_meet_lovasz():
         assert_lovasz(lat.gram, Fraction(3, 4))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: lll_reduce rounds "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: lll_reduce rounds "
                    "mu from before the size-reduction pass, so golay keeps "
                    "|mu| up to 4")
 def test_golay_basis_is_size_reduced():

@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import factorial
 
 import pytest
 
@@ -6,10 +8,134 @@ from thetaforge.cliffcode import (
     CliffordWord, SignedMatrix, beta_form_check, pair_form_sweep,
 )
 from thetaforge.octower import (
-    alternating_generators, crossed_hom_space, det, full_group,
-    index_two_intersection, is_perfect, perm_parity, subgroup_H,
-    tower_report, _compose, _quotient_action,
+    Chain, crossed_hom_space, det, group_order, h_generators,
+    index_two_intersection, is_perfect, perm_parity, signed_perm,
+    tower_report, _quotient_action,
 )
+
+
+# ---------------------------------------------------------------------------
+# References: listed groups, the listing closure and the Cayley-graph walk
+# ---------------------------------------------------------------------------
+
+def full_group(n):
+    """Reference: all signed permutation matrices, listed; order 2^n n!."""
+    return [signed_perm(perm, signs)
+            for perm in itertools.permutations(range(n))
+            for signs in itertools.product((1, -1), repeat=n)]
+
+
+def subgroup_H(n):
+    """Reference: the evenly signed even permutations, listed."""
+    return [m for m in full_group(n) if perm_parity(m.perm) == 0
+            and m.signs.count(-1) % 2 == 0]
+
+
+def _closure(generators):
+    """Subgroup generated by a nonempty list of elements, as a set."""
+    seen = {SignedMatrix.identity(generators[0].dim)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in generators:
+                prod = g * h
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return seen
+
+
+def _span(candidates):
+    """Greedy generating list: a candidate joins only when it lies outside
+    the subgroup spanned so far.  Returns (subgroup, generators)."""
+    subgroup = {SignedMatrix.identity(candidates[0].dim)}
+    gens = []
+    for c in candidates:
+        if c not in subgroup:
+            gens.append(c)
+            subgroup = _closure(gens)
+    return subgroup, gens
+
+
+def listing_is_perfect(elements):
+    """Reference: perfectness of a listed group by closing sets, the normal
+    closure of the generator commutators compared with the whole list."""
+    if not elements:
+        return True
+    _, gens = _span(elements)
+    if not gens:
+        return True
+    derived, dgens = _span([a * b * a.transpose() * b.transpose()
+                            for a in gens for b in gens])
+    while True:
+        extra = [s.transpose() * d * s for s in gens for d in dgens]
+        extra = [c for c in extra if c not in derived]
+        if not extra:
+            return derived == set(elements)
+        derived, dgens = _span(dgens + extra)
+
+
+def alternating_generators(n):
+    """A 3-cycle and a long even cycle generating the alternating group."""
+    a = tuple([1, 2, 0] + list(range(3, n)))
+    if n % 2:
+        b = tuple(list(range(1, n)) + [0])
+    else:
+        b = tuple([0] + list(range(2, n)) + [1])
+    assert perm_parity(a) == 0 and perm_parity(b) == 0
+    return a, b
+
+
+def _compose(p, q):
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def _rank_f2(masks):
+    rank, rows = 0, [m for m in masks if m]
+    while rows:
+        pivot = rows.pop()
+        low = pivot & -pivot
+        rows = [r ^ pivot if r & low else r for r in rows]
+        rows = [r for r in rows if r]
+        rank += 1
+    return rank
+
+
+def cayley_crossed_hom_space(n):
+    """Reference: the crossed-homomorphism dimensions by walking the
+    Cayley graph of A_n on two generators, one cocycle equation per edge
+    that closes a cycle; also returns the group order the walk finds."""
+    d = n - 1
+    gens = alternating_generators(n)
+    ident = tuple(range(n))
+    exprs = {ident: (0,) * d}
+    equations = []
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            act = _quotient_action(g)
+            for k, x in enumerate(gens):
+                h = _compose(g, x)
+                # f(gx) = f(g) + g.f(x), unknowns of f(x) at bits k*d..
+                mixed = tuple(exprs[g][r] ^ (act[r] << (k * d))
+                              for r in range(d))
+                if h in exprs:
+                    equations += [a ^ b for a, b in zip(exprs[h], mixed)]
+                else:
+                    exprs[h] = mixed
+                    nxt.append(h)
+        frontier = nxt
+    dim_crossed = 2 * d - _rank_f2(equations)
+    stacked = [row ^ (1 << r) for x in gens
+               for r, row in enumerate(_quotient_action(x))]
+    dim_principal = _rank_f2(stacked)
+    return {"n": n, "group_order": len(exprs), "dim_crossed": dim_crossed,
+            "dim_principal": dim_principal,
+            "dim_invariants": d - dim_principal,
+            "h1_dim": dim_crossed - dim_principal}
 
 
 def _mat_vec_bits(rows, vec):
@@ -60,14 +186,40 @@ def crossed_hom_solutions(n):
     return space
 
 
+# ---------------------------------------------------------------------------
+# The chain
+# ---------------------------------------------------------------------------
+
 def test_subgroup_sizes():
-    assert len(subgroup_H(3)) == 12
-    assert len(subgroup_H(4)) == 96
-    assert len(subgroup_H(5)) == 960
-    with pytest.raises(ValueError):
-        subgroup_H(7)
-    with pytest.raises(ValueError):
-        subgroup_H(2)
+    for n in (3, 4, 5, 6):
+        listed = subgroup_H(n)
+        assert group_order(h_generators(n)) == len(listed)
+        assert group_order(listed) == len(listed)
+    for n in range(3, 13):
+        assert group_order(h_generators(n)) == (
+            factorial(n) // 2 * 2 ** (n - 1))
+    for n in (2, 13):
+        with pytest.raises(ValueError):
+            h_generators(n)
+    for n in (2, 13):
+        with pytest.raises(ValueError):
+            crossed_hom_space(n)
+
+
+def test_chain_membership_matches_listing():
+    rng = random.Random(3)
+    g4 = full_group(4)
+    for _ in range(20):
+        gens = rng.sample(g4, rng.randint(1, 3))
+        listed = _closure(gens)
+        chain = Chain(4, gens)
+        assert chain.order() == len(listed)
+        assert all(m in chain for m in listed)
+        assert sum(m in chain for m in g4) == len(listed)
+        # the generators that extend the chain give the same chain order
+        kept = Chain(4)
+        kept_gens = [m for m in gens if kept.extend(m)]
+        assert group_order(kept_gens) == len(listed)
 
 
 def test_full_group_order_and_det():
@@ -75,6 +227,7 @@ def test_full_group_order_and_det():
     for n in (2, 3, 4):
         g = full_group(n)
         assert len(g) == 2 ** n * [1, 1, 2, 6, 24][n]
+        assert group_order(g) == len(g)
     elems = full_group(3)
     for _ in range(100):
         a, b = rng.choice(elems), rng.choice(elems)
@@ -82,17 +235,38 @@ def test_full_group_order_and_det():
 
 
 def test_perfectness():
-    assert not is_perfect(subgroup_H(3))
-    assert not is_perfect(subgroup_H(4))
-    assert is_perfect(subgroup_H(5))
+    assert not is_perfect(h_generators(3))
+    assert not is_perfect(h_generators(4))
+    assert is_perfect(h_generators(5))
     assert is_perfect([])
     assert is_perfect([SignedMatrix.identity(3)])
     # plain alternating groups for comparison
     a5 = [m for m in subgroup_H(5) if m.signs == (1,) * 5]
-    assert not is_perfect(a5) or len(a5) == 60
+    assert len(a5) == 60
     assert is_perfect(a5)
     a4 = [m for m in subgroup_H(4) if m.signs == (1,) * 4]
     assert not is_perfect(a4)
+    # the answer is about the group the elements generate
+    lead = [SignedMatrix(p, (1,) * 5) for p in alternating_generators(5)]
+    assert is_perfect(lead)
+    assert not is_perfect(lead[:1])
+    # H(n) is perfect from n = 5 on
+    for n in range(5, 13):
+        assert is_perfect(h_generators(n)), n
+
+
+def test_perfectness_matches_listing_reference():
+    for n in (3, 4, 5):
+        assert is_perfect(h_generators(n)) == listing_is_perfect(
+            subgroup_H(n))
+    rng = random.Random(11)
+    for n in (3, 4):
+        g = full_group(n)
+        for _ in range(40):
+            gens = rng.sample(g, rng.randint(1, 3))
+            listed = sorted(_closure(gens), key=lambda m: (m.perm, m.signs))
+            assert is_perfect(gens) == listing_is_perfect(listed)
+            assert is_perfect(listed) == is_perfect(gens)
 
 
 def multiplication_table(elements):
@@ -148,10 +322,14 @@ def test_perfectness_matches_brute_force_reference():
 
 
 def test_perfectness_n6():
-    H = subgroup_H(6)
-    assert len(H) == 11520
-    assert is_perfect(H)
+    gens = h_generators(6)
+    assert group_order(gens) == 11520
+    assert is_perfect(gens)
 
+
+# ---------------------------------------------------------------------------
+# Crossed homomorphisms
+# ---------------------------------------------------------------------------
 
 def test_alternating_generators_generate():
     for n in (3, 4, 5, 6):
@@ -159,6 +337,11 @@ def test_alternating_generators_generate():
         assert perm_parity(a) == 0 and perm_parity(b) == 0
         report = crossed_hom_space(n)
         assert report["group_order"] == [6, 24, 120, 720][n - 3] // 2
+    # the presentation route against the Cayley-graph walk
+    for n in range(3, 9):
+        walked = cayley_crossed_hom_space(n)
+        assert crossed_hom_space(n) == walked, n
+        assert walked["group_order"] == factorial(n) // 2
 
 
 def test_quotient_action_is_homomorphism():
@@ -183,6 +366,11 @@ def test_crossed_hom_dimensions():
         assert report["dim_principal"] == n - 1
     # below the stable range the quotient can be nonzero
     assert crossed_hom_space(4)["h1_dim"] == 1
+    for n in range(7, 13):
+        report = crossed_hom_space(n)
+        assert report["group_order"] == factorial(n) // 2
+        assert report["h1_dim"] == 0
+        assert report["dim_crossed"] == report["dim_principal"] == n - 1
 
 
 def test_crossed_hom_solution_count_matches_dimension():
@@ -229,13 +417,26 @@ def test_beta_form_examples():
 
 
 def test_index_two_subgroups_intersect_in_H():
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         report = index_two_intersection(n)
-        assert report["order"] == 2 ** n * [1, 1, 2, 6, 24][n]
+        assert report["order"] == 2 ** n * factorial(n)
         assert report["det_kernel"] == report["order"] // 2
         assert report["perm_kernel"] == report["order"] // 2
         assert report["sign_kernel"] == report["order"] // 2
+        assert report["intersection"] == report["order"] // 4
         assert report["intersection_is_H"]
+    # against the listed kernels
+    for n in (3, 4):
+        group = full_group(n)
+        det_ker = {m for m in group if det(m) == 1}
+        perm_ker = {m for m in group if perm_parity(m.perm) == 0}
+        sign_ker = {m for m in group if m.signs.count(-1) % 2 == 0}
+        inter = det_ker & perm_ker & sign_ker
+        assert index_two_intersection(n) == {
+            "order": len(group), "det_kernel": len(det_ker),
+            "perm_kernel": len(perm_ker), "sign_kernel": len(sign_ker),
+            "intersection": len(inter),
+            "intersection_is_H": inter == set(subgroup_H(n))}
 
 
 def test_tower_report():

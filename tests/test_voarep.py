@@ -156,6 +156,38 @@ def test_z_map_multiplicative_on_pairs():
         assert lhs == rhs
 
 
+def test_orbit_theta_cache_serves_the_multiplicativity_sweep(monkeypatch):
+    """The sweep of `verify orbits` (seed 1, 20 pairs at cutoff 2) asks for
+    60 orbit thetas over 11 distinct (orbit, cutoff) keys; with the cache
+    each key is enumerated once, and every cached series equals a fresh
+    one."""
+    from thetaforge import voarep
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return theta_series(*args, **kwargs)
+
+    monkeypatch.setattr(voarep, "theta_series", counted)
+    orbit_theta.cache_clear()
+    rng = random.Random(1)
+    orbits3 = list(all_orbits(3, 1)) + list(all_orbits(3, 2))
+    for _ in range(20):
+        a = RepElement.from_orbit(rng.choice(orbits3))
+        b = RepElement.from_orbit(rng.choice(orbits3))
+        lhs = z_map(a * b, Fraction(2))
+        rhs = (z_map(a, Fraction(2)) * z_map(b, Fraction(2))).truncate(
+            Fraction(2))
+        assert lhs == rhs
+    info = orbit_theta.cache_info()
+    assert len(calls) == info.misses == 11
+    assert info.hits + info.misses == 60
+    for o in orbits3:
+        for cutoff in set(calls):
+            assert orbit_theta(o, cutoff) == orbit_theta.__wrapped__(o,
+                                                                    cutoff)
+
+
 def test_z_map_grading_invariant():
     for o in all_orbits(3, 2):
         s = z_map(o, Fraction(2))
