@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -260,9 +260,8 @@ def enumerate_coset(gram, shift, bound, emit):
     for the whole run, with norm = scaled / scale.  Rows come in
     lexicographic order of (x_{rank-1}, ..., x_0), the order of a
     depth-first Fincke-Pohst (Fincke-Pohst 1985), one emit call per chunk;
-    an empty coset makes no call.  The values are exact: X and scaled are
-    each int64 when every entry provably fits, and otherwise object arrays
-    of Python ints.  No float is involved.
+    an empty coset makes no call.  The values are exact; no float is
+    involved.
 
     The tree is expanded a level at a time in numpy: a block holds the
     nodes of one level, and its children are made at most CHUNK at a time
@@ -271,53 +270,40 @@ def enumerate_coset(gram, shift, bound, emit):
     of at most CHUNK nodes alive, each node with O(rank) entries: memory is
     O(rank^2 CHUNK) array entries, about 16 MB at rank 24.  The leaf
     matrix is stacked from the level columns already held, so a chunk adds
-    O(rank CHUNK) entries, and the caller decides what to keep.  Fixing x_i
-    adds n_i = q x_i + shift_i times one coefficient row to the partial
-    sums of the deeper levels; the row runs from the first level it touches
-    to i - 1, zeros included, so each node step is one slice update.
+    O(rank CHUNK) entries, and the caller decides what to keep.
 
-    The remaining norm budget is counted in units of the gcd of the scaled
-    diagonal g_i; its array is int64 when the budget in those units, room,
-    is below 2^62 (every value it takes lies in [0, room]).  A norm is unit
-    times the room used over the lcm gden of the GSO denominators; unit and
-    gden are divided by their gcd after room and the g_i are fixed, so scale
-    is gden reduced (about 4.5 * 10^15 for golay, where gden is about
-    2 * 10^31), and scaled is int64 when unit * max(room, 1) is below 2^62
-    for the reduced unit.  Coordinate arrays (x, w, partial sums, and so
-    X) are int64 when a bound on every coordinate value, fixed at set-up,
-    times CHUNK + 1 is below 2^61.  Otherwise each holds Python ints, so no
-    array wraps around.  Square roots are exact: float sqrt corrected by
-    one step on int64, math.isqrt on Python ints.
+    Everything comes from the integers (d, lam) of linalg.integral_gso,
+    with mu_ji = lam_ji / d_(i+1) and |b_i*|^2 = d_(i+1) / d_i.  With Lam_i
+    the least common denominator of column i of mu and q that of the shift,
+    C_ji = Lam_i mu_ji is the one integer coefficient table.  Fixing x_j
+    adds n_j = q (x_j + shift_j) times row j of C to the partial sums of the
+    deeper levels; the row runs from its first nonzero entry to j - 1,
+    zeros included, so each node step is one slice update.  The same table
+    bounds every coordinate value by reach, fixed at set-up.  The remaining
+    norm budget is counted in units of the gcd of the scaled diagonal g_i,
+    and room is the whole budget in those units.  A norm is unit times the
+    room used over gden, a common multiple of the d_i (Lam_i q)^2; unit and
+    gden are divided by their gcd, so scale is gden reduced (about
+    4.5 * 10^15 for golay).
+
+    One rule picks the dtype: every array is int64 when
+    unit * max(room, 1) < 2^62 and reach * (CHUNK + 1) < 2^61, and holds
+    Python ints otherwise, so no array wraps around.  Square roots are
+    exact: float sqrt corrected by one step on int64, math.isqrt on Python
+    ints.
     """
     rank = len(gram)
-    minors, lams = integral_gso(gram)
-    D = [Fraction(minors[i + 1], minors[i]) for i in range(rank)]
-    L = [[Fraction(x, minors[j + 1]) for j, x in enumerate(row)]
-         for row in lams]
+    d, lam = integral_gso(gram)
     shift = [Fraction(s) for s in shift]
     bound = Fraction(bound)
-    q = 1
-    for s in shift:
-        q = q * s.denominator // gcd(q, s.denominator)
-    sv = [int(s * q) for s in shift]
-
-    lam = [None] * rank     # scaled off-diagonal rows of L^T
-    Lam = [1] * rank
-    for i in range(rank):
-        den = 1
-        for j in range(i + 1, rank):
-            den = den * L[j][i].denominator // gcd(den,
-                                                   L[j][i].denominator)
-        Lam[i] = den
-        lam[i] = [(j, int(L[j][i] * den)) for j in range(i + 1, rank)
-                  if L[j][i] != 0]
-
-    gden = 1
-    for i in range(rank):
-        piece = D[i].denominator * Lam[i] * Lam[i] * q * q
-        gden = gden * piece // gcd(gden, piece)
-    gi = [gden * D[i].numerator //
-          (D[i].denominator * Lam[i] * Lam[i] * q * q) for i in range(rank)]
+    q = lcm(*(s.denominator for s in shift))
+    sv = [s.numerator * (q // s.denominator) for s in shift]
+    Lam = [lcm(*(d[i + 1] // gcd(lam[j][i], d[i + 1])
+                 for j in range(i + 1, rank))) for i in range(rank)]
+    C = [[lam[j][i] * Lam[i] // d[i + 1] for i in range(j)]
+         for j in range(rank)]
+    gden = lcm(*(d[i] * (Lam[i] * q) ** 2 for i in range(rank)))
+    gi = [gden * d[i + 1] // (d[i] * (Lam[i] * q) ** 2) for i in range(rank)]
     budget = (bound.numerator * gden) // bound.denominator
     if not rank or budget < 0:
         return
@@ -328,46 +314,41 @@ def enumerate_coset(gram, shift, bound, emit):
     unit = gcd(*gi)
     room = budget // unit
     g = [min(x // unit, room + 1) for x in gi]
-    # |n_i| < N_i, with a_i = sum_{j>i} c_ij n_j and w_i = Lam_i n_i + a_i,
+    # |n_i| < N_i, with a_i = sum_{j>i} C_ji n_j and w_i = Lam_i n_i + a_i,
     # |w_i| <= isqrt(room // g_i); reach bounds every coordinate value
     N = [0] * rank
     reach = 0
     for i in reversed(range(rank)):
-        a = sum(abs(c) * N[j] for j, c in lam[i])
+        a = sum(abs(C[j][i]) * N[j] for j in range(i + 1, rank))
         w = isqrt(room // g[i])
         N[i] = (w + a) // Lam[i] + 1
         reach = max(reach, w + a + Lam[i] * (abs(sv[i]) + q))
     # a scaled norm is unit * (room used) / gden: reduce the fraction
     h = gcd(unit, gden)
     unit, gden = unit // h, gden // h
-    nd = np.int64 if room < 1 << 62 else object
-    sd = np.int64 if unit * max(room, 1) < 1 << 62 else object
-    cd = np.int64 if reach * (CHUNK + 1) < 1 << 61 else object
-    # updates[j]: fixing n_j adds n_j * Lam_i L_ji to the partial sum a_i of
-    # each deeper level i; one row from the first nonzero coefficient to
-    # j - 1, zeros included, makes the update one slice
+    dt = (np.int64 if unit * max(room, 1) < 1 << 62
+          and reach * (CHUNK + 1) < 1 << 61 else object)
     updates = [None] * rank
-    for j in range(rank):
-        row = [int(L[j][i] * Lam[i]) for i in range(j)]
+    for j, row in enumerate(C):
         j0 = next((i for i, c in enumerate(row) if c), j)
         if j0 < j:
-            updates[j] = (j0, np.array(row[j0:], dtype=cd))
+            updates[j] = (j0, np.array(row[j0:], dtype=dt))
 
     def block(x, par, i, rem, acc):
         """Nodes at level i (their x_{i+1} and parent index one level up)
         and their children's x ranges, as a stack entry whose last slot is
         the index of the next child to expand."""
         base = Lam[i] * sv[i] + acc[:, i]
-        wmax = _isqrt(rem // g[i]).astype(cd)
+        wmax = _isqrt(rem // g[i])
         step = Lam[i] * q
         lo = -((wmax + base) // step)
-        cnt = np.maximum((wmax - base) // step - lo + 1, 0)
-        ends = np.cumsum(cnt).astype(np.int64)
+        ends = np.cumsum(np.maximum((wmax - base) // step - lo + 1, 0),
+                         dtype=np.int64)
         return [x, par, i, rem, acc, base, lo, ends,
-                ends - cnt.astype(np.int64), 0]
+                np.concatenate(([0], ends[:-1])), 0]
 
-    stack = [block(None, None, rank - 1, np.array([room], dtype=nd),
-                   np.zeros((1, rank), dtype=cd))]
+    stack = [block(None, None, rank - 1, np.array([room], dtype=dt),
+                   np.zeros((1, rank), dtype=dt))]
     while stack:
         entry = stack[-1]
         _, _, i, rem, acc, base, lo, ends, starts, start = entry
@@ -384,16 +365,13 @@ def enumerate_coset(gram, shift, bound, emit):
             ends[first:last], stop) - np.maximum(starts[first:last], start))
         x = lo[par] + (np.arange(start, stop) - starts[par])
         w = Lam[i] * q * x + base[par]
-        if cd is not nd:
-            w = w.astype(nd)
         rem_c = rem[par] - g[i] * w * w
         if i == 0:
             columns = [x]
             for up_x, up_par, *_ in reversed(stack[1:]):
                 columns.append(up_x[par])
                 par = up_par[par]
-            emit(np.stack(columns, axis=1),
-                 unit * (room - rem_c).astype(sd, copy=False), gden)
+            emit(np.stack(columns, axis=1), unit * (room - rem_c), gden)
             continue
         acc_c = acc[par, :i]
         if updates[i] is not None:
@@ -549,19 +527,19 @@ def theta_series_by_word(p, n, order):
     The cosets are the classes of O^n modulo (1 - zeta) O^n, and the class
     of a vector is its digit word: the coordinate sums of its blocks mod p
     (zeta = 1 modulo 1 - zeta).  So one enumeration of O^n itself, on
-    power-basis coordinates with the integer Gram p times the trace form
-    (p I - J per block) and bound p * 2 * order, meets each coset vector of
-    norm at most 2 * order once.  Its leaves are binned by digit word and
-    exact norm, one integer key per leaf (int64, or Python ints when
-    width * p^n reaches 2^62) counted with np.unique.  Each value equals
-    theta_series(standard_lattice(p, n), order, word).
+    power-basis coordinates with the integer Gram trace_gram of the
+    identity rows (p I - J per block) and bound p * 2 * order, meets each
+    coset vector of norm at most 2 * order once.  Its leaves are binned by
+    digit word and exact norm, one integer key per leaf (int64, or Python
+    ints when width * p^n reaches 2^62) counted with np.unique.  Each value
+    equals theta_series(standard_lattice(p, n), order, word).
     """
     order = Fraction(order)
     _check_cap(2 * order)
     d = p - 1
     rank = n * d
-    gram = [[(p if i == j else 0) - (i // d == j // d) for j in range(rank)]
-            for i in range(rank)]
+    gram = trace_gram([[int(i == j) for j in range(rank)]
+                       for i in range(rank)], p)
     width = max(int(p * order), 0) + 1   # k = p * exponent lies in [0, width)
     kd = np.int64 if width * p ** n < 1 << 62 else object
     place = np.array([p ** (n - 1 - b) for b in range(n)], dtype=kd)

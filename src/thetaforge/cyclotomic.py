@@ -25,6 +25,13 @@ def check_prime(p):
         d += 1
 
 
+def check_odd_prime(p):
+    """Raise ValueError unless p is an odd prime."""
+    check_prime(p)
+    if p == 2:
+        raise ValueError("need an odd prime")
+
+
 class CycInt:
     """An element of Z[zeta_p] with integer power-basis coefficients."""
 

@@ -24,7 +24,7 @@ import numpy as np
 from .codelattice import (
     enumerate_coset, lift_word, max_norm_cap, standard_lattice,
 )
-from .cyclotomic import check_prime
+from .cyclotomic import check_odd_prime, check_prime
 
 
 class HilbertPoint:
@@ -33,9 +33,7 @@ class HilbertPoint:
     __slots__ = ("p", "values")
 
     def __init__(self, p, values):
-        check_prime(p)
-        if p == 2:
-            raise ValueError("need an odd prime")
+        check_odd_prime(p)
         r = (p - 1) // 2
         values = tuple(complex(v) for v in values)
         if len(values) != r:
@@ -114,11 +112,13 @@ def _coset_values(p, n, word, points, tail_tol):
     """
     if not points:
         return []
-    # initial bound sized so the stop rule usually fires on the first pass
+    # initial bound sized so the stop rule usually fires on the first pass;
+    # a tiny Im z or tail_tol makes the guess overflow to inf, so it is
+    # capped before rounding
     cap = max_norm_cap()
     y_mins = [point.y_min for point in points]
     guess = 1.3 * math.log(10 / tail_tol) / (math.pi * min(y_mins)) + 2
-    bound = Fraction(max(6, math.ceil(guess)))
+    bound = Fraction(max(6, math.ceil(min(guess, cap))))
     word = tuple(int(c) % p for c in word)
     while True:
         use = min(bound, cap)
@@ -246,10 +246,12 @@ def verify_sl2f3_action(z, tol=1e-7):
     z = complex(z)
     if not cmath.isfinite(z) or z.imag <= 0:
         raise ValueError("need a finite z with Im(z) > 0, got %r" % z)
+    sz = -1 / z
+    if sz.imag <= 0:
+        raise ValueError("Im(-1/z) underflows to 0 at z = %r" % z)
     zeta = cmath.exp(2j * cmath.pi / 3)
     t0 = theta_class_eval(3, 0, z, tail_tol)
     t1 = theta_class_eval(3, 1, z, tail_tol)
-    sz = -1 / z
     factor = z * (-1 - 2 * zeta) / 3
     s_res = [
         abs(theta_class_eval(3, 0, sz, tail_tol) - factor * (t0 + 2 * t1)),

@@ -15,15 +15,9 @@ from itertools import permutations, product
 from math import comb, factorial
 
 from .codelattice import count_by_norm, standard_lattice, theta_series
-from .cyclotomic import as_cycrat, check_prime
+from .cyclotomic import as_cycrat, check_odd_prime, check_prime
 from .fpcode import WeightEnumerator, weight_enumerator, word_profile
 from .qexp import QSeries, compose_enumerator, eta
-
-
-def _check_odd_prime(p):
-    check_prime(p)
-    if p == 2:
-        raise ValueError("need an odd prime")
 
 
 class OrbitClass:
@@ -32,7 +26,7 @@ class OrbitClass:
     __slots__ = ("p", "profile")
 
     def __init__(self, p, profile):
-        _check_odd_prime(p)
+        check_odd_prime(p)
         r = (p - 1) // 2
         profile = tuple(int(l) for l in profile)
         if len(profile) != r + 1:
@@ -67,7 +61,7 @@ class OrbitClass:
 
 def orbit_of(p, word):
     """The orbit class of a word; entries are reduced mod p first."""
-    _check_odd_prime(p)     # word_profile reduces mod p
+    check_odd_prime(p)     # word_profile reduces mod p
     return OrbitClass(p, word_profile(tuple(word), p))
 
 
@@ -303,9 +297,7 @@ class ThetaMonomial:
     __slots__ = ("p", "exponents")
 
     def __init__(self, p, exponents):
-        check_prime(p)
-        if p == 2:
-            raise ValueError("need an odd prime")
+        check_odd_prime(p)
         r = (p - 1) // 2
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != r + 1 or any(e < 0 for e in exponents):
@@ -359,8 +351,7 @@ def _unit_profile(p, j):
 
 def module_of_code(code):
     """The code's module class: one orbit term per word, counted."""
-    if code.p == 2:
-        raise ValueError("need an odd prime")
+    check_odd_prime(code.p)
     return RepElement(code.p, weight_enumerator(code).coefficients)
 
 
@@ -394,9 +385,7 @@ def main_theorem_check(p, n, cutoff=Fraction(3)):
     the correspondence is still reported, but bijectivity onto the full
     ring of symmetric theta expressions is not asserted.
     """
-    check_prime(p)
-    if p == 2:
-        raise ValueError("need an odd prime")
+    check_odd_prime(p)
     r = (p - 1) // 2
     orbits = all_orbits(p, n)
     mass = sum(orbit_size(o) for o in orbits)

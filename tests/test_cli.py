@@ -182,17 +182,31 @@ def test_verify_alpbach_rejects_a_prime_that_is_not_the_codes(capsys):
     assert "--prime 5" in captured.err and "prime 3" in captured.err
 
 
-def test_usage_errors(tmp_path, capsys):
+def usage_error(capsys, argv):
+    """Run main in-process on argv that argparse rejects: it exits 2 through
+    SystemExit.  Returns stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2, argv
+    return capsys.readouterr().err
+
+
+def input_error(capsys, argv):
+    """Run main in-process on argv that it rejects itself: it returns 2.
+    Returns stderr."""
+    assert main(argv) == 2, argv
+    return capsys.readouterr().err
+
+
+def test_usage_errors(tmp_path, capsys, monkeypatch):
+    # the module entry point, in a fresh interpreter
     proc = subprocess.run(
         [sys.executable, "-m", "thetaforge.cli", "theta", "--prime", "3",
          "--class", "0", "--order", "7", "--bogus"],
         capture_output=True, text=True)
     assert proc.returncode == 2
-    proc = subprocess.run(
-        [sys.executable, "-m", "thetaforge.cli", "lattice", "--code",
-         "/nonexistent/code.txt"],
-        capture_output=True, text=True)
-    assert proc.returncode == 2
+    # the rest run in-process: an exception escaping main fails the test
+    input_error(capsys, ["lattice", "--code", "/nonexistent/code.txt"])
     for option, argv in (
             ("--order", ["theta", "--prime", "3", "--class", "0",
                          "--order", "1/0"]),
@@ -209,12 +223,9 @@ def test_usage_errors(tmp_path, capsys):
             ("--cutoff", ["rep", "check-main", "--prime", "3", "--n", "2",
                           "--cutoff=-5"]),
             ("--word", ["clifford", "delta", "--word", "0,1,2"])):
-        proc = subprocess.run(
-            [sys.executable, "-m", "thetaforge.cli"] + argv,
-            capture_output=True, text=True)
-        assert proc.returncode == 2, argv
-        assert proc.stderr.count("\n") == 1, proc.stderr
-        assert proc.stderr.startswith("error: " + option), proc.stderr
+        err = input_error(capsys, argv)
+        assert err.count("\n") == 1, err
+        assert err.startswith("error: " + option), err
     # argparse rejects these itself: usage line, then the option named
     for option, argv in (
             ("--z", ["verify", "sl2f3", "--z", "abc"]),
@@ -233,12 +244,9 @@ def test_usage_errors(tmp_path, capsys):
                        "--points", "P", "--tol", "0"]),
             ("--tol", ["verify", "alpbach", "--prime", "5", "--code", "F",
                        "--points", "P", "--tol", "nan"])):
-        proc = subprocess.run(
-            [sys.executable, "-m", "thetaforge.cli"] + argv,
-            capture_output=True, text=True)
-        assert proc.returncode == 2, argv
-        assert "error: argument %s: " % option in proc.stderr, proc.stderr
-        assert "Traceback" not in proc.stderr
+        err = usage_error(capsys, argv)
+        assert "error: argument %s: " % option in err, err
+        assert "Traceback" not in err
     # the prime is checked before the orbit word is reduced mod it
     for prime in ("0", "-5"):
         assert main(["rep", "zmap", "--prime", prime, "--orbit", "1",
@@ -256,12 +264,9 @@ def test_usage_errors(tmp_path, capsys):
              "error: line 2: p must be a prime integer, got 1")):
         path = tmp_path / name
         path.write_text(text)
-        proc = subprocess.run(
-            [sys.executable, "-m", "thetaforge.cli", "code", "--code",
-             str(path)], capture_output=True, text=True)
-        assert proc.returncode == 2, text
-        assert proc.stderr.count("\n") == 1, proc.stderr
-        assert proc.stderr.startswith(message), proc.stderr
+        err = input_error(capsys, ["code", "--code", str(path)])
+        assert err.count("\n") == 1, err
+        assert err.startswith(message), err
     # points files and --z: non-finite or malformed values name the input
     code = tmp_path / "p5.txt"
     code.write_text("5 2\n0 0\n")
@@ -274,47 +279,61 @@ def test_usage_errors(tmp_path, capsys):
              "error: line 1: 'abc' is not a complex number")):
         path = tmp_path / name
         path.write_text(text)
-        proc = subprocess.run(
-            [sys.executable, "-m", "thetaforge.cli", "verify", "alpbach",
-             "--prime", "5", "--code", str(code), "--points", str(path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 2, text
-        assert proc.stderr.count("\n") == 1, proc.stderr
-        assert proc.stderr.startswith(message), proc.stderr
-    proc = subprocess.run(
-        [sys.executable, "-m", "thetaforge.cli", "verify", "sl2f3",
-         "--z=nanj"], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stderr == "error: need a finite z with Im(z) > 0, got nanj\n"
+        err = input_error(capsys, ["verify", "alpbach", "--prime", "5",
+                                   "--code", str(code), "--points",
+                                   str(path)])
+        assert err.count("\n") == 1, err
+        assert err.startswith(message), err
+    assert input_error(capsys, ["verify", "sl2f3", "--z=nanj"]) == (
+        "error: need a finite z with Im(z) > 0, got nanj\n")
+    # a tiny Im z or tolerance sends the first enumeration bound to inf;
+    # it is capped, and the tail test then fails at the cap
+    monkeypatch.delenv("THETA_FORGE_MAX_NORM", raising=False)
+    code = tmp_path / "c3.txt"
+    code.write_text("3 1\n0\n")
+    points = tmp_path / "tiny.txt"
+    points.write_text("1e-320j\n")
+    for argv in (["verify", "sl2f3", "--z=1e308j"],     # through -1/z
+                 ["verify", "sl2f3", "--z=1e-320j"],
+                 ["verify", "sl2f3", "--tol", "1e-320"],
+                 ["verify", "alpbach", "--prime", "3", "--code", str(code),
+                  "--points", str(points)]):
+        err = input_error(capsys, argv)
+        assert err.count("\n") == 1, err
+        assert err.startswith("error: tail still above "), err
+        assert " at the enumeration cap 40; " in err, err
+    # Im z = 1, but Im(-1/z) underflows to 0: the message names z
+    assert input_error(capsys, ["verify", "sl2f3", "--z=1e200+1j"]) == (
+        "error: Im(-1/z) underflows to 0 at z = (1e+200+1j)\n")
 
 
 @pytest.mark.parametrize("value", ["1/0", "abc", "-1"])
-def test_malformed_max_norm_exits_2(monkeypatch, value):
+def test_malformed_max_norm_exits_2(monkeypatch, capsys, value):
     monkeypatch.setenv("THETA_FORGE_MAX_NORM", value)
-    proc = subprocess.run(
-        [sys.executable, "-m", "thetaforge.cli", "theta", "--prime", "3",
-         "--class", "0", "--order", "2"],
-        capture_output=True, text=True)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.count("\n") == 1, proc.stderr
-    assert proc.stderr.startswith("error: THETA_FORGE_MAX_NORM"), proc.stderr
+    assert main(["theta", "--prime", "3", "--class", "0",
+                 "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.err.startswith("error: THETA_FORGE_MAX_NORM"), \
+        captured.err
 
 
-def test_help_lists_every_subcommand():
-    proc = subprocess.run(
-        [sys.executable, "-m", "thetaforge.cli", "--help"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
     for name in ("code", "lattice", "qexp", "theta", "rep", "verify",
                  "clifford", "tower"):
-        assert name in proc.stdout
-    proc = subprocess.run(
-        [sys.executable, "-m", "thetaforge.cli", "verify", "--help"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
+        assert name in out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
     for name in ("alpbach", "sl2f3", "expansion", "e8", "golay", "orbits",
                  "grades", "hamming", "tower", "all"):
-        assert name in proc.stdout
+        assert name in out
 
 
 def test_output_byte_stable():

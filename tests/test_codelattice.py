@@ -474,12 +474,13 @@ def both_enumerations(gram, shift, bound):
     blocks, flattened, give the same (x, norm) pairs in the same order, with
     norm = scaled / scale (enumerate_coset reduces the scale, the reference
     does not).  Each block is an int64 or object matrix of at most CHUNK
-    rows with one scaled norm per row, all Python ints once listed."""
+    rows with one scaled norm per row of the same dtype, all Python ints
+    once listed."""
     got, want = [], []
 
     def emit(X, scaled, scale):
-        for block in (X, scaled):
-            assert block.dtype in (np.int64, object)
+        assert X.dtype == scaled.dtype
+        assert X.dtype in (np.int64, object)
         assert X.shape[1:] == (len(gram),)
         assert len(X) == len(scaled) <= codelattice.CHUNK
         for x, norm in zip(X.tolist(), scaled.tolist()):
@@ -551,14 +552,15 @@ def test_enumerate_coset_fixed_cases():
         [], [False], [True, True], [True, False, True]]
     assert len(both_enumerations(SLICE_GRAM, SLICE_SHIFT, 12)) == 172
     # minors near 10^18: the norm budget and the coordinates need more
-    # than 64 bits, so both are held as Python ints
+    # than 64 bits, so every array holds Python ints
     assert len(both_enumerations(skewed_gram(10 ** 9, 10 ** 12 + 3),
                                  [0, 0], 6)) == 3
-    # a 66-bit budget over coordinates that fit in int64
+    # a 66-bit budget: Python ints, although the coordinates fit in int64
     assert len(both_enumerations(skewed_gram(2 ** 20 + 1, 2 ** 40 + 5),
                                  [0, 0], 2 ** 24)) == 5793
-    # coordinates near 10^15 fail the int64 coordinate bound; near 10^19
-    # they do not fit in int64 at all
+    # coordinates near 10^15 fail the int64 coordinate bound, so the arrays
+    # hold Python ints although the budget is small; near 10^19 they do not
+    # fit in int64 at all
     a2 = [[2, -1], [-1, 2]]
     for big in (10 ** 15, 10 ** 19):
         far = [big + Fraction(1, 3), -big + Fraction(2, 3)]
@@ -567,7 +569,8 @@ def test_enumerate_coset_fixed_cases():
     assert both_enumerations(a2, far, Fraction(1, 2)) == []
     # a scaled diagonal entry far above the budget
     assert len(both_enumerations([[2, 0], [0, 2 ** 70]], [0, 0], 6)) == 3
-    # the budget fits in int64 but the scaled norms, up to 2^66, do not
+    # the budget fits in int64 but the scaled norms, up to 2^66, do not, so
+    # every array holds Python ints
     leaves = both_enumerations([[2 ** 60]], [0], 2 ** 66)
     assert [x for (x,), _ in leaves] == list(range(-8, 9))
     assert max(norm for _, norm in leaves) == 2 ** 66
@@ -643,7 +646,7 @@ def exhaustive_box_count(lattice, bound, shift_word=None):
     return dict(counts)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.data())
 def test_box_oracle_matches_exhaustive_box_and_fincke_pohst(data):
     p = data.draw(st.sampled_from([3, 5, 7]))
