@@ -5,11 +5,14 @@ to a point (z_1, ..., z_r) is exp(2 pi i sum_l z_l sigma_l(y) / p), the
 sigma_l running over one embedding per conjugate pair.  Each call
 enumerates a coset once, into one table for all of its points, at the
 bound of the smallest Im z: the r values sigma_l(y) of every vector, rows
-sorted by norm, and the shells' norms and end rows.  At a point, sums are
-taken shell by shell in increasing norm until the worst-case contribution
-of a shell drops below tail_tol/10, and only the rows before that shell
-are exponentiated; while some point's stop shell lies past the table, the
-bound grows by 5/4 up to the THETA_FORGE_MAX_NORM cap.
+sorted by norm, and the shells' norms and end rows.  The table is built
+from the enumerator's blocks as they arrive, so only its own rows are held
+for the whole coset, about 24 bytes per vector at p = 5.  At a point, sums
+are taken shell by shell in increasing norm until the worst-case
+contribution of a shell drops below tail_tol/10, and only the rows before
+that shell are exponentiated; while some point's stop shell lies past the
+table, the bound grows by 5/4 up to the THETA_FORGE_MAX_NORM cap.  A sum
+that is not finite, or a cap reached first, is an error naming the point.
 """
 
 from __future__ import annotations
@@ -70,32 +73,39 @@ def _coset_arrays(p, n, word, bound):
     every point: sigma, an (M, r) array with sigma_l(y) = sum_i
     |sigma_l(x_i)|^2 in column l-1, rows sorted by the exact norm; the
     distinct norms, ascending; and the end row of each norm's shell.
-    The enumerator's blocks of leaves and scaled norms are concatenated
-    and mapped through the basis in one product; an empty coset gives a
-    (0, r) table.  Cached so that evaluating the same coset at several
-    points enumerates once."""
+    Each block the enumerator hands over is reduced as it arrives: its
+    leaves are mapped through the basis and lifted, and only its sigma
+    rows and scaled norms are kept, so no coordinate matrix of the whole
+    coset exists.  The kept rows are concatenated and stably sorted by
+    norm at the end; an empty coset gives a (0, r) table.  Cached so that
+    evaluating the same coset at several points enumerates once."""
     lat = standard_lattice(p, n)
     shift = lat.shift_in_basis(word)
-    leaves = [np.zeros((0, lat.rank), dtype=np.int64)]
-    norms = [np.zeros(0, dtype=np.int64)]
+    d = p - 1
+    basis = np.array(lat.basis, dtype=np.int64)
+    lift = np.array(lift_word(word, p, n), dtype=np.int64)
+    embeddings = [np.exp((2j * np.pi * l / p) * np.arange(d))
+                  for l in range(1, d // 2 + 1)]
+    sigma_blocks = [np.zeros((0, d // 2))]
+    norm_blocks = [np.zeros(0, dtype=np.int64)]
     scale_box = [1]
 
     def emit(X, scaled, scale):
-        leaves.append(X)
-        norms.append(scaled)
+        coords = X.astype(np.int64, copy=False) @ basis + lift
+        blocks = coords.reshape(-1, n, d).astype(np.float64)
+        sigma = np.empty((len(blocks), d // 2))
+        for l, w in enumerate(embeddings):
+            emb = blocks @ w
+            sigma[:, l] = (emb.real ** 2 + emb.imag ** 2).sum(axis=1)
+        sigma_blocks.append(sigma)
+        norm_blocks.append(scaled.astype(np.int64, copy=False))
         scale_box[0] = scale
 
     enumerate_coset([list(r) for r in lat.gram], shift, bound, emit)
-    d = p - 1
-    basis = np.array(lat.basis, dtype=np.int64)
-    coords = (np.concatenate(leaves).astype(np.int64, copy=False) @ basis
-              + np.array(lift_word(word, p, n), dtype=np.int64))
-    norms = np.concatenate(norms).astype(np.int64, copy=False)
-    blocks = coords.reshape(-1, n, d).astype(np.float64)
-    sigma = np.empty((len(norms), d // 2))
-    for l in range(1, d // 2 + 1):
-        emb = blocks @ np.exp((2j * np.pi * l / p) * np.arange(d))
-        sigma[:, l - 1] = (emb.real ** 2 + emb.imag ** 2).sum(axis=1)
+    sigma = np.concatenate(sigma_blocks)
+    norms = np.concatenate(norm_blocks)
+    sigma_blocks.clear()
+    norm_blocks.clear()
     uniq, counts = np.unique(norms, return_counts=True)
     return (sigma[np.argsort(norms, kind="stable")], uniq / scale_box[0],
             np.cumsum(counts))
@@ -117,7 +127,7 @@ def _coset_values(p, n, word, points, tail_tol):
     # capped before rounding
     cap = max_norm_cap()
     y_mins = [point.y_min for point in points]
-    guess = 1.3 * math.log(10 / tail_tol) / (math.pi * min(y_mins)) + 2
+    guess = _bound_guess(min(y_mins), tail_tol)
     bound = Fraction(max(6, math.ceil(min(guess, cap))))
     word = tuple(int(c) % p for c in word)
     while True:
@@ -132,21 +142,46 @@ def _coset_values(p, n, word, points, tail_tol):
         if None not in stops:
             break
         if use >= cap:
+            point = min((point for point, stop in zip(points, stops)
+                         if stop is None), key=lambda point: point.y_min)
+            asked = _bound_guess(point.y_min, tail_tol)
+            if math.isfinite(asked):
+                advice = ("about %.3g; raise THETA_FORGE_MAX_NORM or loosen "
+                          "--tol" % asked)
+            else:
+                advice = "inf, which no cap reaches"
             raise ValueError(
-                "tail still above %g at the enumeration cap %s; raise "
-                "THETA_FORGE_MAX_NORM or loosen --tol" % (tail_tol, cap))
+                "tail still above %g at the enumeration cap %s; the point "
+                "%s asks for a norm bound of %s"
+                % (tail_tol, cap, _point_text(point), advice))
         bound = bound * 5 / 4
     values = []
     for point, stop in zip(points, stops):
-        phase = np.zeros(ends[stop], dtype=np.complex128)
-        for l, z in enumerate(point.values):
-            phase += z * sigma[:ends[stop], l]
-        terms = np.exp((2j * np.pi / p) * phase)
+        # a huge Re z overflows the phase to inf and the terms to nan; the
+        # finished sum is checked instead of warning on the way
         total = 0j
-        for s0, s1 in zip(ends[:stop], ends[1:stop + 1]):
-            total += complex(terms[s0:s1].sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = np.zeros(ends[stop], dtype=np.complex128)
+            for l, z in enumerate(point.values):
+                phase += z * sigma[:ends[stop], l]
+            terms = np.exp((2j * np.pi / p) * phase)
+            for s0, s1 in zip(ends[:stop], ends[1:stop + 1]):
+                total += complex(terms[s0:s1].sum())
+        if not cmath.isfinite(total):
+            raise ValueError("the theta sum at the point %s is not finite"
+                             % _point_text(point))
         values.append(total)
     return values
+
+
+def _bound_guess(y_min, tail_tol):
+    """The norm bound at which the stop rule usually fires for points with
+    Im z >= y_min; inf when a tiny y_min or tail_tol overflows it."""
+    return 1.3 * math.log(10 / tail_tol) / (math.pi * y_min) + 2
+
+
+def _point_text(point):
+    return " ".join(str(v) for v in point.values)
 
 
 def _code_values(code, points, tail_tol):

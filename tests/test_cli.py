@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -302,6 +303,20 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
         assert err.count("\n") == 1, err
         assert err.startswith("error: tail still above "), err
         assert " at the enumeration cap 40; " in err, err
+    # the cap error names the point, and no cap reaches its bound
+    assert input_error(capsys, ["verify", "sl2f3", "--z=1e-320j"]) == (
+        "error: tail still above 1e-09 at the enumeration cap 40; the point "
+        "1e-320j asks for a norm bound of inf, which no cap reaches\n")
+    # Re z * sigma overflows: the sum is not finite, the point is named,
+    # and neither a numpy warning nor a NaN report is printed
+    points.write_text("1e308+1j\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "alpbach", "--prime", "3", "--code",
+                     "tetracode", "--points", str(points)]) == 2
+    assert caught == []
+    assert capsys.readouterr() == (
+        "", "error: the theta sum at the point (1e+308+1j) is not finite\n")
     # Im z = 1, but Im(-1/z) underflows to 0: the message names z
     assert input_error(capsys, ["verify", "sl2f3", "--z=1e200+1j"]) == (
         "error: Im(-1/z) underflows to 0 at z = (1e+200+1j)\n")

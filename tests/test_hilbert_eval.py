@@ -1,12 +1,15 @@
 import cmath
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from thetaforge.codelattice import (
-    enumerate_coset, lift_word, max_norm_cap, standard_lattice, theta_series,
+    CHUNK, enumerate_coset, lift_word, max_norm_cap, standard_lattice,
+    theta_series,
 )
 from thetaforge.fpcode import make_code, standard_codes
 from thetaforge.hilbert_eval import (
@@ -116,6 +119,25 @@ def test_enumeration_cap_error(monkeypatch):
     monkeypatch.setenv("THETA_FORGE_MAX_NORM", "4")
     with pytest.raises(ValueError, match="loosen --tol"):
         theta_class_eval(3, 0, 0.3j, tail_tol=1e-10)
+    # the message names the point with the smallest Im z that has no stop
+    # shell, and the bound its guess asked for
+    points = [as_point(5, [1j, 2j]), as_point(5, [0.3j, 0.2 + 0.4j])]
+    with pytest.raises(ValueError) as exc:
+        _coset_values(5, 2, (0, 0), points, 1e-10)
+    assert str(exc.value) == (
+        "tail still above 1e-10 at the enumeration cap 4; the point 0.3j "
+        "(0.2+0.4j) asks for a norm bound of about 36.9; raise "
+        "THETA_FORGE_MAX_NORM or loosen --tol")
+
+
+def test_non_finite_sum_names_the_point():
+    # Re z * sigma overflows: the sum is rejected without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            theta_class_eval(5, 1, [1e308 + 1j, 1j])
+    assert str(exc.value) == (
+        "the theta sum at the point (1e+308+1j) 1j is not finite")
 
 
 def test_points_file_parsing():
@@ -287,3 +309,71 @@ def test_alpbach_reads_one_table_per_coset():
         assert row["residual"] == abs(lhs - rhs)
         assert row["galois_residual"] == abs(
             theta_code_eval(code, permuted, tol / 100) - lhs)
+
+
+# The whole-coset table builder that the streaming _coset_arrays replaced:
+# every block is concatenated, then mapped through the basis, cast to float
+# and multiplied by the embeddings in one pass.  The tables must agree bit
+# for bit.
+
+def whole_coset_arrays(p, n, word, bound):
+    lat = standard_lattice(p, n)
+    shift = lat.shift_in_basis(word)
+    leaves = [np.zeros((0, lat.rank), dtype=np.int64)]
+    norms = [np.zeros(0, dtype=np.int64)]
+    scale_box = [1]
+
+    def emit(X, scaled, scale):
+        leaves.append(X)
+        norms.append(scaled)
+        scale_box[0] = scale
+
+    enumerate_coset([list(r) for r in lat.gram], shift, bound, emit)
+    d = p - 1
+    basis = np.array(lat.basis, dtype=np.int64)
+    coords = (np.concatenate(leaves).astype(np.int64, copy=False) @ basis
+              + np.array(lift_word(word, p, n), dtype=np.int64))
+    norms = np.concatenate(norms).astype(np.int64, copy=False)
+    blocks = coords.reshape(-1, n, d).astype(np.float64)
+    sigma = np.empty((len(norms), d // 2))
+    for l in range(1, d // 2 + 1):
+        emb = blocks @ np.exp((2j * np.pi * l / p) * np.arange(d))
+        sigma[:, l - 1] = (emb.real ** 2 + emb.imag ** 2).sum(axis=1)
+    uniq, counts = np.unique(norms, return_counts=True)
+    return (sigma[np.argsort(norms, kind="stable")], uniq / scale_box[0],
+            np.cumsum(counts))
+
+
+@pytest.mark.parametrize("p, n, word, bound", [
+    (3, 1, (1,), 60), (3, 2, (1, 2), 24), (3, 3, (0, 1, 2), 12),
+    (5, 1, (2,), 24), (5, 2, (1, 3), 10), (5, 3, (1, 0, 4), 6),
+    (7, 1, (3,), 16), (7, 2, (2, 5), 6), (7, 3, (1, 2, 3), 5),
+    (5, 2, (0, 0), 20),                   # 159,761 rows, many chunks
+    (5, 2, (1, 2), Fraction(3, 2)),       # empty: minimum norm 2
+])
+def test_streamed_table_matches_whole_coset_table(p, n, word, bound):
+    _coset_arrays.cache_clear()
+    table = _coset_arrays(p, n, word, Fraction(bound))
+    reference = whole_coset_arrays(p, n, word, Fraction(bound))
+    for got, want in zip(table, reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    if (p, n, word) == (5, 2, (0, 0)):
+        assert len(table[0]) == 159761 > CHUNK
+    if bound == Fraction(3, 2):
+        assert table[0].shape == (0, 2)
+
+
+def test_streamed_table_memory():
+    # The table holds 16 bytes of sigma and 8 of norm per row; sorting
+    # takes as much again.  The whole-coset builder peaked at about 408
+    # bytes per row.
+    standard_lattice(5, 2)
+    _coset_arrays.cache_clear()
+    tracemalloc.start()
+    try:
+        sigma, _, _ = _coset_arrays(5, 2, (0, 0), Fraction(20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * len(sigma) + (2 << 20), peak / len(sigma)
