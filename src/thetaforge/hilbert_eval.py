@@ -104,6 +104,7 @@ def _coset_arrays(p, n, word, bound):
     enumerate_coset([list(r) for r in lat.gram], shift, bound, emit)
     sigma = np.concatenate(sigma_blocks)
     norms = np.concatenate(norm_blocks)
+    # the blocks go before sorting, which needs as much again
     sigma_blocks.clear()
     norm_blocks.clear()
     uniq, counts = np.unique(norms, return_counts=True)
@@ -143,7 +144,7 @@ def _coset_values(p, n, word, points, tail_tol):
             break
         if use >= cap:
             point = min((point for point, stop in zip(points, stops)
-                         if stop is None), key=lambda point: point.y_min)
+                         if stop is None), key=lambda pt: pt.y_min)
             asked = _bound_guess(point.y_min, tail_tol)
             if math.isfinite(asked):
                 advice = ("about %.3g; raise THETA_FORGE_MAX_NORM or loosen "
