@@ -12,7 +12,8 @@ are taken shell by shell in increasing norm until the worst-case
 contribution of a shell drops below tail_tol/10, and only the rows before
 that shell are exponentiated; while some point's stop shell lies past the
 table, the bound grows by 5/4 up to the THETA_FORGE_MAX_NORM cap.  A sum
-that is not finite, or a cap reached first, is an error naming the point.
+that is not finite, a cap reached first, or a Re z so large that float64
+phases err by more than tail_tol is an error naming the point.
 """
 
 from __future__ import annotations
@@ -171,8 +172,29 @@ def _coset_values(p, n, word, points, tail_tol):
         if not cmath.isfinite(total):
             raise ValueError("the theta sum at the point %s is not finite"
                              % _point_text(point))
+        _check_phase_rounding(point, shells[stop - 1][0] if stop else 0.0,
+                              tail_tol)
         values.append(total)
     return values
+
+
+def _check_phase_rounding(point, norm_max, tail_tol):
+    """Refuse a point whose term phases float64 cannot resolve.
+
+    sum_l sigma_l(y) = p N(y) / 2, so a term's phase
+    (2 pi / p) sum_l Re(z_l) sigma_l(y) is at most pi |Re z| N in size
+    for the norms N up to norm_max that the sum takes.  Each of the 2r + 1
+    float64 roundings that form it errs by at most 2^-53 of that size.
+    Once that bound passes tail_tol, the rounding outweighs the tail the
+    stop rule leaves out, and a large Re z would give a false verdict."""
+    re_max = max(abs(v.real) for v in point.values)
+    slip = ((2 * len(point.values) + 1) * 2.0 ** -53 * math.pi * re_max
+            * norm_max)
+    if slip > tail_tol:
+        raise ValueError(
+            "the point %s lies too far from the imaginary axis: float64 "
+            "phases there may err by %.3g, above the tail tolerance %g"
+            % (_point_text(point), slip, tail_tol))
 
 
 def _bound_guess(y_min, tail_tol):

@@ -317,9 +317,28 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     assert caught == []
     assert capsys.readouterr() == (
         "", "error: the theta sum at the point (1e+308+1j) is not finite\n")
+    # a finite sum whose phases float64 cannot resolve: refused, not a
+    # false failure
+    for z, text in (("1e17+1j", "(1e+17+1j)"), ("1e200+1j", "(1e+200+1j)")):
+        points.write_text(z + "\n")
+        err = input_error(capsys, ["verify", "alpbach", "--prime", "3",
+                                   "--code", "tetracode", "--points",
+                                   str(points)])
+        assert err.count("\n") == 1, err
+        assert err.startswith("error: the point %s lies too far from the "
+                              "imaginary axis: " % text), err
     # Im z = 1, but Im(-1/z) underflows to 0: the message names z
     assert input_error(capsys, ["verify", "sl2f3", "--z=1e200+1j"]) == (
         "error: Im(-1/z) underflows to 0 at z = (1e+200+1j)\n")
+
+
+def test_large_real_part_within_the_rounding_bound_passes(tmp_path, capsys):
+    points = tmp_path / "far.txt"
+    points.write_text("1000+1j\n-1000+0.5j\n")
+    assert main(["verify", "alpbach", "--prime", "3", "--code", "tetracode",
+                 "--points", str(points)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tol"] == 1e-8 and report["pass"]
 
 
 @pytest.mark.parametrize("value", ["1/0", "abc", "-1"])

@@ -55,7 +55,42 @@ def test_word_mul_associativity_and_inverse():
         assert w * w.inverse() == CliffordWord.identity(5)
 
 
+def reference_mul(a, b):
+    """The swap-counting product that the cocycle table replaced: the sign
+    counts the transpositions that normal-order the product and the
+    squares e_t e_t = -1."""
+    swaps = 0
+    sb = b.bits
+    while sb:
+        t = (sb & -sb).bit_length() - 1
+        swaps += bin(a.bits >> (t + 1)).count("1")
+        sb &= sb - 1
+    squares = bin(a.bits & b.bits).count("1")
+    sign = a.sign * b.sign * (-1 if (swaps + squares) % 2 else 1)
+    return CliffordWord(a.n, sign, a.bits ^ b.bits)
+
+
+def reference_inverse(w):
+    """The closed-form inverse the table replaced: w * w = (-1)^(C(k,2) + k)
+    with k the weight."""
+    k = bin(w.bits).count("1")
+    return CliffordWord(w.n, -w.sign if (k * (k - 1) // 2 + k) % 2
+                        else w.sign, w.bits)
+
+
+def test_table_product_and_inverse_match_reference():
+    for n in range(1, 9):
+        words = all_words(n)
+        for a in words:
+            assert a.inverse() == reference_inverse(a)
+            for b in words:
+                assert a * b == reference_mul(a, b), (a, b)
+
+
 def test_word_validation():
+    for n in (0, 9):
+        with pytest.raises(ValueError):
+            CliffordWord(n, 1, 0)
     with pytest.raises(ValueError):
         CliffordWord(4, 2, 0)
     with pytest.raises(ValueError):
@@ -302,6 +337,23 @@ def test_full_rep_images_pinned():
     text = json.dumps([[list(m.perm), list(m.signs)] for m in images])
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "70e01226a5aa89ac13199255f5072fb41849d6f8fd56278469813ba88cc516c3")
+
+
+def test_spinor_and_conjugation_images_pinned():
+    """Every image of both spinor maps and of the conjugation map, pinned
+    from the word-by-word constructions the image and cocycle tables
+    replaced."""
+    def digest(images):
+        text = json.dumps([[list(m.perm), list(m.signs)] for m in images])
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    evens = all_words(8, even_only=True)
+    assert digest(spinor_rep(1, w) for w in evens) == (
+        "07b3eb7264d461fdac07ed4389922f4ab5be5483cb22c8bb326422f9e54e3e65")
+    assert digest(spinor_rep(-1, w) for w in evens) == (
+        "68d6b3bab0ee42b4609ba4614feb6341a96b10d978dbd7142772c6a85d276a3b")
+    assert digest(conjugation_rep(w) for w in all_words(8)) == (
+        "9d923a8f8bda1d20ec89d53f78e0f9bd22cb2c2d5395156709848bd697d9fdb6")
 
 
 def test_group_structure():

@@ -377,3 +377,13 @@ def test_streamed_table_memory():
     finally:
         tracemalloc.stop()
     assert peak < 96 * len(sigma) + (2 << 20), peak / len(sigma)
+
+
+def test_sigma_rows_sum_to_half_p_times_the_norm():
+    # the phase-rounding bound reads the largest norm summed, not the rows
+    for p, n, word, bound in ((3, 4, (1, 2, 0, 1), 8), (5, 2, (1, 2), 10),
+                              (7, 1, (3,), 12)):
+        sigma, norms, ends = _coset_arrays(p, n, word, bound)
+        per_row = np.repeat(norms, np.diff(ends, prepend=0))
+        assert np.allclose(sigma.sum(axis=1), p * per_row / 2,
+                           rtol=1e-12, atol=1e-12)
