@@ -261,7 +261,24 @@ def enumerate_coset(gram, shift, bound, emit):
     lexicographic order of (x_{rank-1}, ..., x_0), the order of a
     depth-first Fincke-Pohst (Fincke-Pohst 1985), one emit call per chunk;
     an empty coset makes no call.  The values are exact; no float is
-    involved.
+    involved.  Every vector of the coset is one leaf, at any shift; the
+    histograms of zero-shift cosets walk half the tree instead (see
+    _fincke_pohst).
+    """
+    _fincke_pohst(gram, shift, bound, emit, False)
+
+
+def _fincke_pohst(gram, shift, bound, emit, half):
+    """enumerate_coset's tree; with half, the half-tree of a zero shift.
+
+    With half true the shift must be zero, so the coset is closed under
+    x -> -x and -x has the norm of x.  The tree then visits the zero vector
+    and each x whose first nonzero coordinate in tree order (x_{rank-1},
+    ..., x_0) is positive, one of each +-x pair (Schnorr-Euchner 1994), in
+    the same order as the full tree; the caller counts each nonzero leaf
+    for itself and for its negative.  Each node carries one boolean, "every
+    coordinate so far is zero": a flagged node takes children x >= 0 only,
+    and a child keeps the flag only when its x is 0.
 
     The tree is expanded a level at a time in numpy: a block holds the
     nodes of one level, and its children are made at most CHUNK at a time
@@ -334,24 +351,26 @@ def enumerate_coset(gram, shift, bound, emit):
         if j0 < j:
             updates[j] = (j0, np.array(row[j0:], dtype=dt))
 
-    def block(x, par, i, rem, acc):
-        """Nodes at level i (their x_{i+1} and parent index one level up)
-        and their children's x ranges, as a stack entry whose last slot is
-        the index of the next child to expand."""
+    def block(x, par, zero, i, rem, acc):
+        """Nodes at level i (their x_{i+1}, parent index one level up and
+        all-zero flags) and their children's x ranges, as a stack entry
+        whose last slot is the index of the next child to expand."""
         base = Lam[i] * sv[i] + acc[:, i]
         wmax = _isqrt(rem // g[i])
         step = Lam[i] * q
         lo = -((wmax + base) // step)
+        if half:
+            lo[zero] = 0    # a flagged node has base 0, so lo <= 0 there
         ends = np.cumsum(np.maximum((wmax - base) // step - lo + 1, 0),
                          dtype=np.int64)
-        return [x, par, i, rem, acc, base, lo, ends,
+        return [x, par, zero, i, rem, acc, base, lo, ends,
                 np.concatenate(([0], ends[:-1])), 0]
 
-    stack = [block(None, None, rank - 1, np.array([room], dtype=dt),
-                   np.zeros((1, rank), dtype=dt))]
+    stack = [block(None, None, np.array([half]), rank - 1,
+                   np.array([room], dtype=dt), np.zeros((1, rank), dtype=dt))]
     while stack:
         entry = stack[-1]
-        _, _, i, rem, acc, base, lo, ends, starts, start = entry
+        _, _, zero, i, rem, acc, base, lo, ends, starts, start = entry
         total = int(ends[-1])
         if start >= total:
             stack.pop()
@@ -377,7 +396,8 @@ def enumerate_coset(gram, shift, bound, emit):
         if updates[i] is not None:
             j0, row = updates[i]
             acc_c[:, j0:] += (q * x + sv[i])[:, None] * row
-        stack.append(block(x, par, i - 1, rem_c, acc_c))
+        zero_c = zero[par] & (x == 0) if half else None
+        stack.append(block(x, par, zero_c, i - 1, rem_c, acc_c))
 
 
 def count_by_norm(lattice, bound, shift_word=None):
@@ -385,10 +405,13 @@ def count_by_norm(lattice, bound, shift_word=None):
 
     Each block of leaves is counted with np.unique on its scaled norms (int64
     or Python ints, never floats), so only the distinct norms of a block
-    reach Python."""
+    reach Python.  A zero shift walks the half-tree of _fincke_pohst, one
+    vector of each +-x pair, and each nonzero norm's count is doubled; any
+    other shift walks the full tree of enumerate_coset."""
     _check_cap(bound)
     shift = ([Fraction(0)] * lattice.rank if shift_word is None
              else lattice.shift_in_basis(shift_word))
+    half = not any(shift)
     counts = Counter()
     scale = 1
 
@@ -398,8 +421,13 @@ def count_by_norm(lattice, bound, shift_word=None):
         counts.update(dict(zip(vals.tolist(), cnts.tolist())))
         scale = run_scale
 
-    enumerate_coset([list(r) for r in lattice.gram], shift, bound, emit)
-    return {Fraction(k, scale): c for k, c in counts.items()}
+    gram = [list(r) for r in lattice.gram]
+    if half:
+        _fincke_pohst(gram, shift, bound, emit, True)
+    else:   # the public entry point, which perfbench/traced.py spans
+        enumerate_coset(gram, shift, bound, emit)
+    return {Fraction(k, scale): c * 2 if half and k else c
+            for k, c in counts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +557,13 @@ def theta_series_by_word(p, n, order):
     (zeta = 1 modulo 1 - zeta).  So one enumeration of O^n itself, on
     power-basis coordinates with the integer Gram trace_gram of the
     identity rows (p I - J per block) and bound p * 2 * order, meets each
-    coset vector of norm at most 2 * order once.  Its leaves are binned by
-    digit word and exact norm, one integer key per leaf (int64, or Python
-    ints when width * p^n reaches 2^62) counted with np.unique.  Each value
-    equals theta_series(standard_lattice(p, n), order, word).
+    coset vector of norm at most 2 * order.  O^n has zero shift, so the run
+    walks the half-tree of _fincke_pohst: each leaf x is binned by its
+    digit word w and exact norm, one integer key per leaf (int64, or Python
+    ints when width * p^n reaches 2^62) counted with np.unique, and each
+    count at a nonzero exponent is then added to the word -w mod p as
+    well, for -x.  Each value equals
+    theta_series(standard_lattice(p, n), order, word).
     """
     order = Fraction(order)
     _check_cap(2 * order)
@@ -553,13 +584,28 @@ def theta_series_by_word(p, n, order):
         vals, cnts = np.unique(keys, return_counts=True)
         counts.update(dict(zip(vals.tolist(), cnts.tolist())))
 
-    enumerate_coset(gram, [0] * rank, 2 * p * order, emit)
-    terms = [{} for _ in range(p ** n)]
+    _fincke_pohst(gram, [0] * rank, 2 * p * order, emit, True)
+    words = list(product(range(p), repeat=n))
+    terms = [{} for _ in words]
     for key, c in counts.items():
         w, k = divmod(key, width)
         terms[w][k] = c
-    return {word: QSeries(p, p, terms[i], order)
-            for i, word in enumerate(product(range(p), repeat=n))}
+    terms = _fold_negatives(terms, words, p)
+    return {word: QSeries(p, p, t, order) for word, t in zip(words, terms)}
+
+
+def _fold_negatives(terms, words, p):
+    """Full counts {k: count}, one dict per word, from the half-tree's: each
+    count of word w at a nonzero k is added to the word -w mod p as well,
+    for the vectors -x that the half-tree skips."""
+    index = {word: i for i, word in enumerate(words)}
+    full = [dict(t) for t in terms]
+    for word, t in zip(words, terms):
+        neg = full[index[tuple(-a % p for a in word)]]
+        for k, c in t.items():
+            if k:
+                neg[k] = neg.get(k, 0) + c
+    return full
 
 
 def minimal_norm(lattice):

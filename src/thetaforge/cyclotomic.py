@@ -169,20 +169,6 @@ def trace_pairing(x, y):
     return Fraction((x * y.conj()).trace(), x.p)
 
 
-def real_embed_pair(x, l):
-    """sigma_l(x * conj(x)) as a float; real and nonnegative by construction.
-
-    l runs over 1..(p-1)/2, one representative per conjugate pair of
-    embeddings.
-    """
-    r = (x.p - 1) // 2
-    if not 1 <= l <= max(r, 1):
-        raise ValueError("real embedding index out of range")
-    v = (x * x.conj()).embed(l)
-    assert abs(v.imag) < 1e-9 * (1 + abs(v.real))
-    return v.real
-
-
 class CycRat:
     """A quotient of a CycInt by a positive integer, kept gcd-reduced."""
 
@@ -295,8 +281,3 @@ def as_cycrat(p, v):
 
 def zeta(p):
     return CycInt.zeta_pow(p, 1)
-
-
-def one_minus_zeta(p):
-    """Generator of the ramified prime ideal, 1 - zeta."""
-    return CycInt.from_int(p, 1) - zeta(p)

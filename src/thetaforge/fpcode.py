@@ -359,14 +359,6 @@ class MonomialTransform:
         return MonomialTransform(self.p, sigma, scal)
 
 
-def apply_monomial(code, g):
-    """Image of a code under a monomial transform."""
-    if g.p != code.p or g.n != code.n:
-        raise ValueError("transform does not match the code")
-    return make_code(code.p, code.n,
-                     words=[g.apply_word(w) for w in code.words])
-
-
 # ---------------------------------------------------------------------------
 # File format: first line "p n", one word per line, '#' starts a comment.
 # ---------------------------------------------------------------------------
@@ -415,9 +407,3 @@ def parse_code_text(text):
 def read_code_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_code_text(fh.read())
-
-
-def code_to_text(code):
-    out = ["%d %d" % (code.p, code.n)]
-    out.extend(" ".join(str(d) for d in w) for w in code.words)
-    return "\n".join(out) + "\n"

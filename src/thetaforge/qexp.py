@@ -308,19 +308,6 @@ def compose_enumerator(enum, thetas):
     return total
 
 
-def evaluate_at(series, z, embedding=1):
-    """Float value of the truncation at q = exp(2 pi i z), Im(z) > 0.
-
-    Coefficients are sent through the chosen complex embedding.  No tail
-    estimate is made; the caller owns the truncation error.
-    """
-    import cmath
-    total = 0j
-    for e, c in series.items():
-        total += c.embed(embedding) * cmath.exp(2j * cmath.pi * z * float(e))
-    return total
-
-
 def to_json_obj(series):
     """Stable JSON-ready form: exponents as reduced 'a/b' strings."""
     return [{"exp": str(e),

@@ -3,7 +3,7 @@
 A word in F_p^n is classified by its profile (l_0, ..., l_r): how many
 digits land in each class {0}, {+-1}, ..., {+-r}.  The profile is a
 complete orbit invariant, and everything downstream consumes only it: the
-partition function of the orbit's coset, the series-valued map (coset theta
+conformal weight of the orbit's coset, the series-valued map (coset theta
 expansions), and the monomial map (formal exponent bookkeeping).
 """
 
@@ -16,8 +16,10 @@ from math import comb, factorial
 
 from .codelattice import count_by_norm, standard_lattice, theta_series
 from .cyclotomic import as_cycrat, check_odd_prime, check_prime
-from .fpcode import WeightEnumerator, weight_enumerator, word_profile
-from .qexp import QSeries, compose_enumerator, eta
+from .fpcode import weight_enumerator, word_profile
+# compose_enumerator is not called here; perfbench/traced.py wraps it in
+# this namespace too
+from .qexp import QSeries, compose_enumerator  # noqa: F401
 
 
 class OrbitClass:
@@ -227,23 +229,6 @@ def conformal_weight(o):
     return _leading_data(o)[0]
 
 
-class PartitionMeta:
-    """Central charge and conformal weight behind a partition function."""
-
-    __slots__ = ("c", "h")
-
-    def __init__(self, c, h):
-        self.c = int(c)
-        self.h = Fraction(h)
-
-    @property
-    def leading_exponent(self):
-        return self.h - Fraction(self.c, 24)
-
-    def __repr__(self):
-        return "PartitionMeta(c=%d, h=%s)" % (self.c, self.h)
-
-
 @lru_cache(maxsize=64)
 def orbit_theta(o, cutoff):
     """Exact coset theta expansion of the orbit, exponents in (1/p)Z."""
@@ -252,30 +237,6 @@ def orbit_theta(o, cutoff):
         return QSeries.one(p, cutoff, N=p)
     lat = standard_lattice(p, o.n)
     return theta_series(lat, cutoff, shift_word=o.representative())
-
-
-def partition_function(o, cutoff):
-    """(series, meta): eta^-(n(p-1)) times the orbit's coset theta.
-
-    The series is correct up to the requested cutoff; its exponents lie in
-    (1/lcm(24, p))Z and its leading exponent is h - c/24.
-    """
-    p = o.p
-    c = o.n * (p - 1)
-    h = conformal_weight(o)
-    meta = PartitionMeta(c, h)
-    cutoff = Fraction(cutoff)
-    if cutoff < meta.leading_exponent:
-        raise ValueError("cutoff hides the leading term %s"
-                         % meta.leading_exponent)
-    if c == 0:
-        return QSeries.one(p, cutoff, N=p), meta
-    # eta^-c loses (c+1)/24 of cutoff plus the theta valuation shift
-    work = cutoff + Fraction(c + 1, 24) + 1
-    eta_inv_pow = eta(p, work) ** (-c)
-    theta = orbit_theta(o, cutoff + Fraction(c, 24))
-    series = (eta_inv_pow * theta).truncate(cutoff)
-    return series, meta
 
 
 def z_map(x, cutoff):
@@ -329,24 +290,6 @@ class ThetaMonomial:
 def z_tilde(o):
     """The monomial with exponents equal to the orbit profile."""
     return ThetaMonomial(o.p, o.profile)
-
-
-def monomial_series(mono, cutoff):
-    """Expand a theta monomial as a q-series through the single-digit
-    expansions; this is the substitution route, independent of the direct
-    product-lattice enumeration used by z_map."""
-    p = mono.p
-    enum = WeightEnumerator(p, mono.weight, {mono.exponents: 1})
-    thetas = [orbit_theta(OrbitClass(p, _unit_profile(p, j)), cutoff)
-              for j in range(((p - 1) // 2) + 1)]
-    return compose_enumerator(enum, thetas)
-
-
-def _unit_profile(p, j):
-    r = (p - 1) // 2
-    prof = [0] * (r + 1)
-    prof[j] = 1
-    return tuple(prof)
 
 
 def module_of_code(code):

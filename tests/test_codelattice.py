@@ -600,6 +600,146 @@ def test_enumerate_coset_in_chunks_of_three(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The half-tree of a zero shift
+# ---------------------------------------------------------------------------
+
+def leads_positive(x):
+    """x is zero, or its first nonzero coordinate in tree order
+    (x_{rank-1}, ..., x_0) is positive: one of each +-x pair."""
+    return next((c for c in reversed(x) if c), 0) >= 0
+
+
+def half_enumerations(gram, bound):
+    """The half-tree's leaves, checked against the reference: the full
+    recursion's leaves filtered by leads_positive, in the same order."""
+    rank = len(gram)
+    got, want = [], []
+
+    def emit(X, scaled, scale):
+        assert X.dtype == scaled.dtype
+        assert len(X) == len(scaled) <= codelattice.CHUNK
+        for x, norm in zip(X.tolist(), scaled.tolist()):
+            got.append((tuple(x), Fraction(norm, scale)))
+
+    codelattice._fincke_pohst(gram, [0] * rank, bound, emit, True)
+    recursive_enumerate_coset(
+        gram, [0] * rank, bound,
+        lambda x, used, scale: leads_positive(x) and want.append(
+            (x, Fraction(used, scale))))
+    assert got == want
+    return got
+
+
+def full_count_by_norm(gram, bound, shift=None):
+    """Reference histogram: every leaf of the full tree of enumerate_coset,
+    one count per vector."""
+    counts = Counter()
+
+    def emit(X, scaled, scale):
+        counts.update(Fraction(v, scale) for v in scaled.tolist())
+
+    enumerate_coset(gram, shift or [0] * len(gram), bound, emit)
+    return dict(counts)
+
+
+def lattice_theta(lattice, order, word):
+    """Reference theta series of one coset from the full tree."""
+    counts = full_count_by_norm([list(r) for r in lattice.gram], 2 * order,
+                                lattice.shift_in_basis(word))
+    return QSeries(lattice.p, lattice.p,
+                   {int(norm * lattice.p / 2): c
+                    for norm, c in counts.items()}, order)
+
+
+def test_half_tree_fixed_cases():
+    golay = lattice_of_code(standard_codes("golay12"))
+    gram = [list(r) for r in golay.gram]
+    assert len(half_enumerations(gram, 2)) == 37
+    assert count_by_norm(golay, 2) == full_count_by_norm(gram, 2)
+    assert len(half_enumerations(SLICE_GRAM, 12)) == 117
+    # Python-int arrays: minors near 10^18, a 66-bit budget, a diagonal
+    # entry far above the budget, scaled norms up to 2^66
+    assert len(half_enumerations(skewed_gram(10 ** 9, 10 ** 12 + 3),
+                                 6)) == 2
+    assert len(half_enumerations(skewed_gram(2 ** 20 + 1, 2 ** 40 + 5),
+                                 2 ** 24)) == 2897
+    assert len(half_enumerations([[2, 0], [0, 2 ** 70]], 6)) == 2
+    leaves = half_enumerations([[2 ** 60]], 2 ** 66)
+    assert [x for (x,), _ in leaves] == list(range(9))
+    assert half_enumerations([[2 ** 70]], 0) == [((0,), 0)]
+    leaves = []
+    codelattice._fincke_pohst([[2, -1], [-1, 2]], [0, 0], -1,
+                              lambda *leaf: leaves.append(leaf), True)
+    assert leaves == []
+    # the doubled histograms equal the full ones
+    for lat, bound in ((standard_lattice(3, 1), 8),
+                       (standard_lattice(5, 2), 6),
+                       (lattice_of_code(standard_codes("tetracode")), 6)):
+        gram = [list(r) for r in lat.gram]
+        assert count_by_norm(lat, bound) == full_count_by_norm(gram, bound)
+        assert count_by_norm(lat, bound, (0,) * lat.n) == \
+            full_count_by_norm(gram, bound)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_half_tree_matches_filtered_reference(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    n = data.draw(st.integers(1, 8 // (p - 1)))
+    words = data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+        max_size=4))
+    gens = []
+    for w in words:
+        if all(sum(x * y for x, y in zip(w, g)) % p == 0
+               for g in gens + [w]):
+            gens.append(w)
+    rows = code_lattice_rows(p, n, gens)
+    for i, j, c in data.draw(st.lists(
+            st.tuples(st.integers(0, len(rows) - 1),
+                      st.integers(0, len(rows) - 1), st.integers(-2, 2)),
+            max_size=6)):
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    gram = [[x // p for x in row] for row in trace_gram(rows, p)]
+    lat = CodeLattice(make_code(p, n, generators=gens or [[0] * n]), rows,
+                      gram)
+    bound = Fraction(data.draw(st.integers(0, 6 * p)), p)
+    half_enumerations(gram, bound)
+    assert count_by_norm(lat, bound) == full_count_by_norm(gram, bound)
+
+
+def test_theta_series_by_word_matches_full_tree():
+    for p, n in ((3, 2), (5, 2)):
+        lat = standard_lattice(p, n)
+        table = theta_series_by_word(p, n, 2)
+        for word, series in table.items():
+            assert series == lattice_theta(lat, Fraction(2), word), word
+            assert series == theta_series(lat, 2, word), word
+
+
+def test_half_tree_in_chunks_of_three(monkeypatch):
+    # flagged nodes whose children span two chunks: at bound 18 the root
+    # of A2 takes x_1 = 0 .. 3, and its child x_1 = 0 takes x_0 = 0 .. 3
+    monkeypatch.setattr(codelattice, "CHUNK", 3)
+    a2 = [[2, -1], [-1, 2]]
+    assert len(half_enumerations(a2, 18)) == 19
+    blocks = []
+    codelattice._fincke_pohst(a2, [0, 0], 18,
+                              lambda X, *_: blocks.append(X.tolist()), True)
+    assert blocks[:2] == [[[0, 0], [1, 0], [2, 0]],
+                          [[3, 0], [-2, 1], [-1, 1]]]
+    e8 = lattice_of_code(standard_codes("tetracode"))
+    gram = [list(r) for r in e8.gram]
+    assert len(half_enumerations(gram, 4)) == 1201
+    assert count_by_norm(e8, 4) == full_count_by_norm(gram, 4) == {
+        0: 1, 2: 240, 4: 2160}
+    lat = standard_lattice(3, 2)
+    for word, series in theta_series_by_word(3, 2, 3).items():
+        assert series == lattice_theta(lat, Fraction(3), word), word
+
+
+# ---------------------------------------------------------------------------
 # Pruned ambient oracle
 # ---------------------------------------------------------------------------
 

@@ -4,11 +4,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetaforge.cyclotomic import (
-    CycInt, CycRat, as_cycrat, check_prime, one_minus_zeta, real_embed_pair,
-    trace_pairing, zeta,
+    CycInt, CycRat, as_cycrat, check_prime, trace_pairing, zeta,
 )
 
 PRIMES = [3, 5, 7]
+
+
+def one_minus_zeta(p):
+    """Generator of the ramified prime ideal, 1 - zeta."""
+    return CycInt.from_int(p, 1) - zeta(p)
+
+
+def real_embed_pair(x, l):
+    """Reference: sigma_l(x * conj(x)) as a float, real and nonnegative by
+    construction.  l runs over 1..(p-1)/2, one representative per conjugate
+    pair of embeddings."""
+    r = (x.p - 1) // 2
+    if not 1 <= l <= max(r, 1):
+        raise ValueError("real embedding index out of range")
+    v = (x * x.conj()).embed(l)
+    assert abs(v.imag) < 1e-9 * (1 + abs(v.real))
+    return v.real
 
 
 def test_check_prime_rejects_composites():

@@ -6,10 +6,25 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from thetaforge.fpcode import (
-    Code, MonomialTransform, apply_monomial, code_predicates, code_to_text,
-    doubly_even, dual_code, make_code, min_distance, parse_code_text,
-    standard_codes, weight_enumerator, word_profile, zero_code,
+    Code, MonomialTransform, code_predicates, doubly_even, dual_code,
+    make_code, min_distance, parse_code_text, standard_codes,
+    weight_enumerator, word_profile, zero_code,
 )
+
+
+def apply_monomial(code, g):
+    """Image of a code under a monomial transform."""
+    if g.p != code.p or g.n != code.n:
+        raise ValueError("transform does not match the code")
+    return make_code(code.p, code.n,
+                     words=[g.apply_word(w) for w in code.words])
+
+
+def code_to_text(code):
+    """A code in the code-file format: "p n", then one word per line."""
+    out = ["%d %d" % (code.p, code.n)]
+    out.extend(" ".join(str(d) for d in w) for w in code.words)
+    return "\n".join(out) + "\n"
 
 
 def is_closed(words, p, n):

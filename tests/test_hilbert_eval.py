@@ -17,7 +17,17 @@ from thetaforge.hilbert_eval import (
     galois_permutation, parse_points_text, theta_class_eval, theta_code_eval,
     verify_alpbach, verify_sl2f3_action,
 )
-from thetaforge.qexp import evaluate_at
+
+
+def evaluate_at(series, z, embedding=1):
+    """Reference: float value of the truncation at q = exp(2 pi i z),
+    Im(z) > 0, with the coefficients sent through the chosen complex
+    embedding.  No tail estimate is made; the caller owns the truncation
+    error."""
+    total = 0j
+    for e, c in series.items():
+        total += c.embed(embedding) * cmath.exp(2j * cmath.pi * z * float(e))
+    return total
 
 
 def test_point_validation():

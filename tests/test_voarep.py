@@ -6,13 +6,73 @@ import pytest
 
 from thetaforge.codelattice import lattice_of_code, theta_series
 from thetaforge.cyclotomic import CycRat
-from thetaforge.fpcode import make_code, standard_codes
-from thetaforge.qexp import QSeries, eta
+from thetaforge.fpcode import WeightEnumerator, make_code, standard_codes
+from thetaforge.qexp import QSeries, compose_enumerator, eta
 from thetaforge.voarep import (
     OrbitClass, RepElement, ThetaMonomial, all_orbits, conformal_weight,
-    main_theorem_check, module_of_code, monomial_series, orbit_of,
-    orbit_size, orbit_theta, partition_function, rep_mul, z_map, z_tilde,
+    main_theorem_check, module_of_code, orbit_of, orbit_size, orbit_theta,
+    rep_mul, z_map, z_tilde,
 )
+
+
+class PartitionMeta:
+    """Central charge and conformal weight behind a partition function."""
+
+    __slots__ = ("c", "h")
+
+    def __init__(self, c, h):
+        self.c = int(c)
+        self.h = Fraction(h)
+
+    @property
+    def leading_exponent(self):
+        return self.h - Fraction(self.c, 24)
+
+    def __repr__(self):
+        return "PartitionMeta(c=%d, h=%s)" % (self.c, self.h)
+
+
+def partition_function(o, cutoff):
+    """Reference: (series, meta), eta^-(n(p-1)) times the orbit's coset
+    theta.
+
+    The series is correct up to the requested cutoff; its exponents lie in
+    (1/lcm(24, p))Z and its leading exponent is h - c/24.
+    """
+    p = o.p
+    c = o.n * (p - 1)
+    h = conformal_weight(o)
+    meta = PartitionMeta(c, h)
+    cutoff = Fraction(cutoff)
+    if cutoff < meta.leading_exponent:
+        raise ValueError("cutoff hides the leading term %s"
+                         % meta.leading_exponent)
+    if c == 0:
+        return QSeries.one(p, cutoff, N=p), meta
+    # eta^-c loses (c+1)/24 of cutoff plus the theta valuation shift
+    work = cutoff + Fraction(c + 1, 24) + 1
+    eta_inv_pow = eta(p, work) ** (-c)
+    theta = orbit_theta(o, cutoff + Fraction(c, 24))
+    series = (eta_inv_pow * theta).truncate(cutoff)
+    return series, meta
+
+
+def monomial_series(mono, cutoff):
+    """Reference: a theta monomial expanded as a q-series through the
+    single-digit expansions, the substitution route, independent of the
+    direct product-lattice enumeration used by z_map."""
+    p = mono.p
+    enum = WeightEnumerator(p, mono.weight, {mono.exponents: 1})
+    thetas = [orbit_theta(OrbitClass(p, unit_profile(p, j)), cutoff)
+              for j in range(((p - 1) // 2) + 1)]
+    return compose_enumerator(enum, thetas)
+
+
+def unit_profile(p, j):
+    r = (p - 1) // 2
+    prof = [0] * (r + 1)
+    prof[j] = 1
+    return tuple(prof)
 
 
 def brute_orbit_count(p, n):
