@@ -17,8 +17,8 @@ from math import comb, factorial
 from .codelattice import count_by_norm, standard_lattice, theta_series
 from .cyclotomic import as_cycrat, check_odd_prime, check_prime
 from .fpcode import weight_enumerator, word_profile
-# compose_enumerator is not called here; perfbench/traced.py wraps it in
-# this namespace too
+# compose_enumerator is not called here; perfbench/test_perfbench.py checks
+# that this namespace holds it
 from .qexp import QSeries, compose_enumerator  # noqa: F401
 
 
