@@ -208,20 +208,19 @@ def cmd_tower_check(args):
 
 def _alpbach_exact(code, order):
     cutoff = Fraction(order)
-    lhs = voarep.z_map(voarep.module_of_code(code), cutoff)
+    lhs = voarep.z_map(voarep.module_of_code(code), cutoff).truncate(cutoff)
     enum = weight_enumerator(code)
     thetas = [theta_series(standard_lattice(code.p, 1), cutoff, (j,))
               for j in range(enum.r + 1)]
-    rhs = qexp.compose_enumerator(enum, thetas)
-    same = lhs.truncate(cutoff) == rhs.truncate(cutoff)
+    rhs = qexp.compose_enumerator(enum, thetas).truncate(cutoff)
     return {
         "prime": code.p,
         "n": code.n,
         "size": len(code),
         "order": str(cutoff),
-        "lhs": qexp.to_json_obj(lhs.truncate(cutoff)),
-        "rhs": qexp.to_json_obj(rhs.truncate(cutoff)),
-        "pass": same,
+        "lhs": qexp.to_json_obj(lhs),
+        "rhs": qexp.to_json_obj(rhs),
+        "pass": lhs == rhs,
     }
 
 
@@ -232,16 +231,11 @@ def verify_expansion():
              Fraction(4): 6, Fraction(7): 12}
     want1 = {Fraction(1, 3): 3, Fraction(4, 3): 3, Fraction(7, 3): 6,
              Fraction(13, 3): 6}
-    got0 = {e: c for e, c in theta0.items()}
-    got1 = {e: c for e, c in theta1.items()}
-    ok = (sorted(got0) == sorted(want0)
-          and all(got0[e] == want0[e] for e in want0)
-          and sorted(got1) == sorted(want1)
-          and all(got1[e] == want1[e] for e in want1))
     return {
         "class0": qexp.to_json_obj(theta0),
         "class1": qexp.to_json_obj(theta1),
-        "pass": ok,
+        "pass": (dict(theta0.items()) == want0
+                 and dict(theta1.items()) == want1),
     }
 
 
@@ -315,11 +309,8 @@ def verify_e8():
     lat = lattice_of_code(standard_codes("tetracode"))
     info = lattice_info(lat)
     series = theta_series(lat, Fraction(3))
-    got = {e: c for e, c in series.items()}
-    expected = {Fraction(0): 1, Fraction(1): 240, Fraction(2): 2160,
-                Fraction(3): 6720}
-    theta_ok = (sorted(got) == sorted(expected)
-                and all(got[e] == expected[e] for e in expected))
+    theta_ok = dict(series.items()) == {
+        Fraction(0): 1, Fraction(1): 240, Fraction(2): 2160, Fraction(3): 6720}
     fp_counts = count_by_norm(lat, Fraction(6))
     box_counts = box_count_by_norm(lat, Fraction(6))
     ok = (info["rank"] == 8 and info["discriminant"] == 1 and info["even"]

@@ -52,56 +52,47 @@ the diagonal.
 
 
 def fano_structures():
-    """Validated Fano data; raises if any structural law fails."""
+    """Both numberings with their complement vectors and incidence table."""
     lf, ls = FANO_LINES_FIRST, FANO_LINES_SECOND
-    bv, cv = FANO_B_VECTORS, FANO_C_VECTORS
+    incidence = [[None] * 8 for _ in range(8)]
+    for i, j in itertools.permutations(range(1, 8), 2):
+        incidence[i][j] = ("first" if j in lf[i - 1]
+                           else "second" if j in ls[i - 1] else None)
+    return FanoData(lf, ls, FANO_B_VECTORS, FANO_C_VECTORS, incidence)
 
-    for lines in (lf, ls):
-        assert all(len(line) == 3 for line in lines)
-        for pt in FANO_POINTS:
-            assert sum(1 for line in lines if pt in line) == 3
-        for a, b in itertools.combinations(lines, 2):
-            assert len(a & b) == 1
 
+def fano_laws(fano):
+    """True when every structural law of the Fano data holds."""
+    lf, ls, bv, cv, incidence = fano
+    planes = all(
+        all(len(line) == 3 for line in lines)
+        and all(sum(pt in line for line in lines) == 3 for pt in FANO_POINTS)
+        and all(len(a & b) == 1 for a, b in itertools.combinations(lines, 2))
+        for lines in (lf, ls))
     # complement duality per index
-    for i in range(1, 8):
-        assert bv[i] == FANO_POINTS - lf[i - 1]
-        assert cv[i] == FANO_POINTS - ls[i - 1]
-        assert bv[i] ^ cv[i] == FANO_POINTS - {i}
-
+    duality = all(bv[i] == FANO_POINTS - lf[i - 1]
+                  and cv[i] == FANO_POINTS - ls[i - 1]
+                  and bv[i] ^ cv[i] == FANO_POINTS - {i} for i in range(1, 8))
     # line addition laws: b-sums follow second-picture lines and vice versa
-    for i, j, k in itertools.combinations(range(1, 8), 3):
-        assert (bv[i] ^ bv[j] ^ bv[k] == frozenset()) == (
-            frozenset({i, j, k}) in ls)
-        assert (cv[i] ^ cv[j] ^ cv[k] == frozenset()) == (
-            frozenset({i, j, k}) in lf)
-
+    addition = all(
+        (not bv[i] ^ bv[j] ^ bv[k]) == (frozenset({i, j, k}) in ls)
+        and (not cv[i] ^ cv[j] ^ cv[k]) == (frozenset({i, j, k}) in lf)
+        for i, j, k in itertools.combinations(range(1, 8), 3))
     # the two complement spaces (weight 4, so even) split the 6-dimensional
     # even-weight space; with the full set C spans the length-7 code
     B = [[int(i in v) for i in range(8)] for v in bv[1:]]
     C = [[int(i in v) for i in range(8)] for v in cv[1:]]
     full = [[int(i in FANO_POINTS) for i in range(8)]]
-    assert [len(row_reduce_mod_p(rows, 2)[0])
-            for rows in (B, C, B + C, C + full)] == [3, 3, 6, 4]
-
-    incidence = [[None] * 8 for _ in range(8)]
-    for i in range(1, 8):
-        for j in range(1, 8):
-            in_first = j in lf[i - 1]
-            in_second = j in ls[i - 1]
-            if i == j:
-                assert not in_first and not in_second
-                continue
-            assert in_first != in_second
-            incidence[i][j] = "first" if in_first else "second"
+    ranks = [len(row_reduce_mod_p(rows, 2)[0])
+             for rows in (B, C, B + C, C + full)] == [3, 3, 6, 4]
+    # point j lies on exactly one picture's Line i, and on neither when i = j
+    split = all((j in lf[i - 1]) + (j in ls[i - 1]) == (i != j)
+                for i in range(1, 8) for j in range(1, 8))
     # diagonal symmetry: transposing swaps the two pictures
-    for i in range(1, 8):
-        for j in range(1, 8):
-            if i != j:
-                assert (incidence[i][j] == "first") == (
-                    incidence[j][i] == "second")
-
-    return FanoData(lf, ls, bv, cv, incidence)
+    symmetry = all(
+        (incidence[i][j] == "first") == (incidence[j][i] == "second")
+        for i, j in itertools.permutations(range(1, 8), 2))
+    return planes and duality and addition and ranks and split and symmetry
 
 
 # ---------------------------------------------------------------------------
@@ -762,10 +753,9 @@ def group_structure_check():
 
 def verify_all():
     """Every check in one report; used by the command line."""
-    fano_structures()               # raises on failure
     _, pauli_checks = pauli_hamming()
     reports = {
-        "fano": {"pass": True},
+        "fano": {"pass": fano_laws(fano_structures())},
         "pauli_code": {"pass": all(pauli_checks.values()), **pauli_checks},
         "group": group_structure_check(),
         "induced_characters": induced_character_check(),

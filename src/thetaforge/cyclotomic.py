@@ -129,14 +129,10 @@ class CycInt:
 
     def conj(self):
         """Complex conjugation, zeta -> zeta^(p-1)."""
-        if self.p == 2:
-            return self
         return self.galois(self.p - 1)
 
     def trace(self):
         """Field trace down to Z: (p-1)*a_0 - sum of the other coefficients."""
-        if self.p == 2:
-            return self.coeffs[0]
         return (self.p - 1) * self.coeffs[0] - sum(self.coeffs[1:])
 
     def rho(self):

@@ -4,12 +4,19 @@ A QSeries represents sum_k c_k q^(k/N) with c_k in Q(zeta_p), known to be
 correct for all exponents up to and including its cutoff.  Exponents may be
 negative.  Cutoffs are tracked pessimistically through arithmetic so a
 stored coefficient is always trustworthy.
+
+Stored terms are canonical: no zero coefficient and no k/N past the cutoff
+is kept, and a coefficient is a gcd-reduced CycRat (positive denominator)
+over the power basis, so two coefficients are equal exactly when their
+numerator coefficients and denominators are.  Equality therefore compares
+term dicts and does no coefficient arithmetic.  A series is never mutated
+after construction, so with_N returns the series itself at the same N.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from .cyclotomic import CycInt, CycRat, as_cycrat
 
@@ -26,16 +33,9 @@ class QSeries:
         self.p = p
         self.N = N
         self.cutoff = Fraction(cutoff)
-        clean = {}
-        for k, c in terms.items():
-            c = as_cycrat(p, c)
-            if c.is_zero():
-                continue
-            k = int(k)
-            if Fraction(k, N) > self.cutoff:
-                continue
-            clean[k] = c
-        self.terms = clean
+        lim = floor(self.cutoff * N)
+        cleaned = ((int(k), as_cycrat(p, c)) for k, c in terms.items())
+        self.terms = {k: c for k, c in cleaned if k <= lim and not c.is_zero()}
 
     # -- constructors -------------------------------------------------------
 
@@ -97,6 +97,8 @@ class QSeries:
     # -- rescaling helpers --------------------------------------------------
 
     def with_N(self, N2):
+        if N2 == self.N:
+            return self
         if N2 % self.N:
             raise ValueError("new denominator must refine the old")
         f = N2 // self.N
@@ -209,17 +211,9 @@ class QSeries:
             a, b = self._common(other)
         except ValueError:
             return NotImplemented
-        lim = min(a.cutoff, b.cutoff) * a.N
-        for k in set(a.terms) | set(b.terms):
-            if k <= lim:
-                ca = a.terms.get(k)
-                cb = b.terms.get(k)
-                if ca is None or cb is None:
-                    if not (ca or cb).is_zero():
-                        return False
-                elif not (ca - cb).is_zero():
-                    return False
-        return True
+        lim = floor(min(a.cutoff, b.cutoff) * a.N)
+        return ({k: c for k, c in a.terms.items() if k <= lim}
+                == {k: c for k, c in b.terms.items() if k <= lim})
 
     def __hash__(self):
         raise TypeError("QSeries is unhashable; equality is cutoff-relative")

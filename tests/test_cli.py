@@ -1,10 +1,13 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetaforge.cli import main
 from thetaforge.cliffcode import E_MATRICES
@@ -330,6 +333,82 @@ def test_usage_errors(tmp_path, capsys, monkeypatch):
     # Im z = 1, but Im(-1/z) underflows to 0: the message names z
     assert input_error(capsys, ["verify", "sl2f3", "--z=1e200+1j"]) == (
         "error: Im(-1/z) underflows to 0 at z = (1e+200+1j)\n")
+
+
+# Valid, small runs of the series commands; the fuzz below spoils one
+# option at a time.
+SERIES_COMMANDS = {
+    "qexp": ["qexp", "--prime=3", "--cutoff=1", "--power=1"],
+    "theta": ["theta", "--prime=3", "--class=0", "--order=1"],
+    "rep zmap": ["rep", "zmap", "--prime=3", "--orbit=1", "--order=1"],
+    "rep check-main": ["rep", "check-main", "--prime=3", "--n=1",
+                       "--cutoff=1"],
+}
+
+# no decimal digit, so neither int() nor a/b can read it
+garbage = st.text(st.characters(blacklist_categories=("Nd", "Cs")),
+                  max_size=6)
+decimal = st.integers(-9, 9).map(lambda i: "%d.5" % i)
+negative = st.integers(max_value=-1).map(str)
+below_zero = st.one_of(
+    negative, st.fractions(max_value=-1e-9).map(
+        lambda f: "%d/%d" % (f.numerator, f.denominator)),
+    st.integers(1, 9).map(lambda i: "%d/-%d" % (i, i + 1)))
+zero_den = st.integers().map(lambda i: "%d/0" % i)
+not_a_number = st.one_of(garbage, decimal)
+not_a_prime = st.one_of(
+    st.integers(max_value=1).map(str), not_a_number,
+    st.tuples(st.integers(2, 60), st.integers(2, 60)).map(
+        lambda ab: str(ab[0] * ab[1])))
+MALFORMED = {
+    ("qexp", "--prime"): not_a_prime,
+    ("qexp", "--cutoff"): st.one_of(
+        not_a_number, zero_den, below_zero,
+        st.integers(25, 99).map(lambda d: "1/%d" % d)),   # below 1/24
+    ("qexp", "--power"): not_a_number,
+    ("theta", "--prime"): st.one_of(not_a_prime, st.just("2")),
+    ("theta", "--class"): not_a_number,
+    ("theta", "--order"): st.one_of(not_a_number, zero_den, below_zero),
+    ("rep zmap", "--prime"): st.one_of(not_a_prime, st.just("2")),
+    ("rep zmap", "--orbit"): st.one_of(
+        garbage, decimal, st.just("1,,2"), st.just(",")),
+    ("rep zmap", "--order"): st.one_of(not_a_number, zero_den, below_zero),
+    ("rep check-main", "--prime"): st.one_of(not_a_prime, st.just("2")),
+    ("rep check-main", "--n"): st.one_of(not_a_number, negative),
+    ("rep check-main", "--cutoff"): st.one_of(not_a_number, zero_den,
+                                              below_zero),
+}
+
+
+@st.composite
+def malformed_argv(draw):
+    command, option = draw(st.sampled_from(sorted(MALFORMED)))
+    value = draw(MALFORMED[command, option])
+    return option, [arg if not arg.startswith(option + "=") else
+                    "%s=%s" % (option, value)
+                    for arg in SERIES_COMMANDS[command]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(malformed_argv())
+def test_malformed_series_options_exit_2_with_one_line(case):
+    option, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = err.getvalue()
+    assert text.endswith("\n") and "Traceback" not in text, text
+    lines = text[:-1].split("\n")
+    if lines[0].startswith("usage: "):
+        # argparse: its usage lines, then one error line naming the option
+        assert [line for line in lines if ": error: " in line] == lines[-1:]
+        assert ": error: argument %s: " % option in lines[-1], lines
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert (code, out.getvalue()) == (2, ""), argv
 
 
 def test_large_real_part_within_the_rounding_bound_passes(tmp_path, capsys):

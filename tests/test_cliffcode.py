@@ -8,16 +8,17 @@ import pytest
 from thetaforge.cliffcode import (
     E_MATRICES, REAL_PAULIS, SIGMA0, SIGMA1, SIGMA13, SIGMA3,
     CliffordWord, SignedMatrix, all_words, bott_check, conjugation_rep,
-    diagonal_tensor, fano_structures, full_rep, group_structure_check,
-    hamming_word_lift, induced_character_check, lifted_subgroup,
-    matrix_diag_bits, omega, pauli_hamming, spinor_rep, tensor_all,
-    tensor_split, triality_kernels, verify_all, word_mul,
+    diagonal_tensor, fano_laws, fano_structures, full_rep,
+    group_structure_check, hamming_word_lift, induced_character_check,
+    lifted_subgroup, matrix_diag_bits, omega, pauli_hamming, spinor_rep,
+    tensor_all, tensor_split, triality_kernels, verify_all, word_mul,
 )
 from thetaforge.fpcode import FANO_B_VECTORS, standard_codes
 
 
 def test_fano_structures_build_and_laws():
     fano = fano_structures()
+    assert fano_laws(fano) is True
     assert len(fano.lines_first) == 7 and len(fano.lines_second) == 7
     # complement-pair law at every index
     for i in range(1, 8):

@@ -6,17 +6,26 @@ that stage's report must turn false where the mutant lies.  A negative
 control gives a predicate an input on which it must say no.
 """
 
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
-from thetaforge import cli, cliffcode, codelattice, octower
+import thetaforge
+from thetaforge import cli, cliffcode, codelattice, octower, qexp
 from thetaforge.codelattice import (
     CodeLattice, box_count_by_norm, is_even, lattice_info, lattice_of_code,
 )
+from thetaforge.cyclotomic import CycInt
 from thetaforge.fpcode import standard_codes, zero_code
+
+
+def run_stage(name):
+    return dict(cli.VERIFY_STAGES)[name]()
 
 
 def fresh_clifford_tables(monkeypatch):
@@ -105,6 +114,69 @@ def test_forced_perfectness_fails_tower(monkeypatch):
     report = cli.verify_tower()
     assert report["n4"]["perfect"]
     assert not report["pass"]
+
+
+def test_swapped_fano_lines_fail_clifford(monkeypatch):
+    lines = cliffcode.FANO_LINES_FIRST
+    monkeypatch.setattr(cliffcode, "FANO_LINES_FIRST",
+                        (lines[1], lines[0]) + lines[2:])
+    report = cliffcode.verify_all()
+    assert report["fano"]["pass"] is False
+    assert report["pass"] is False
+
+
+def test_swapped_fano_lines_fail_clifford_without_asserts():
+    # python -O strips assert statements; the laws must still decide
+    script = (
+        "from thetaforge import cliffcode\n"
+        "lines = cliffcode.FANO_LINES_FIRST\n"
+        "cliffcode.FANO_LINES_FIRST = (lines[1], lines[0]) + lines[2:]\n"
+        "report = cliffcode.verify_all()\n"
+        "print(report['fano']['pass'], report['pass'])\n")
+    src = os.path.dirname(os.path.dirname(thetaforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "False False\n", "")
+
+
+def test_enumerator_without_its_last_profile_fails_exact_alpbach(
+        monkeypatch):
+    true_compose = qexp.compose_enumerator
+
+    def without_last(enum, thetas):
+        rest = dict(sorted(enum.coefficients.items())[:-1])
+        if not rest:                       # a one-word code: nothing left
+            return qexp.QSeries.zero(thetas[0].p,
+                                     min(t.cutoff for t in thetas),
+                                     thetas[0].N)
+        return true_compose(SimpleNamespace(r=enum.r, coefficients=rest),
+                            thetas)
+
+    monkeypatch.setattr(qexp, "compose_enumerator", without_last)
+    assert not run_stage("alpbach_exact_tetracode")["pass"]
+    report = run_stage("alpbach_exact_random")
+    assert not any(row["pass"] for row in report["trials"])
+    assert not report["pass"]
+
+
+def test_cyclotomic_product_off_by_one_fails_the_series_stages(monkeypatch):
+    # both sides of the exact identity multiply through CycInt.__mul__, so
+    # the mutant corrupts both; each stage below still sees them disagree
+    true_mul = CycInt.__mul__
+
+    def off_by_one(a, b):
+        prod = true_mul(a, b)
+        return CycInt(prod.p, (prod.coeffs[0] + 1,) + prod.coeffs[1:])
+
+    monkeypatch.setattr(CycInt, "__mul__", off_by_one)
+    monkeypatch.setattr(CycInt, "__rmul__", off_by_one)
+    assert not run_stage("alpbach_exact_tetracode")["pass"]
+    assert not run_stage("alpbach_exact_random")["pass"]
+    orbits = run_stage("orbits")
+    assert not orbits["multiplicativity"] and not orbits["pass"]
 
 
 def test_is_even_says_no_on_odd_grams():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +179,13 @@ def test_json_serialization_shape():
 def test_equality_is_cutoff_relative():
     assert S({0: 1}, 2) == S({0: 1, 3: 9}, 3)      # differ beyond min cutoff
     assert S({0: 1}, 2) != S({0: 1, 2: 9}, 3)
+    # the term at exactly the smaller cutoff is compared, one past it not,
+    # also when that cutoff lies off the exponent grid
+    a = S({0: 1, Fraction(2, 3): 2}, Fraction(2, 3), N=3)
+    assert a != S({0: 1, Fraction(2, 3): 3}, 1, N=3)
+    assert a == S({0: 1, Fraction(2, 3): 2, 1: 5}, 1, N=3)
+    assert a == S({0: 1, Fraction(2, 3): 2}, Fraction(5, 7), N=3)
+    assert a != 1 and S({0: 1, 1: 4}, Fraction(1, 2)) == 1
 
 
 coef = st.integers(min_value=-5, max_value=5)
@@ -195,3 +203,116 @@ def test_series_ring_laws(a, b, c):
     assert (x + y) * z == x * z + y * z
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
+
+
+def reference_eq(x, y):
+    """The subtraction-based equality that QSeries.__eq__ replaced: every
+    exponent up to the smaller cutoff, a coefficient missing on one side
+    read as zero, and each pair compared through its difference."""
+    try:
+        a, b = x._common(y)
+    except ValueError:
+        return NotImplemented
+    lim = min(a.cutoff, b.cutoff) * a.N
+    for k in set(a.terms) | set(b.terms):
+        if k <= lim:
+            ca = a.terms.get(k)
+            cb = b.terms.get(k)
+            if ca is None or cb is None:
+                if not (ca or cb).is_zero():
+                    return False
+            elif not (ca - cb).is_zero():
+                return False
+    return True
+
+
+def coefficients(p):
+    digits = st.lists(st.integers(-2, 2), min_size=p - 1, max_size=p - 1)
+    return st.builds(lambda cs, d: CycRat(CycInt(p, cs), d), digits,
+                     st.integers(1, 3))
+
+
+@st.composite
+def series_pairs(draw, foreign=True):
+    """A series and something to compare it with: an unrelated series, a
+    rescaled and recut copy, such a copy with one term changed (often at or
+    just past the smaller cutoff), a scalar, or (when foreign) a value of
+    another prime or no number at all."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    coef = coefficients(p)
+
+    def cutoff(N):              # in [-1, 3], on the grid or off it
+        d = draw(st.sampled_from((1, N, 7)))
+        return Fraction(draw(st.integers(-d, 3 * d)), d)
+
+    def series(N):
+        terms = draw(st.dictionaries(st.integers(-N, 3 * N), coef,
+                                     max_size=5))
+        return QSeries(p, N, terms, cutoff(N))
+
+    x = series(draw(st.sampled_from((1, p, 24))))
+    how = draw(st.sampled_from(("unrelated", "copy", "edited", "scalar")
+                               + ("foreign",) * foreign))
+    if how == "scalar":
+        return x, draw(st.one_of(
+            st.integers(-2, 2), coef, coef.map(lambda c: c.num),
+            st.fractions(max_denominator=3).filter(lambda f: abs(f) < 3)))
+    if how == "foreign":          # another prime, or no number at all
+        q = 7 if p == 2 else 2
+        return x, draw(st.one_of(
+            st.just(QSeries(q, 1, {0: 1}, 1)), coefficients(q),
+            st.sampled_from(("x", None, 1j))))
+    if how == "unrelated":
+        return x, series(draw(st.sampled_from((1, p, 24))))
+    M = x.N * draw(st.sampled_from((1, 2, p)))
+    # a cutoff a few grid steps from x's, or anywhere
+    near = x.cutoff + Fraction(draw(st.integers(-2, 2)), M)
+    y_cutoff = draw(st.one_of(st.just(near), st.just(cutoff(M))))
+    terms = dict(x.with_N(M).terms)
+    if how == "edited":       # at the smaller cutoff, or one step past it
+        lim = floor(min(x.cutoff, y_cutoff) * M)
+        terms[lim + draw(st.integers(0, 1))] = draw(
+            st.one_of(st.just(0), coef))
+    y = QSeries(p, M, terms, y_cutoff)
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(series_pairs())
+def test_equality_matches_subtraction_reference(pair):
+    x, y = pair
+    want = reference_eq(x, y)        # NotImplemented for a foreign operand
+    assert x.__eq__(y) is want
+    assert (x == y) is (want is True) and (x != y) is (want is not True)
+    if isinstance(y, QSeries):
+        assert (y == x) is (want is True)
+
+
+def snapshot(series):
+    return series.N, series.cutoff, series.terms, dict(series.terms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(series_pairs(foreign=False))
+def test_ring_operations_leave_their_operands_alone(pair):
+    x, y = pair
+    assert x.with_N(x.N) is x
+    before = [snapshot(s) for s in pair if isinstance(s, QSeries)]
+    # a scalar on the left declines a series, so each operation is x's
+    assert isinstance(x == y, bool)
+    results = [x + y, x - y, x.__rsub__(y), x * y, -x, x.scale(2), x ** 2,
+               x.with_N(2 * x.N), x.truncate(x.cutoff - 1)]
+    try:
+        results.append(x.inverse())
+    except (ValueError, ZeroDivisionError):
+        pass
+    # the canonical form equality relies on: no zero and nothing past the
+    # cutoff is stored
+    for r in results:
+        assert all(Fraction(k, r.N) <= r.cutoff and not c.is_zero()
+                   for k, c in r.terms.items())
+    after = [snapshot(s) for s in pair if isinstance(s, QSeries)]
+    for (N, cutoff, terms, copy), (N2, cutoff2, terms2, _) in zip(before,
+                                                                  after):
+        assert (N2, cutoff2) == (N, cutoff)
+        assert terms2 is terms and terms == copy
