@@ -268,7 +268,7 @@ def enumerate_coset(gram, shift, bound, emit):
     _fincke_pohst(gram, shift, bound, emit, False)
 
 
-def _fincke_pohst(gram, shift, bound, emit, half):
+def _fincke_pohst(gram, shift, bound, emit, half, coords=True):
     """enumerate_coset's tree; with half, the half-tree of a zero shift.
 
     With half true the shift must be zero, so the coset is closed under
@@ -287,7 +287,9 @@ def _fincke_pohst(gram, shift, bound, emit, half):
     of at most CHUNK nodes alive, each node with O(rank) entries: memory is
     O(rank^2 CHUNK) array entries, about 16 MB at rank 24.  The leaf
     matrix is stacked from the level columns already held, so a chunk adds
-    O(rank CHUNK) entries, and the caller decides what to keep.
+    O(rank CHUNK) entries, and the caller decides what to keep.  With
+    coords false, emit gets None for X: no leaf matrix is stacked, and the
+    blocks keep no x or parent columns, only what their children need.
 
     Everything comes from the integers (d, lam) of linalg.integral_gso,
     with mu_ji = lam_ji / d_(i+1) and |b_i*|^2 = d_(i+1) / d_i.  With Lam_i
@@ -352,9 +354,10 @@ def _fincke_pohst(gram, shift, bound, emit, half):
             updates[j] = (j0, np.array(row[j0:], dtype=dt))
 
     def block(x, par, zero, i, rem, acc):
-        """Nodes at level i (their x_{i+1}, parent index one level up and
-        all-zero flags) and their children's x ranges, as a stack entry
-        whose last slot is the index of the next child to expand."""
+        """Nodes at level i (their x_{i+1} and parent index one level up,
+        both None without coords, and all-zero flags) and their children's
+        x ranges, as a stack entry whose last slot is the index of the next
+        child to expand."""
         base = Lam[i] * sv[i] + acc[:, i]
         wmax = _isqrt(rem // g[i])
         step = Lam[i] * q
@@ -363,14 +366,16 @@ def _fincke_pohst(gram, shift, bound, emit, half):
             lo[zero] = 0    # a flagged node has base 0, so lo <= 0 there
         ends = np.cumsum(np.maximum((wmax - base) // step - lo + 1, 0),
                          dtype=np.int64)
-        return [x, par, zero, i, rem, acc, base, lo, ends,
+        if not coords:
+            x = par = None
+        return [x, par, zero, i, rem, acc, lo, ends,
                 np.concatenate(([0], ends[:-1])), 0]
 
     stack = [block(None, None, np.array([half]), rank - 1,
                    np.array([room], dtype=dt), np.zeros((1, rank), dtype=dt))]
     while stack:
         entry = stack[-1]
-        _, _, zero, i, rem, acc, base, lo, ends, starts, start = entry
+        _, _, zero, i, rem, acc, lo, ends, starts, start = entry
         total = int(ends[-1])
         if start >= total:
             stack.pop()
@@ -383,19 +388,23 @@ def _fincke_pohst(gram, shift, bound, emit, half):
         par = np.repeat(np.arange(first, last), np.minimum(
             ends[first:last], stop) - np.maximum(starts[first:last], start))
         x = lo[par] + (np.arange(start, stop) - starts[par])
-        w = Lam[i] * q * x + base[par]
+        n_i = q * x + sv[i]
+        w = Lam[i] * n_i + acc[par, i]
         rem_c = rem[par] - g[i] * w * w
         if i == 0:
-            columns = [x]
-            for up_x, up_par, *_ in reversed(stack[1:]):
-                columns.append(up_x[par])
-                par = up_par[par]
-            emit(np.stack(columns, axis=1), unit * (room - rem_c), gden)
+            X = None
+            if coords:
+                columns = [x]
+                for up_x, up_par, *_ in reversed(stack[1:]):
+                    columns.append(up_x[par])
+                    par = up_par[par]
+                X = np.stack(columns, axis=1)
+            emit(X, unit * (room - rem_c), gden)
             continue
         acc_c = acc[par, :i]
         if updates[i] is not None:
             j0, row = updates[i]
-            acc_c[:, j0:] += (q * x + sv[i])[:, None] * row
+            acc_c[:, j0:] += n_i[:, None] * row
         zero_c = zero[par] & (x == 0) if half else None
         stack.append(block(x, par, zero_c, i - 1, rem_c, acc_c))
 
@@ -422,8 +431,8 @@ def count_by_norm(lattice, bound, shift_word=None):
         scale = run_scale
 
     gram = [list(r) for r in lattice.gram]
-    if half:
-        _fincke_pohst(gram, shift, bound, emit, True)
+    if half:    # only the norms are read, so no leaf matrix is stacked
+        _fincke_pohst(gram, shift, bound, emit, True, coords=False)
     else:   # the public entry point, which perfbench/traced.py spans
         enumerate_coset(gram, shift, bound, emit)
     return {Fraction(k, scale): c * 2 if half and k else c

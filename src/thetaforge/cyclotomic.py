@@ -102,12 +102,18 @@ class CycInt:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        """Equal to a CycInt of the same prime with the same coefficients,
+        or to an int; any other operand is left to its own __eq__."""
         if isinstance(other, int):
             other = CycInt.from_int(self.p, other)
-        return (isinstance(other, CycInt) and other.p == self.p
-                and other.coeffs == self.coeffs)
+        elif not isinstance(other, CycInt):
+            return NotImplemented
+        return other.p == self.p and other.coeffs == self.coeffs
 
     def __hash__(self):
+        # a rational element hashes as the int it equals
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.p, self.coeffs))
 
     def __repr__(self):
@@ -237,6 +243,11 @@ class CycRat:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # as the CycInt, int or Fraction it equals, when there is one
+        if self.den == 1:
+            return hash(self.num)
+        if self.is_rational():
+            return hash(Fraction(self.num.coeffs[0], self.den))
         return hash((self.num, self.den))
 
     def __repr__(self):

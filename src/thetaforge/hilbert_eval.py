@@ -7,13 +7,14 @@ enumerates a coset once, into one table for all of its points, at the
 bound of the smallest Im z: the r values sigma_l(y) of every vector, rows
 sorted by norm, and the shells' norms and end rows.  The table is built
 from the enumerator's blocks as they arrive, so only its own rows are held
-for the whole coset, about 24 bytes per vector at p = 5.  At a point, sums
-are taken shell by shell in increasing norm until the worst-case
-contribution of a shell drops below tail_tol/10, and only the rows before
-that shell are exponentiated; while some point's stop shell lies past the
-table, the bound grows by 5/4 up to the THETA_FORGE_MAX_NORM cap.  A sum
-that is not finite, a cap reached first, or a Re z so large that float64
-phases err by more than tail_tol is an error naming the point.
+for the whole coset, about 24 bytes per vector at p = 5, and the cosets w
+and -w share one table.  At a point, sums are taken shell by shell in
+increasing norm until the worst-case contribution of a shell drops below
+tail_tol/10, and only the rows before that shell are exponentiated;
+while some point's stop shell lies past the table, the bound grows by 5/4
+up to the THETA_FORGE_MAX_NORM cap.  A sum that is not finite, a cap
+reached first, or a Re z so large that float64 phases err by more than
+tail_tol is an error naming the point.
 """
 
 from __future__ import annotations
@@ -83,8 +84,10 @@ def _coset_arrays(p, n, word, bound):
     lat = standard_lattice(p, n)
     shift = lat.shift_in_basis(word)
     d = p - 1
-    basis = np.array(lat.basis, dtype=np.int64)
-    lift = np.array(lift_word(word, p, n), dtype=np.int64)
+    # small integers, so the float64 product is exact (and, unlike int64
+    # matmul, runs in BLAS)
+    basis = np.array(lat.basis, dtype=np.float64)
+    lift = np.array(lift_word(word, p, n), dtype=np.float64)
     embeddings = [np.exp((2j * np.pi * l / p) * np.arange(d))
                   for l in range(1, d // 2 + 1)]
     sigma_blocks = [np.zeros((0, d // 2))]
@@ -92,8 +95,7 @@ def _coset_arrays(p, n, word, bound):
     scale_box = [1]
 
     def emit(X, scaled, scale):
-        coords = X.astype(np.int64, copy=False) @ basis + lift
-        blocks = coords.reshape(-1, n, d).astype(np.float64)
+        blocks = (X.astype(np.float64) @ basis + lift).reshape(-1, n, d)
         sigma = np.empty((len(blocks), d // 2))
         for l, w in enumerate(embeddings):
             emb = blocks @ w
@@ -113,14 +115,41 @@ def _coset_arrays(p, n, word, bound):
             np.cumsum(counts))
 
 
+def _coset_table(p, n, word, bound):
+    """_coset_arrays(p, n, word, bound), bit for bit, with one cached table
+    for each +-pair of cosets: the table of c = min(word, -word mod p).
+
+    Coset -w is the negation of coset w.  In basis coordinates its leaves
+    are -x - k for a fixed integer vector k, since lift(w) + lift(-w) lies
+    in the lattice, so its enumeration order is the reverse of w's, and
+    the stable sort by norm keeps that reversal inside each shell.  The
+    shells' norms are the same, and sigma(-y) = sigma(y) bit for bit,
+    because negation is exact and rounding to nearest is sign-symmetric.
+    So -w's table is c's with the rows of each shell reversed."""
+    neg = tuple(-a % p for a in word)
+    if word <= neg:
+        return _coset_arrays(p, n, word, bound)
+    sigma, shell_norms, shell_ends = _coset_arrays(p, n, neg, bound)
+    return sigma[_shell_reversal(shell_ends)], shell_norms, shell_ends
+
+
+def _shell_reversal(shell_ends):
+    """The row order that reverses each shell, the shells ending at the
+    rows shell_ends, the first starting at row 0."""
+    counts = np.diff(shell_ends, prepend=0)
+    return (np.repeat(2 * shell_ends - counts - 1, counts)
+            - np.arange(counts.sum()))
+
+
 def _coset_values(p, n, word, points, tail_tol):
     """Shell-ordered sums of exp(2 pi i sum_l z_l sigma_l(y) / p) over the
     coset, one per point, each up to the first shell of norm u whose count
     times exp(-pi y_min u) is below tail_tol/10; only the shells before it
-    are exponentiated.  All points share one table, enumerated to the bound
-    of the smallest Im z and grown by 5/4 until it holds every point's stop
-    shell.  Shells are complete up to the bound and keep the enumeration
-    order, so a point's value does not depend on the table it is read from.
+    are exponentiated.  All points share one table (_coset_table),
+    enumerated to the bound of the smallest Im z and grown by 5/4 until it
+    holds every point's stop shell.  Shells are complete up to the bound
+    and keep the enumeration order, so a point's value does not depend on
+    the table it is read from.
     """
     if not points:
         return []
@@ -134,7 +163,7 @@ def _coset_values(p, n, word, points, tail_tol):
     word = tuple(int(c) % p for c in word)
     while True:
         use = min(bound, cap)
-        sigma, shell_norms, shell_ends = _coset_arrays(p, n, word, use)
+        sigma, shell_norms, shell_ends = _coset_table(p, n, word, use)
         ends = [0] + shell_ends.tolist()
         shells = list(zip(shell_norms.tolist(), np.diff(ends).tolist()))
         stops = [next((k for k, (u, cnt) in enumerate(shells)

@@ -1,10 +1,13 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,10 +392,10 @@ def malformed_argv(draw):
                     for arg in SERIES_COMMANDS[command]]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(malformed_argv())
-def test_malformed_series_options_exit_2_with_one_line(case):
-    option, argv = case
+def assert_exit_2_with_one_line(argv, option=None, starts=("error: ",)):
+    """main(argv) exits 2 and prints nothing on stdout and no traceback.
+    stderr is one error line that starts with one of starts, or argparse's
+    usage lines and then one error line that names the option."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -402,13 +405,144 @@ def test_malformed_series_options_exit_2_with_one_line(case):
     text = err.getvalue()
     assert text.endswith("\n") and "Traceback" not in text, text
     lines = text[:-1].split("\n")
-    if lines[0].startswith("usage: "):
+    if lines[0].startswith("usage: ") and option is not None:
         # argparse: its usage lines, then one error line naming the option
         assert [line for line in lines if ": error: " in line] == lines[-1:]
         assert ": error: argument %s: " % option in lines[-1], lines
     else:
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert len(lines) == 1 and lines[0].startswith(starts), lines
     assert (code, out.getvalue()) == (2, ""), argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(malformed_argv())
+def test_malformed_series_options_exit_2_with_one_line(case):
+    option, argv = case
+    assert_exit_2_with_one_line(argv, option)
+
+
+# A valid numerical `verify alpbach` request; the fuzz below spoils one of
+# its inputs at a time: --tol, the code file, the points file or
+# THETA_FORGE_MAX_NORM.
+ALPBACH_CODE = "# p n\n5 2\n0 0\n1 2\n"
+ALPBACH_POINTS = ["1j 1.5j", "0.3+2j 2.2j"]
+
+
+def run_alpbach(run, code_text, points_text, tol="1e-8", max_norm=None):
+    """run(argv) on `verify alpbach --prime=5` with the two texts written to
+    files and THETA_FORGE_MAX_NORM set to max_norm (unset for None)."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ):
+        os.environ.pop("THETA_FORGE_MAX_NORM", None)
+        if max_norm is not None:
+            os.environ["THETA_FORGE_MAX_NORM"] = max_norm
+        paths = []
+        for name, text in (("code.txt", code_text),
+                           ("points.txt", points_text)):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return run(["verify", "alpbach", "--prime=5", "--code", paths[0],
+                    "--points", paths[1], "--tol=" + tol])
+
+
+def test_valid_alpbach_request_passes(capsys):
+    assert run_alpbach(main, ALPBACH_CODE,
+                       "\n".join(ALPBACH_POINTS) + "\n") == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+
+
+def _is_complex(token):
+    try:
+        complex(token)
+    except ValueError:
+        return False
+    return True
+
+
+# one whitespace-free token with no decimal digit and no comment sign
+token = st.text(st.characters(blacklist_categories=("Nd", "Cs", "Z", "Cc"),
+                              blacklist_characters="#"),
+                min_size=1, max_size=6)
+component = st.sampled_from(["1j", "2j", "0.5+1j", "-1+3j", "1e-3+0.9j"])
+SPOILED_POINT_LINES = {
+    # the wrong number of components for p = 5, which takes two
+    "count": st.lists(component, min_size=1, max_size=4).filter(
+        lambda c: len(c) != 2),
+    "token": st.tuples(component, token.filter(
+        lambda t: not _is_complex(t))),
+    "nonfinite": st.tuples(component, st.sampled_from(
+        ["nan", "inf", "-inf", "nanj", "infj", "-infj", "1+nanj", "inf+1j",
+         "1e999j", "1e999+1j"])),
+    "imag": st.tuples(component, st.sampled_from(
+        ["1", "0", "0j", "-0j", "-1j", "3-2j", "2+0j", "1e-999j"])),
+}
+SPOILED_CODE_TEXTS = st.one_of(
+    st.just(""), st.just("# no header\n\n"),
+    st.just("5\n0 0\n"), st.just("5 2 1\n0 0\n"),
+    token.map(lambda t: "%s 2\n0 0\n" % t),
+    token.map(lambda t: "5 %s\n0 0\n" % t),
+    st.integers(max_value=1).map(lambda p: "%d 2\n0 0\n" % p),
+    st.tuples(st.integers(2, 60), st.integers(2, 60)).map(
+        lambda ab: "%d 2\n0 0\n" % (ab[0] * ab[1])),
+    st.integers(max_value=0).map(lambda n: "5 %d\n0\n" % n),
+    st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(
+        lambda w: len(w) != 2).map(
+        lambda w: "5 2\n0 0\n%s\n" % " ".join(map(str, w))),
+    token.map(lambda t: "5 2\n0 0\n1 %s\n" % t),
+    st.just("5 2\n# no words\n"),
+    st.sampled_from([3, 7, 11]).map(lambda p: "%d 2\n0 0\n" % p))
+SPOILED_TOLS = st.one_of(
+    token, st.sampled_from(["0", "-0", "-1", "-1e-8", "inf", "nan", "1e999",
+                            "1e-999", "0x10", "1,5", "", " "]))
+env_text = st.text(st.characters(blacklist_categories=("Nd", "Cs", "Cc")),
+                   max_size=6)
+SPOILED_MAX_NORMS = st.one_of(
+    env_text, st.integers(max_value=-1).map(str),
+    st.integers().map(lambda i: "%d/0" % i),
+    st.integers(1, 9).map(lambda i: "-%d/%d" % (i, i + 1)),
+    st.sampled_from(["nan", "inf", "-inf", "1.5.2", "1/2/3"]))
+
+
+@st.composite
+def spoiled_alpbach(draw):
+    """(option named by argparse or None, the starts the error line may
+    have, code text, points text, --tol, THETA_FORGE_MAX_NORM), exactly one
+    of the inputs spoiled."""
+    code, tol, max_norm, option = ALPBACH_CODE, "1e-8", None, None
+    lines = list(ALPBACH_POINTS)
+    what = draw(st.sampled_from(["code", "points", "empty", "tol",
+                                 "max_norm"]))
+    if what == "code":
+        code = draw(SPOILED_CODE_TEXTS)
+        starts = ("error: line ", "error: empty code file",
+                  "error: code file lists no words",
+                  "error: --prime 5 does not match the prime ")
+    elif what == "points":
+        bad = draw(SPOILED_POINT_LINES[draw(st.sampled_from(
+            sorted(SPOILED_POINT_LINES)))])
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, " ".join(bad))
+        starts = ("error: line %d: " % (at + 1),)
+    elif what == "empty":
+        lines = draw(st.lists(st.sampled_from(["", "  ", "# 1j 1j", "\t#"]),
+                              max_size=3))
+        starts = ("error: no points in file",)
+    elif what == "tol":
+        tol, option, starts = draw(SPOILED_TOLS), "--tol", ()
+    else:
+        max_norm = draw(SPOILED_MAX_NORMS)
+        starts = ("error: THETA_FORGE_MAX_NORM must be ",)
+    return option, starts, code, "\n".join(lines) + "\n", tol, max_norm
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spoiled_alpbach())
+def test_malformed_alpbach_inputs_exit_2_with_one_line(case):
+    option, starts, code, points, tol, max_norm = case
+    run_alpbach(lambda argv: assert_exit_2_with_one_line(argv, option,
+                                                         starts),
+                code, points, tol, max_norm)
 
 
 def test_large_real_part_within_the_rounding_bound_passes(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from thetaforge.cyclotomic import (
     CycInt, CycRat, as_cycrat, check_prime, trace_pairing, zeta,
 )
+from thetaforge.qexp import QSeries
 
 PRIMES = [3, 5, 7]
 
@@ -190,3 +191,57 @@ def test_ring_laws_sampled(a, b, c):
     assert x * y == y * x
     assert (x * y).conj() == x.conj() * y.conj()
     assert (x * y).galois(2) == x.galois(2) * y.galois(2)
+
+
+@st.composite
+def operands(draw):
+    """A small value as a CycInt, CycRat, int, Fraction, float or constant
+    q-series, or something that is no number.  The ranges are small, so
+    two draws are often equal across types."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    k = draw(st.integers(-2, 2))
+    den = draw(st.integers(1, 2))
+    rest = [0] * (p - 2)
+    if draw(st.booleans()):
+        rest = draw(st.lists(st.integers(-1, 1), min_size=p - 2,
+                             max_size=p - 2))
+    num = CycInt(p, [k] + rest)
+    kind = draw(st.sampled_from(("cycint", "cycrat", "int", "fraction",
+                                 "float", "series", "foreign")))
+    if kind == "cycint":
+        return num
+    if kind == "cycrat":
+        return CycRat(num, den)
+    if kind == "int":
+        return k
+    if kind == "fraction":
+        return Fraction(k, den)
+    if kind == "float":
+        return k / den
+    if kind == "series":
+        return QSeries(p, 1, {0: CycRat(num, den)}, draw(st.integers(0, 1)))
+    return draw(st.sampled_from(("x", None, 1j)))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(operands(), operands())
+def test_equality_is_symmetric_and_equal_values_hash_equal(a, b):
+    assert (a == b) is (b == a), (a, b)
+    assert (a != b) is (b != a) is (not a == b), (a, b)
+    if a == b and not isinstance(a, QSeries) and not isinstance(b, QSeries):
+        assert hash(a) == hash(b), (a, b)
+
+
+def test_equality_across_types_fixed_cases():
+    x = CycInt(3, [1, 2])
+    assert x == CycRat(x) and CycRat(x) == x
+    assert x.__eq__(CycRat(x)) is NotImplemented
+    assert x.__eq__(QSeries(3, 1, {0: x}, 1)) is NotImplemented
+    assert x == QSeries(3, 1, {0: x}, 1) == x
+    five = CycInt.from_int(3, 5)
+    assert five == 5 and hash(five) == hash(5)
+    assert hash(CycRat(five)) == hash(5)
+    half = CycRat.from_rational(5, Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    # rational, but not of a type CycInt compares with
+    assert five != 5.0 and five != Fraction(5) and five != "5"

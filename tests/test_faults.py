@@ -13,10 +13,13 @@ from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import thetaforge
-from thetaforge import cli, cliffcode, codelattice, octower, qexp
+from thetaforge import (
+    cli, cliffcode, codelattice, hilbert_eval, octower, qexp, voarep,
+)
 from thetaforge.codelattice import (
     CodeLattice, box_count_by_norm, is_even, lattice_info, lattice_of_code,
 )
@@ -28,12 +31,23 @@ def run_stage(name):
     return dict(cli.VERIFY_STAGES)[name]()
 
 
+def fresh_caches(monkeypatch, module, names):
+    """Give cached functions a cache of their own for one test, so that no
+    value built under a mutant outlives it."""
+    for name in names:
+        cached = getattr(module, name)
+        monkeypatch.setattr(module, name, lru_cache(
+            maxsize=cached.cache_info().maxsize)(cached.__wrapped__))
+
+
 def fresh_clifford_tables(monkeypatch):
-    """Give the cached Clifford tables a cache of their own for one test,
-    so that no table built under a mutant outlives it."""
-    for name in ("_cocycle", "_spinor_images"):
-        build = getattr(cliffcode, name).__wrapped__
-        monkeypatch.setattr(cliffcode, name, lru_cache(maxsize=None)(build))
+    fresh_caches(monkeypatch, cliffcode, ("_cocycle", "_spinor_images"))
+
+
+def fresh_enumeration_caches(monkeypatch):
+    """Every cache that holds a value counted by the Fincke-Pohst tree."""
+    fresh_caches(monkeypatch, hilbert_eval, ("_coset_arrays",))
+    fresh_caches(monkeypatch, voarep, ("_digit_minimum", "orbit_theta"))
 
 
 def patch_everywhere(monkeypatch, original, replacement):
@@ -66,6 +80,71 @@ def test_undoubled_half_tree_counts_fail_e8_and_golay(monkeypatch):
     assert not golay["pass"]
 
 
+def test_least_leaf_dropped_fails_every_enumerating_stage(monkeypatch):
+    # every run of the tree loses its least-norm leaf (the first one, at a
+    # tie): with X, as enumerate_coset, theta_series_by_word and the
+    # Hilbert tables take it, and without, as zero-shift histograms do
+    true_tree = codelattice._fincke_pohst
+    modes = set()
+
+    def least_leaf_dropped(gram, shift, bound, emit, half, coords=True):
+        blocks = []
+        true_tree(gram, shift, bound,
+                  lambda X, scaled, scale: blocks.append((X, scaled, scale)),
+                  half, coords)
+        if not blocks:
+            return
+        X = None
+        if coords:
+            X = np.concatenate([b[0] for b in blocks])
+        scaled = np.concatenate([b[1] for b in blocks])
+        keep = np.arange(len(scaled)) != np.argmin(scaled)
+        modes.add(coords)
+        if keep.any():
+            emit(None if X is None else X[keep], scaled[keep], blocks[0][2])
+
+    monkeypatch.setattr(codelattice, "_fincke_pohst", least_leaf_dropped)
+    fresh_enumeration_caches(monkeypatch)
+    for name in ("expansion", "alpbach_exact_tetracode",
+                 "alpbach_exact_random", "alpbach_numerical", "e8", "golay",
+                 "orbits", "sl2f3"):
+        assert not run_stage(name)["pass"], name
+    assert modes == {True, False}
+
+
+def test_looser_hilbert_stop_rule_fails_the_numeric_stages(monkeypatch):
+    # each coset sum stops at a shell 10^4 times heavier than it should
+    true_values = hilbert_eval._coset_values
+
+    def loose(p, n, word, points, tail_tol):
+        return true_values(p, n, word, points, tail_tol * 1e4)
+
+    monkeypatch.setattr(hilbert_eval, "_coset_values", loose)
+    fresh_caches(monkeypatch, hilbert_eval, ("_coset_arrays",))
+    assert not run_stage("alpbach_numerical")["pass"]
+    assert not run_stage("sl2f3")["pass"]
+
+
+def test_unreversed_negated_table_is_seen_only_by_exact_reads(monkeypatch):
+    # coset -w read from w's table without reversing each shell: every
+    # value is summed in another order, so it moves by rounding only.  The
+    # numeric stages survive it; the exact comparisons of the Hilbert
+    # tests (the table of -w built directly, bit for bit) see it.
+    point = hilbert_eval.as_point(5, (0.2 + 1.2j, 1.3j))
+    word = (4, 3)                        # -w = (1, 2) is the table read
+    honest = hilbert_eval._coset_values(5, 2, word, [point], 1e-12)[0]
+    monkeypatch.setattr(hilbert_eval, "_shell_reversal",
+                        lambda ends: np.arange(ends[-1] if len(ends) else 0))
+    assert run_stage("alpbach_numerical")["pass"]
+    assert run_stage("sl2f3")["pass"]
+    bound = Fraction(8)
+    read = hilbert_eval._coset_table(5, 2, word, bound)[0]
+    direct = hilbert_eval._coset_arrays(5, 2, word, bound)[0]
+    assert not np.array_equal(read, direct)
+    moved = hilbert_eval._coset_values(5, 2, word, [point], 1e-12)[0]
+    assert moved != honest and abs(moved - honest) < 1e-12
+
+
 def test_unfolded_word_table_fails_orbit_invariance(monkeypatch):
     # theta_series_by_word without adding each word's counts to -w: a word
     # keeps only the half-tree vectors whose own digit word it is
@@ -77,7 +156,7 @@ def test_unfolded_word_table_fails_orbit_invariance(monkeypatch):
 
 
 def test_box_oracle_never_reaches_the_shared_tree(monkeypatch):
-    def unreachable(*args):
+    def unreachable(*args, **kwargs):
         raise AssertionError("the oracle ran the Fincke-Pohst tree")
 
     monkeypatch.setattr(codelattice, "_fincke_pohst", unreachable)

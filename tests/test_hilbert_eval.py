@@ -1,8 +1,10 @@
 import cmath
+import gc
 import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from thetaforge.codelattice import (
 )
 from thetaforge.fpcode import make_code, standard_codes
 from thetaforge.hilbert_eval import (
-    HilbertPoint, _coset_arrays, _coset_values, _enumerator_value, as_point,
-    galois_permutation, parse_points_text, theta_class_eval, theta_code_eval,
-    verify_alpbach, verify_sl2f3_action,
+    HilbertPoint, _coset_arrays, _coset_table, _coset_values,
+    _enumerator_value, as_point, galois_permutation, parse_points_text,
+    theta_class_eval, theta_code_eval, verify_alpbach, verify_sl2f3_action,
 )
 
 
@@ -249,7 +251,8 @@ def test_class_eval_matches_reference_exactly(j, z, tail_tol):
 @pytest.mark.parametrize("z", [(1j, 1.5j), (0.2 + 1.2j, 1.3j)])
 def test_code_eval_matches_reference_exactly(z, tail_tol):
     point = as_point(5, z)
-    code = make_code(5, 2, words=[(0, 0), (1, 2), (2, 4)])
+    # (4, 3) and (3, 1) are read from the tables of (1, 2) and (2, 4)
+    code = make_code(5, 2, words=[(0, 0), (1, 2), (2, 4), (4, 3), (3, 1)])
     total = 0j
     for w in code.words:
         value = reference_coset_value(5, 2, w, point, tail_tol)
@@ -321,6 +324,32 @@ def test_alpbach_reads_one_table_per_coset():
             theta_code_eval(code, permuted, tol / 100) - lhs)
 
 
+def test_alpbach_reads_one_table_per_pm_pair():
+    # (1, 2), (4, 3) and (3, 1), (2, 4) are two +- pairs: four code cosets,
+    # two tables, and the r + 1 = 3 class cosets
+    code = make_code(5, 2, words=[(1, 2), (4, 3), (3, 1), (2, 4)])
+    points = [HilbertPoint(5, [1j, 1.5j]), HilbertPoint(5, [0.3 + 2j, 2.2j])]
+    _coset_arrays.cache_clear()
+    report = verify_alpbach(code, points, tol=1e-8)
+    info = _coset_arrays.cache_info()
+    assert (info.misses, info.hits) == (2 + 3, 2 + len(code.words))
+    assert report["pass"]
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+def test_negated_word_reads_its_own_table_bit_for_bit(p, n):
+    # every word, canonical or not, at two bounds: the table _coset_values
+    # reads equals the one built for the word itself
+    for bound in (Fraction(6), Fraction(21, 2)):
+        for word in product(range(p), repeat=n):
+            read = _coset_table(p, n, word, bound)
+            _coset_arrays.cache_clear()
+            direct = _coset_arrays(p, n, word, bound)
+            for got, want in zip(read, direct):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (word, bound)
+
+
 # The whole-coset table builder that the streaming _coset_arrays replaced:
 # every block is concatenated, then mapped through the basis, cast to float
 # and multiplied by the embeddings in one pass.  The tables must agree bit
@@ -387,6 +416,24 @@ def test_streamed_table_memory():
     finally:
         tracemalloc.stop()
     assert peak < 96 * len(sigma) + (2 << 20), peak / len(sigma)
+
+
+def test_tables_left_by_the_numeric_stage():
+    # The cache holds one table per +- pair of code cosets: about 4.3 MB
+    # after the desk stage's five codes, 7.5 MB with a table per coset.
+    from thetaforge.cli import verify_alpbach_random_numerical
+    _coset_arrays.cache_clear()
+    tracemalloc.start()
+    try:
+        assert verify_alpbach_random_numerical()["pass"]
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+        _coset_arrays.cache_clear()
+        gc.collect()
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - left < 5.5e6, (held - left) / 1e6
 
 
 def test_sigma_rows_sum_to_half_p_times_the_norm():

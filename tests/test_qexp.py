@@ -236,7 +236,8 @@ def coefficients(p):
 def series_pairs(draw, foreign=True):
     """A series and something to compare it with: an unrelated series, a
     rescaled and recut copy, such a copy with one term changed (often at or
-    just past the smaller cutoff), a scalar, or (when foreign) a value of
+    just past the smaller cutoff), a scalar (half the time equal to x, made
+    the constant series of that scalar), or (when foreign) a value of
     another prime or no number at all."""
     p = draw(st.sampled_from((2, 3, 5)))
     coef = coefficients(p)
@@ -254,9 +255,12 @@ def series_pairs(draw, foreign=True):
     how = draw(st.sampled_from(("unrelated", "copy", "edited", "scalar")
                                + ("foreign",) * foreign))
     if how == "scalar":
-        return x, draw(st.one_of(
+        c = draw(st.one_of(
             st.integers(-2, 2), coef, coef.map(lambda c: c.num),
             st.fractions(max_denominator=3).filter(lambda f: abs(f) < 3)))
+        if draw(st.booleans()):     # often equal: x as the constant c
+            x = QSeries(p, x.N, {0: c}, x.cutoff)
+        return x, c
     if how == "foreign":          # another prime, or no number at all
         q = 7 if p == 2 else 2
         return x, draw(st.one_of(
@@ -284,8 +288,9 @@ def test_equality_matches_subtraction_reference(pair):
     want = reference_eq(x, y)        # NotImplemented for a foreign operand
     assert x.__eq__(y) is want
     assert (x == y) is (want is True) and (x != y) is (want is not True)
-    if isinstance(y, QSeries):
-        assert (y == x) is (want is True)
+    # the reflected order, for every operand type: a scalar declines a
+    # series, so Python asks the series
+    assert (y == x) is (want is True) and (y != x) is (want is not True)
 
 
 def snapshot(series):
