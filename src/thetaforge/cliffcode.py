@@ -1,7 +1,7 @@
 """The Fano plane, Clifford word groups, and spinor representations.
 
-Builds the two Fano numberings with their incidence duality, the length-8
-binary code sitting inside the diagonal Pauli tensors, the extraspecial
+Checks the laws of the two Fano numberings and their incidence, and builds
+the length-8 binary code inside the diagonal Pauli tensors, the extraspecial
 2-group of Clifford words, the two 8-dimensional spinor representations
 realized by seven explicit signed matrices, their induced characters, the
 triality kernel data, and the 16x16 periodicity representation.
@@ -20,7 +20,6 @@ times its sign.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -38,32 +37,11 @@ FANO_POINTS = frozenset(range(1, 8))
 # Fano plane with both numberings
 # ---------------------------------------------------------------------------
 
-FanoData = namedtuple("FanoData", "lines_first lines_second bvecs cvecs "
-                                   "incidence")
-FanoData.__doc__ = """Both line numberings, the complement vectors, and the
-incidence table.
-
-lines_first / lines_second: Line i (1-indexed) of the two pictures.
-bvecs[i]: complement of first-picture Line i; cvecs[i]: complement of
-second-picture Line i.  incidence[i][j] for i, j in 1..7 says which
-picture's Line i contains point j: "first", "second", or None exactly on
-the diagonal.
-"""
-
-
-def fano_structures():
-    """Both numberings with their complement vectors and incidence table."""
+def fano_laws():
+    """True when every structural law of the Fano data holds.  The four
+    FANO_* tables are read at call time."""
     lf, ls = FANO_LINES_FIRST, FANO_LINES_SECOND
-    incidence = [[None] * 8 for _ in range(8)]
-    for i, j in itertools.permutations(range(1, 8), 2):
-        incidence[i][j] = ("first" if j in lf[i - 1]
-                           else "second" if j in ls[i - 1] else None)
-    return FanoData(lf, ls, FANO_B_VECTORS, FANO_C_VECTORS, incidence)
-
-
-def fano_laws(fano):
-    """True when every structural law of the Fano data holds."""
-    lf, ls, bv, cv, incidence = fano
+    bv, cv = FANO_B_VECTORS, FANO_C_VECTORS
     planes = all(
         all(len(line) == 3 for line in lines)
         and all(sum(pt in line for line in lines) == 3 for pt in FANO_POINTS)
@@ -89,9 +67,8 @@ def fano_laws(fano):
     split = all((j in lf[i - 1]) + (j in ls[i - 1]) == (i != j)
                 for i in range(1, 8) for j in range(1, 8))
     # diagonal symmetry: transposing swaps the two pictures
-    symmetry = all(
-        (incidence[i][j] == "first") == (incidence[j][i] == "second")
-        for i, j in itertools.permutations(range(1, 8), 2))
+    symmetry = all((j in lf[i - 1]) == (i in ls[j - 1])
+                   for i, j in itertools.permutations(range(1, 8), 2))
     return planes and duality and addition and ranks and split and symmetry
 
 
@@ -512,12 +489,6 @@ def hamming_word_lift():
     return section
 
 
-def lifted_subgroup():
-    """All 32 elements of the lifted code subgroup, as a set."""
-    section = hamming_word_lift()
-    return {w for w in section.values()} | {-w for w in section.values()}
-
-
 def induced_character_check():
     """Frobenius induction of the two subgroup characters vs. the traces
     of the two spinor maps, on all 256 even words.
@@ -720,9 +691,8 @@ def group_structure_check():
                  if not row.any()] == [0, (1 << n) - 1]
 
     # unique factorization: (lift of B-part) * (lifted-code element)
-    fano = fano_structures()
     bcode = make_code(2, 8, generators=[     # parity slot 0 stays empty
-        [int(i in fano.bvecs[k]) for i in range(8)] for k in (1, 2, 4)])
+        [int(i in FANO_B_VECTORS[k]) for i in range(8)] for k in (1, 2, 4)])
     assert len(bcode) == 8
     b_bits = [sum(x << i for i, x in enumerate(w)) for w in bcode.words]
     h_bits = [w.bits for w in hamming_word_lift().values()]
@@ -755,7 +725,7 @@ def verify_all():
     """Every check in one report; used by the command line."""
     _, pauli_checks = pauli_hamming()
     reports = {
-        "fano": {"pass": fano_laws(fano_structures())},
+        "fano": {"pass": fano_laws()},
         "pauli_code": {"pass": all(pauli_checks.values()), **pauli_checks},
         "group": group_structure_check(),
         "induced_characters": induced_character_check(),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd
+from numbers import Rational
 
 
 def check_prime(p):
@@ -63,15 +64,21 @@ class CycInt:
             c[k] = 1
         return cls(p, c)
 
-    def _binop_check(self, other):
+    def _operand(self, other):
+        """other as a CycInt of this prime, or None for an operand that is
+        neither an int nor a CycInt; another prime raises ValueError."""
         if isinstance(other, int):
-            other = CycInt.from_int(self.p, other)
-        if not isinstance(other, CycInt) or other.p != self.p:
-            raise ValueError("mixed primes or bad operand: %r" % (other,))
+            return CycInt.from_int(self.p, other)
+        if not isinstance(other, CycInt):
+            return None
+        if other.p != self.p:
+            raise ValueError("mixed primes: %d and %d" % (self.p, other.p))
         return other
 
     def __add__(self, other):
-        other = self._binop_check(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return CycInt(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
@@ -80,13 +87,17 @@ class CycInt:
         return CycInt(self.p, [-a for a in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-self._binop_check(other))
+        other = self._operand(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
-        return self._binop_check(other) - self
+        other = self._operand(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
-        other = self._binop_check(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         p = self.p
         # convolve on exponents mod p, then eliminate zeta^(p-1)
         acc = [0] * p
@@ -141,10 +152,6 @@ class CycInt:
         """Field trace down to Z: (p-1)*a_0 - sum of the other coefficients."""
         return (self.p - 1) * self.coeffs[0] - sum(self.coeffs[1:])
 
-    def rho(self):
-        """Reduction mod the ramified prime: coefficient sum mod p."""
-        return sum(self.coeffs) % self.p
-
     def embed(self, r):
         """Complex embedding zeta -> exp(2*pi*i*r/p), 1 <= r <= p-1."""
         if not 1 <= r <= self.p - 1:
@@ -155,21 +162,6 @@ class CycInt:
                 z += a * cmath.exp(2j * cmath.pi * k * r / self.p)
         return z
 
-    def norm_int(self):
-        """Field norm, as a plain integer."""
-        prod = self
-        for r in range(2, self.p):
-            prod = prod * self.galois(r)
-        assert all(c == 0 for c in prod.coeffs[1:]), "norm not rational"
-        return prod.coeffs[0]
-
-
-def trace_pairing(x, y):
-    """The positive definite pairing Tr(x * conj(y)) / p, as a Fraction."""
-    if x.p != y.p:
-        raise ValueError("mixed primes")
-    return Fraction((x * y.conj()).trace(), x.p)
-
 
 class CycRat:
     """A quotient of a CycInt by a positive integer, kept gcd-reduced."""
@@ -178,7 +170,7 @@ class CycRat:
 
     def __init__(self, num, den=1):
         if isinstance(num, int):
-            raise ValueError("wrap plain integers via CycRat.from_rational")
+            raise ValueError("wrap plain integers via as_cycrat")
         den = int(den)
         if den == 0:
             raise ZeroDivisionError("zero denominator")
@@ -191,16 +183,13 @@ class CycRat:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_rational(cls, p, q):
-        q = Fraction(q)
-        return cls(CycInt.from_int(p, q.numerator), q.denominator)
-
     @property
     def p(self):
         return self.num.p
 
     def __add__(self, other):
+        if not isinstance(other, _NUMBERS):
+            return NotImplemented
         other = as_cycrat(self.p, other)
         return CycRat(self.num * other.den + other.num * self.den,
                       self.den * other.den)
@@ -211,34 +200,45 @@ class CycRat:
         return CycRat(-self.num, self.den)
 
     def __sub__(self, other):
+        if not isinstance(other, _NUMBERS):
+            return NotImplemented
         return self + (-as_cycrat(self.p, other))
 
     def __rsub__(self, other):
+        if not isinstance(other, _NUMBERS):
+            return NotImplemented
         return as_cycrat(self.p, other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, _NUMBERS):
+            return NotImplemented
         other = as_cycrat(self.p, other)
         return CycRat(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the product of Galois conjugates."""
+        """Multiplicative inverse: the cofactor prod_{r=2}^{p-1} sigma_r(num)
+        over the norm, the rational constant of num * cofactor."""
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
         cofactor = CycInt.from_int(self.p, 1)
         for r in range(2, self.p):
             cofactor = cofactor * self.num.galois(r)
-        n = self.num.norm_int()
-        return CycRat(cofactor * self.den, n)
+        norm = (self.num * cofactor).coeffs[0]
+        return CycRat(cofactor * self.den, norm)
 
     def __truediv__(self, other):
+        if not isinstance(other, _NUMBERS):
+            return NotImplemented
         return self * as_cycrat(self.p, other).inverse()
 
     def __eq__(self, other):
+        if not isinstance(other, _NUMBERS):
+            return NotImplemented
         try:
             other = as_cycrat(self.p, other)
-        except ValueError:
+        except ValueError:           # another prime
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -264,27 +264,24 @@ class CycRat:
             raise ValueError("not a rational element: %r" % (self,))
         return Fraction(self.num.coeffs[0], self.den)
 
-    def embed(self, r):
-        return self.num.embed(r) / self.den
+
+# the operands CycRat arithmetic takes; anything else is NotImplemented
+_NUMBERS = (CycRat, CycInt, Rational)
 
 
 def as_cycrat(p, v):
-    """v as a CycRat over Q(zeta_p).
-
-    Accepts a CycRat or CycInt for the same prime, or any rational value
-    Fraction() takes.  Anything else raises ValueError, which CycRat's
-    equality turns into NotImplemented.
+    """v as a CycRat over Q(zeta_p): a CycRat or CycInt of the same prime,
+    or a numbers.Rational (int, Fraction).  Anything else, text and floats
+    included, raises ValueError.
     """
     if isinstance(v, (CycRat, CycInt)):
         if v.p != p:
             raise ValueError("coefficient for prime %d, expected %d"
                              % (v.p, p))
         return v if isinstance(v, CycRat) else CycRat(v)
-    try:
-        return CycRat.from_rational(p, v)
-    except (TypeError, OverflowError):
-        raise ValueError("bad operand: %r" % (v,)) from None
-
-
-def zeta(p):
-    return CycInt.zeta_pow(p, 1)
+    if isinstance(v, Rational):
+        try:
+            return CycRat(CycInt.from_int(p, v.numerator), v.denominator)
+        except OverflowError:        # p - 2 is too large to be a length
+            raise ValueError("p must be a prime integer, got %d" % p) from None
+    raise ValueError("bad operand: %r" % (v,))

@@ -85,9 +85,6 @@ class Code:
     def __len__(self):
         return len(self.words)
 
-    def __contains__(self, w):
-        return tuple(w) in self.word_set
-
     def __eq__(self, other):
         return (isinstance(other, Code) and other.p == self.p
                 and other.n == self.n and other.word_set == self.word_set)
@@ -202,9 +199,6 @@ class WeightEnumerator:
         for expo, cnt in self.coefficients.items():
             assert len(expo) == self.r + 1 and sum(expo) == n and cnt > 0
 
-    def mass(self):
-        return sum(self.coefficients.values())
-
     def __eq__(self, other):
         return (isinstance(other, WeightEnumerator) and other.p == self.p
                 and other.coefficients == self.coefficients)
@@ -317,46 +311,6 @@ def standard_codes(name):
     except KeyError:
         raise ValueError("unknown standard code %r (have %s)"
                          % (name, ", ".join(sorted(_STANDARD)))) from None
-
-
-# ---------------------------------------------------------------------------
-# Monomial transforms
-# ---------------------------------------------------------------------------
-
-class MonomialTransform:
-    """Coordinate permutation combined with unit scalars.
-
-    Acting on a word w gives y with y_j = c_j * w[sigma_j], so sigma lists,
-    for every output coordinate, which input coordinate feeds it.
-    """
-
-    def __init__(self, p, sigma, scalars):
-        check_prime(p)
-        self.p = p
-        self.sigma = tuple(int(s) for s in sigma)
-        self.scalars = tuple(int(c) % p for c in scalars)
-        n = len(self.sigma)
-        if sorted(self.sigma) != list(range(n)):
-            raise ValueError("sigma is not a permutation of 0..%d" % (n - 1))
-        if len(self.scalars) != n or any(c % p == 0 for c in self.scalars):
-            raise ValueError("scalars must be n units mod p")
-
-    @property
-    def n(self):
-        return len(self.sigma)
-
-    def apply_word(self, w):
-        return tuple((self.scalars[j] * w[self.sigma[j]]) % self.p
-                     for j in range(self.n))
-
-    def compose(self, other):
-        """self after other: apply_word(other.apply_word(w)) for all w."""
-        if self.p != other.p or self.n != other.n:
-            raise ValueError("incompatible transforms")
-        sigma = tuple(other.sigma[self.sigma[j]] for j in range(self.n))
-        scal = tuple((self.scalars[j] * other.scalars[self.sigma[j]]) % self.p
-                     for j in range(self.n))
-        return MonomialTransform(self.p, sigma, scal)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor, gcd
 
-from .cyclotomic import CycInt, CycRat, as_cycrat
+from .cyclotomic import CycInt, as_cycrat
 
 
 class QSeries:
@@ -40,21 +40,6 @@ class QSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_exponents(cls, p, terms, cutoff, N=None):
-        """Build from a map Fraction-exponent -> coefficient."""
-        exps = {Fraction(e): v for e, v in terms.items()}
-        if N is None:
-            N = 1
-            for e in exps:
-                N = N * e.denominator // gcd(N, e.denominator)
-        scaled = {}
-        for e, v in exps.items():
-            k = e * N
-            assert k.denominator == 1
-            scaled[int(k)] = v
-        return cls(p, N, scaled, cutoff)
-
-    @classmethod
     def zero(cls, p, cutoff, N=1):
         return cls(p, N, {}, cutoff)
 
@@ -69,17 +54,6 @@ class QSeries:
         if not self.terms:
             return self.cutoff
         return Fraction(min(self.terms), self.N)
-
-    def coeff(self, exponent):
-        """Coefficient at a given exponent; must not exceed the cutoff."""
-        e = Fraction(exponent)
-        if e > self.cutoff:
-            raise ValueError("exponent %s beyond cutoff %s"
-                             % (e, self.cutoff))
-        k = e * self.N
-        if k.denominator != 1:
-            return CycRat.from_rational(self.p, 0)
-        return self.terms.get(int(k), CycRat.from_rational(self.p, 0))
 
     def items(self):
         """Sorted (Fraction exponent, CycRat coefficient) pairs."""

@@ -136,26 +136,10 @@ class RepElement:
     def from_orbit(cls, o, coeff=1):
         return cls(o.p, {o: coeff})
 
-    @classmethod
-    def one(cls, p):
-        """The unit: the empty word's orbit in grade 0."""
-        r = (p - 1) // 2
-        return cls(p, {(0,) * (r + 1): 1})
-
     def items(self):
         """Sorted (OrbitClass, CycRat) pairs, graded then lexicographic."""
         keys = sorted(self.terms, key=lambda prof: (sum(prof), prof))
         return [(OrbitClass(self.p, k), self.terms[k]) for k in keys]
-
-    def grades(self):
-        return sorted({sum(prof) for prof in self.terms})
-
-    def is_integral(self):
-        """True when every coefficient is a plain cyclotomic integer."""
-        return all(c.den == 1 for c in self.terms.values())
-
-    def is_zero(self):
-        return not self.terms
 
     def __add__(self, other):
         if not isinstance(other, RepElement):
@@ -166,17 +150,6 @@ class RepElement:
         for prof, c in other.terms.items():
             merged[prof] = merged[prof] + c if prof in merged else c
         return RepElement(self.p, merged)
-
-    def __neg__(self):
-        return RepElement(self.p, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_cycrat(self.p, c)
-        return RepElement(self.p,
-                          {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, RepElement):
@@ -224,11 +197,6 @@ def _digit_minimum(p, j):
     return m, hist[m]
 
 
-def conformal_weight(o):
-    """Half the minimal norm over the orbit's coset; additive in digits."""
-    return _leading_data(o)[0]
-
-
 @lru_cache(maxsize=64)
 def orbit_theta(o, cutoff):
     """Exact coset theta expansion of the orbit, exponents in (1/p)Z."""
@@ -265,16 +233,6 @@ class ThetaMonomial:
             raise ValueError("need %d nonnegative exponents" % (r + 1))
         self.p = p
         self.exponents = exponents
-
-    @property
-    def weight(self):
-        return sum(self.exponents)
-
-    def __mul__(self, other):
-        if not isinstance(other, ThetaMonomial) or other.p != self.p:
-            raise ValueError("can only multiply monomials for one prime")
-        return ThetaMonomial(self.p, tuple(
-            a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __eq__(self, other):
         return (isinstance(other, ThetaMonomial) and other.p == self.p

@@ -1,38 +1,42 @@
 import hashlib
-import itertools
 import json
 import random
 
 import pytest
 
 from thetaforge.cliffcode import (
-    E_MATRICES, REAL_PAULIS, SIGMA0, SIGMA1, SIGMA13, SIGMA3,
-    CliffordWord, SignedMatrix, all_words, bott_check, conjugation_rep,
-    diagonal_tensor, fano_laws, fano_structures, full_rep,
-    group_structure_check, hamming_word_lift, induced_character_check,
-    lifted_subgroup, matrix_diag_bits, omega, pauli_hamming, spinor_rep,
-    tensor_all, tensor_split, triality_kernels, verify_all, word_mul,
+    E_MATRICES, REAL_PAULIS, SIGMA0, SIGMA1, SIGMA3, CliffordWord,
+    SignedMatrix, all_words, bott_check, conjugation_rep, diagonal_tensor,
+    fano_laws, full_rep, group_structure_check, hamming_word_lift,
+    induced_character_check, matrix_diag_bits, omega, pauli_hamming,
+    spinor_rep, tensor_all, tensor_split, triality_kernels, verify_all,
+    word_mul,
 )
-from thetaforge.fpcode import FANO_B_VECTORS, standard_codes
+from thetaforge.fpcode import (
+    FANO_B_VECTORS, FANO_C_VECTORS, FANO_LINES_FIRST, FANO_LINES_SECOND,
+    standard_codes,
+)
 
 
 def test_fano_structures_build_and_laws():
-    fano = fano_structures()
-    assert fano_laws(fano) is True
-    assert len(fano.lines_first) == 7 and len(fano.lines_second) == 7
+    assert fano_laws() is True
+    assert len(FANO_LINES_FIRST) == 7 and len(FANO_LINES_SECOND) == 7
     # complement-pair law at every index
     for i in range(1, 8):
-        assert fano.bvecs[i] ^ fano.cvecs[i] == frozenset(range(1, 8)) - {i}
+        assert FANO_B_VECTORS[i] ^ FANO_C_VECTORS[i] == (
+            frozenset(range(1, 8)) - {i})
     # b-sums vanish exactly on second-picture lines
-    assert fano.bvecs[1] ^ fano.bvecs[2] == fano.bvecs[3]
-    assert frozenset({1, 2, 3}) in fano.lines_second
-    # incidence diagonal symmetry
+    assert FANO_B_VECTORS[1] ^ FANO_B_VECTORS[2] == FANO_B_VECTORS[3]
+    assert frozenset({1, 2, 3}) in FANO_LINES_SECOND
+    # incidence diagonal symmetry: point j is on first-picture Line i
+    # exactly when point i is on second-picture Line j, and Line i of
+    # neither picture holds point i
     for i in range(1, 8):
-        assert fano.incidence[i][i] is None
+        assert i not in FANO_LINES_FIRST[i - 1] | FANO_LINES_SECOND[i - 1]
         for j in range(1, 8):
             if i != j:
-                assert (fano.incidence[i][j] == "first") == (
-                    fano.incidence[j][i] == "second")
+                assert (j in FANO_LINES_FIRST[i - 1]) == (
+                    i in FANO_LINES_SECOND[j - 1])
 
 
 def test_word_mul_examples():
@@ -229,7 +233,9 @@ def test_b_words_act_by_coordinate_permutations():
 
 def test_plus_map_image_of_lifted_subgroup_is_diagonal_group():
     tensors = {m for _, m in pauli_hamming()[0]}
-    subgroup = lifted_subgroup()
+    # the lifted code subgroup: both signs of each section word
+    section = hamming_word_lift().values()
+    subgroup = set(section) | {-w for w in section}
     assert len(subgroup) == 32
     assert {spinor_rep(1, w) for w in subgroup} == tensors
     assert {spinor_rep(-1, w) for w in subgroup} == tensors

@@ -1,19 +1,34 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetaforge.cyclotomic import (
-    CycInt, CycRat, as_cycrat, check_prime, trace_pairing, zeta,
-)
+from thetaforge.cyclotomic import CycInt, CycRat, as_cycrat, check_prime
 from thetaforge.qexp import QSeries
 
 PRIMES = [3, 5, 7]
 
 
+def trace_pairing(x, y):
+    """The positive definite pairing Tr(x * conj(y)) / p, as a Fraction."""
+    if x.p != y.p:
+        raise ValueError("mixed primes")
+    return Fraction((x * y.conj()).trace(), x.p)
+
+
 def one_minus_zeta(p):
     """Generator of the ramified prime ideal, 1 - zeta."""
-    return CycInt.from_int(p, 1) - zeta(p)
+    return CycInt.from_int(p, 1) - CycInt.zeta_pow(p, 1)
+
+
+def rho(x):
+    """x mod the ramified prime (1 - zeta), found by division: the one r in
+    0..p-1 for which (x - r) / (1 - zeta) is a cyclotomic integer."""
+    lam = CycRat(one_minus_zeta(x.p))
+    found = [r for r in range(x.p) if (CycRat(x - r) / lam).den == 1]
+    assert len(found) == 1, (x, found)
+    return found[0]
 
 
 def real_embed_pair(x, l):
@@ -46,17 +61,17 @@ def test_zeta_power_relation():
 
 
 def test_multiplication_reduces_top_power():
-    z = zeta(3)
+    z = CycInt.zeta_pow(3, 1)
     assert z * z == CycInt(3, [-1, -1])          # zeta^2 = -1 - zeta
     assert z * z * z == CycInt.from_int(3, 1)    # zeta^3 = 1
-    z5 = zeta(5)
+    z5 = CycInt.zeta_pow(5, 1)
     assert z5 * CycInt.zeta_pow(5, 4) == CycInt.from_int(5, 1)
 
 
 def test_trace_values():
     for p in PRIMES:
         assert CycInt.from_int(p, 1).trace() == p - 1
-        assert zeta(p).trace() == -1
+        assert CycInt.zeta_pow(p, 1).trace() == -1
         for k in range(1, p - 1):
             assert CycInt.zeta_pow(p, k).trace() == -1
 
@@ -80,17 +95,24 @@ def test_rho_is_ring_homomorphism():
     for p in PRIMES:
         x = CycInt(p, [2 * k + 1 for k in range(p - 1)])
         y = CycInt(p, [5 - k for k in range(p - 1)])
-        assert (x + y).rho() == (x.rho() + y.rho()) % p
-        assert (x * y).rho() == (x.rho() * y.rho()) % p
+        assert rho(x + y) == (rho(x) + rho(y)) % p
+        assert rho(x * y) == (rho(x) * rho(y)) % p
     # zeta == 1 mod (1 - zeta)
-    assert zeta(5).rho() == 1
+    assert rho(CycInt.zeta_pow(5, 1)) == 1
 
 
 def test_ramified_generator():
     for p in PRIMES:
         lam = one_minus_zeta(p)
-        assert lam.rho() == 0
-        assert lam.norm_int() == p
+        assert rho(lam) == 0
+        # its norm, the product of its p - 1 Galois conjugates, is p
+        norm = lam
+        for r in range(2, p):
+            norm = norm * lam.galois(r)
+        assert norm == p
+        # so 1/lam is that cofactor over p
+        inv = CycRat(lam).inverse()
+        assert inv.den == p and inv * lam == 1
         # pairing of the generator with itself is 2 for every p
         assert trace_pairing(lam, lam) == 2
 
@@ -107,7 +129,7 @@ def test_pairing_positive_definite_and_even_on_kernel():
                 continue
             seen_nonzero = True
             assert q > 0
-            if x.rho() == 0:
+            if rho(x) == 0:
                 assert q.denominator == 1 and q.numerator % 2 == 0
         assert seen_nonzero
 
@@ -138,33 +160,66 @@ def test_cycrat_reduction_and_inverse():
     x = CycRat(CycInt(p, [2, 4]), 6)
     assert x.num == CycInt(p, [1, 2]) and x.den == 3
     inv = x.inverse()
-    assert x * inv == CycRat.from_rational(p, 1)
+    assert x * inv == 1
     with pytest.raises(ZeroDivisionError):
-        CycRat.from_rational(p, 0).inverse()
+        as_cycrat(p, 0).inverse()
 
 
 def test_cycrat_rational_detection():
-    x = CycRat.from_rational(5, Fraction(-7, 3))
+    x = as_cycrat(5, Fraction(-7, 3))
     assert x.is_rational()
     assert x.as_fraction() == Fraction(-7, 3)
-    y = CycRat(zeta(5))
+    y = CycRat(CycInt.zeta_pow(5, 1))
     assert not y.is_rational()
     with pytest.raises(ValueError):
         y.as_fraction()
 
 
 def test_as_cycrat_coerces_coefficients_for_one_prime():
-    half = CycRat.from_rational(5, Fraction(1, 2))
+    half = CycRat(CycInt.from_int(5, 1), 2)
     assert as_cycrat(5, half) is half
-    assert as_cycrat(5, zeta(5)) == CycRat(zeta(5))
-    for value in (Fraction(1, 2), "1/2", 0.5):
-        assert as_cycrat(5, value) == half
-    assert as_cycrat(5, 3) == CycRat.from_rational(5, 3)
-    for bad in (zeta(3), CycRat(zeta(7)), None, 1j, float("inf"), "x"):
+    assert as_cycrat(5, CycInt.zeta_pow(5, 1)) == CycRat(CycInt.zeta_pow(5, 1))
+    assert as_cycrat(5, Fraction(1, 2)) == half
+    assert as_cycrat(5, 3) == CycRat(CycInt.from_int(5, 3))
+    # only a cyclotomic number of the same prime or a numbers.Rational:
+    # text and floats are refused, although Fraction() would take them
+    for bad in (CycInt.zeta_pow(3, 1), CycRat(CycInt.zeta_pow(7, 1)), None,
+                1j, float("inf"), "x", "1/2", 0.5):
         with pytest.raises(ValueError):
             as_cycrat(5, bad)
     assert half != None  # noqa: E711  equality declines foreign operands
-    assert half != CycRat.from_rational(3, Fraction(1, 2))
+    assert half != as_cycrat(3, Fraction(1, 2))
+    assert half != "1/2" and "1/2" != half
+    assert half != 0.5 and 0.5 != half
+    with pytest.raises(ValueError):
+        QSeries(3, 1, {0: "1/2"}, 2)
+
+
+def test_foreign_operands_are_left_to_the_other_operand():
+    """+, - and * of a CycInt or CycRat return NotImplemented for an
+    operand that is no number here, so a series on either side gets the
+    operation; another prime still raises ValueError."""
+    x = CycInt(3, [1, 2])
+    s = QSeries(3, 1, {0: 1, 1: 2}, 2)
+    ops = (operator.add, operator.sub, operator.mul)
+    for a in (x, CycRat(x, 2)):
+        for name in ("add", "radd", "sub", "rsub", "mul", "rmul"):
+            for b in (s, "1/2", 0.5, None):
+                assert getattr(a, "__%s__" % name)(b) is NotImplemented
+        assert (a + s, a - s, a * s) == (s + a, -(s - a), s * a)
+        for op in ops:
+            for b in (CycInt.zeta_pow(5, 1), CycRat(CycInt.zeta_pow(5, 1))):
+                for left, right in ((a, b), (b, a)):
+                    with pytest.raises(ValueError):
+                        op(left, right)
+            for left, right in ((a, "1/2"), ("1/2", a), (a, 0.5), (0.5, a)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+    # a CycInt and a CycRat of one prime meet in the CycRat
+    half = CycRat(x, 2)
+    assert x + half == half + x == CycRat(3 * x, 2)
+    assert x * half == half * x == CycRat(x * x, 2)
+    assert x - half == half == -(half - x)
 
 
 def test_degenerate_p2_ring_is_integers():
@@ -173,7 +228,7 @@ def test_degenerate_p2_ring_is_integers():
     assert (a * b).coeffs == (-15,)
     assert a.conj() == a
     assert a.trace() == 5
-    assert a.rho() == 1
+    assert rho(a) == 1
 
 
 coeff = st.integers(min_value=-8, max_value=8)
@@ -241,7 +296,7 @@ def test_equality_across_types_fixed_cases():
     five = CycInt.from_int(3, 5)
     assert five == 5 and hash(five) == hash(5)
     assert hash(CycRat(five)) == hash(5)
-    half = CycRat.from_rational(5, Fraction(1, 2))
+    half = as_cycrat(5, Fraction(1, 2))
     assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
     # rational, but not of a type CycInt compares with
     assert five != 5.0 and five != Fraction(5) and five != "5"

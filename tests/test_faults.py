@@ -24,7 +24,9 @@ from thetaforge.codelattice import (
     CodeLattice, box_count_by_norm, is_even, lattice_info, lattice_of_code,
 )
 from thetaforge.cyclotomic import CycInt
-from thetaforge.fpcode import standard_codes, zero_code
+from thetaforge.fpcode import (
+    code_predicates, make_code, standard_codes, zero_code,
+)
 
 
 def run_stage(name):
@@ -164,6 +166,66 @@ def test_box_oracle_never_reaches_the_shared_tree(monkeypatch):
     assert box_count_by_norm(e8, 6) == {0: 1, 2: 240, 4: 2160, 6: 6720}
     with pytest.raises(AssertionError, match="Fincke-Pohst"):
         codelattice.count_by_norm(e8, 2)
+
+
+@pytest.mark.parametrize("fault", ["dropped", "doubled"])
+def test_box_table_entry_dropped_or_doubled_fails_e8(monkeypatch, fault):
+    # the oracle's single-block table loses, or repeats, its first nonzero
+    # vector (the table stays sorted by norm)
+    true_table = codelattice._block_table
+
+    def faulty(p, limit):
+        norms, digits = true_table(p, limit)
+        if fault == "dropped":
+            return np.delete(norms, 1), np.delete(digits, 1)
+        return np.insert(norms, 1, norms[1]), np.insert(digits, 1, digits[1])
+
+    monkeypatch.setattr(codelattice, "_block_table", faulty)
+    report = cli.verify_e8()
+    assert report["theta_matches"] and not report["routes_agree"]
+    assert not report["pass"]
+
+
+def run_on_code(monkeypatch, stage, name, code):
+    """A stage run with one built-in code, read through
+    cli.standard_codes, replaced by another code."""
+    true_codes = cli.standard_codes
+    monkeypatch.setattr(cli, "standard_codes",
+                        lambda n: code if n == name else true_codes(n))
+    return run_stage(stage)
+
+
+@pytest.mark.parametrize("gens, self_dual, doubly_even, distance", [
+    # the [8, 3] subcode of hamming8: not self-dual
+    (standard_codes("hamming8").basis[:3], False, True, 4),
+    # i2^4, four copies of {00, 11}: self-dual, not doubly even, d = 2
+    ([[int(j // 2 == i) for j in range(8)] for i in range(4)], True, False,
+     2)], ids=["hamming8_subcode", "i2_4"])
+def test_hamming_stage_fails_on_other_binary_codes(
+        monkeypatch, gens, self_dual, doubly_even, distance):
+    code = make_code(2, 8, generators=gens)
+    report = run_on_code(monkeypatch, "hamming", "hamming8", code)
+    assert report["predicates"] == {"self_orthogonal": True,
+                                    "self_dual": self_dual,
+                                    "doubly_even": doubly_even,
+                                    "min_distance": distance}
+    assert not report["pass"]
+
+
+def test_golay_stage_fails_on_three_tetracodes(monkeypatch):
+    # tetracode^3 is self-dual of length 12 with 729 words and d = 3; its
+    # lattice E8^3 is even unimodular of rank 24 too, with 720 roots where
+    # golay's has 72
+    gens = [(0,) * (4 * i) + g + (0,) * (8 - 4 * i)
+            for i in range(3) for g in standard_codes("tetracode").basis]
+    code = make_code(3, 12, generators=gens)
+    assert code_predicates(code)["min_distance"] == 3
+    report = run_on_code(monkeypatch, "golay", "golay12", code)
+    assert (report["code_size"], report["self_dual"]) == (729, True)
+    lattice = report["lattice"]
+    assert (lattice["rank"], lattice["discriminant"], lattice["even"]) == (
+        24, 1, True)
+    assert report["shells"]["2"] == 720 and not report["pass"]
 
 
 def test_flipped_cocycle_entry_fails_clifford(monkeypatch):

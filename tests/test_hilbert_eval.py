@@ -28,7 +28,8 @@ def evaluate_at(series, z, embedding=1):
     error."""
     total = 0j
     for e, c in series.items():
-        total += c.embed(embedding) * cmath.exp(2j * cmath.pi * z * float(e))
+        total += (c.num.embed(embedding) / c.den
+                  * cmath.exp(2j * cmath.pi * z * float(e)))
     return total
 
 
