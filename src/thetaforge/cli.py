@@ -41,8 +41,6 @@ def _progress(msg):
 
 
 def _jsonable(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     if isinstance(obj, dict):
         return {k if isinstance(k, str) else str(_jsonable(k)):
                 _jsonable(v) for k, v in obj.items()}
@@ -311,7 +309,8 @@ def verify_e8():
     series = theta_series(lat, Fraction(3))
     theta_ok = dict(series.items()) == {
         Fraction(0): 1, Fraction(1): 240, Fraction(2): 2160, Fraction(3): 6720}
-    fp_counts = count_by_norm(lat, Fraction(6))
+    # the series counts the Fincke-Pohst vectors of norm 2e at each q^e
+    fp_counts = {2 * e: c for e, c in series.items()}
     box_counts = box_count_by_norm(lat, Fraction(6))
     ok = (info["rank"] == 8 and info["discriminant"] == 1 and info["even"]
           and theta_ok and fp_counts == box_counts)

@@ -20,7 +20,7 @@ times its sign.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -120,7 +120,13 @@ class CliffordWord:
         return bin(self.bits).count("1") % 2 == 0
 
     def __mul__(self, other):
-        return word_mul(self, other)
+        """Normal-ordered product; the sign is read from the cocycle
+        table."""
+        if self.n != other.n:
+            raise ValueError("words over different symbol counts")
+        sign = -1 if _cocycle(self.n)[self.bits, other.bits] else 1
+        return CliffordWord(self.n, sign * self.sign * other.sign,
+                            self.bits ^ other.bits)
 
     def inverse(self):
         # w * w = (-1)^beta[a, a] for the support a
@@ -163,14 +169,6 @@ def _flips(n, rows, cols):
     h = np.asarray(rows)[:, None]
     k = np.asarray(cols)[None, :]
     return beta[h, k] ^ beta[k, h]
-
-
-def word_mul(a, b):
-    """Normal-ordered product; the sign is read from the cocycle table."""
-    if a.n != b.n:
-        raise ValueError("words over different symbol counts")
-    sign = -1 if _cocycle(a.n)[a.bits, b.bits] else 1
-    return CliffordWord(a.n, sign * a.sign * b.sign, a.bits ^ b.bits)
 
 
 def omega(n):
@@ -219,33 +217,43 @@ def pair_form_sweep(n=8):
 # Signed permutation matrices
 # ---------------------------------------------------------------------------
 
-class SignedMatrix:
-    """Square matrix with exactly one +-1 entry per row and column."""
+def compose(p, q):
+    """The permutation p first, then q; each is the tuple of its images."""
+    return tuple(map(q.__getitem__, p))
 
-    __slots__ = ("dim", "perm", "signs")
+
+def invert(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+class SignedMatrix:
+    """Square matrix with exactly one +-1 entry per row and column, held as
+    the permutation it makes of 2 dim points: 2r is +e_r, 2r + 1 is -e_r,
+    and e_r.m = signs[r].e_perm[r].  So m.m' acts as m first, the
+    transpose is the inverse permutation, and -m swaps each pair."""
+
+    __slots__ = ("points",)
 
     def __init__(self, perm, signs):
         perm = tuple(int(c) for c in perm)
         signs = tuple(int(s) for s in signs)
-        dim = len(perm)
-        if sorted(perm) != list(range(dim)):
+        if sorted(perm) != list(range(len(perm))):
             raise ValueError("rows must hit each column once")
-        if len(signs) != dim or any(s not in (1, -1) for s in signs):
+        if len(signs) != len(perm) or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1 per row")
-        self.dim = dim
-        self.perm = perm
-        self.signs = signs
+        self.points = tuple(x for c, s in zip(perm, signs)
+                            for x in (2 * c + (s < 0), 2 * c + (s > 0)))
 
     @classmethod
-    def _trusted(cls, perm, signs):
-        """Unchecked: products of signed permutations are always valid."""
+    def _from_points(cls, points):
+        """Unchecked: the caller's points permute pairs {2c, 2c + 1}."""
         m = object.__new__(cls)
-        m.dim, m.perm, m.signs = len(perm), perm, signs
+        m.points = points
         return m
 
     @classmethod
     def identity(cls, dim):
-        return cls(tuple(range(dim)), (1,) * dim)
+        return cls._from_points(tuple(range(2 * dim)))
 
     @classmethod
     def from_rows(cls, rows):
@@ -259,51 +267,49 @@ class SignedMatrix:
             signs.append(nz[0][1])
         return cls(perm, signs)
 
+    @property
+    def dim(self):
+        return len(self.points) // 2
+
+    @property
+    def perm(self):
+        return tuple(x >> 1 for x in self.points[::2])
+
+    @property
+    def signs(self):
+        return tuple(-1 if x & 1 else 1 for x in self.points[::2])
+
     def rows(self):
         out = [[0] * self.dim for _ in range(self.dim)]
-        for r in range(self.dim):
-            out[r][self.perm[r]] = self.signs[r]
+        for row, c, s in zip(out, self.perm, self.signs):
+            row[c] = s
         return out
 
     def __mul__(self, other):
         if not isinstance(other, SignedMatrix) or other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        perm = tuple(other.perm[self.perm[r]] for r in range(self.dim))
-        signs = tuple(self.signs[r] * other.signs[self.perm[r]]
-                      for r in range(self.dim))
-        return SignedMatrix._trusted(perm, signs)
+        return SignedMatrix._from_points(compose(self.points, other.points))
 
     def __neg__(self):
-        return SignedMatrix._trusted(self.perm, tuple(-s for s in self.signs))
+        return SignedMatrix._from_points(tuple(x ^ 1 for x in self.points))
 
     def transpose(self):
-        perm = [0] * self.dim
-        signs = [1] * self.dim
-        for r in range(self.dim):
-            perm[self.perm[r]] = r
-            signs[self.perm[r]] = self.signs[r]
-        return SignedMatrix._trusted(tuple(perm), tuple(signs))
+        return SignedMatrix._from_points(invert(self.points))
 
     def trace(self):
-        return sum(self.signs[r] for r in range(self.dim)
-                   if self.perm[r] == r)
+        return sum(s for r, (c, s) in enumerate(zip(self.perm, self.signs))
+                   if c == r)
 
     def tensor(self, other):
-        dim = self.dim * other.dim
-        perm = []
-        signs = []
-        for a in range(self.dim):
-            for b in range(other.dim):
-                perm.append(self.perm[a] * other.dim + other.perm[b])
-                signs.append(self.signs[a] * other.signs[b])
-        return SignedMatrix._trusted(tuple(perm), tuple(signs))
+        return SignedMatrix(
+            [a * other.dim + b for a in self.perm for b in other.perm],
+            [s * t for s in self.signs for t in other.signs])
 
     def __eq__(self, other):
-        return (isinstance(other, SignedMatrix) and other.dim == self.dim
-                and other.perm == self.perm and other.signs == self.signs)
+        return isinstance(other, SignedMatrix) and other.points == self.points
 
     def __hash__(self):
-        return hash((self.perm, self.signs))
+        return hash(self.points)
 
     def __repr__(self):
         return "SignedMatrix(%r)" % (self.rows(),)
@@ -317,10 +323,7 @@ REAL_PAULIS = (SIGMA0, SIGMA1, SIGMA13, SIGMA3)
 
 
 def tensor_all(factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = out.tensor(f)
-    return out
+    return reduce(SignedMatrix.tensor, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +572,13 @@ def triality_kernels():
 # ---------------------------------------------------------------------------
 
 def _blocks(top, bottom, swap=False):
-    """diag(top, bottom), or [[0, top], [bottom, 0]] when swap."""
-    top_shift, bottom_shift = (top.dim, 0) if swap else (0, top.dim)
-    return SignedMatrix(tuple(c + top_shift for c in top.perm)
-                        + tuple(c + bottom_shift for c in bottom.perm),
-                        top.signs + bottom.signs)
+    """diag(top, bottom), or [[0, top], [bottom, 0]] when swap: the two
+    point tuples joined, one of them shifted past the other's columns."""
+    shift = 2 * top.dim
+    top_shift, bottom_shift = (shift, 0) if swap else (0, shift)
+    return SignedMatrix._from_points(
+        tuple(x + top_shift for x in top.points)
+        + tuple(x + bottom_shift for x in bottom.points))
 
 
 def full_rep(word):
@@ -599,16 +604,15 @@ def tensor_split(m):
     an overall sign; raises if the matrix is not a pure tensor."""
     if m.dim == 1:
         return [], m.signs[0]
-    half = m.dim // 2
-    # the top rows must land in one column half, the bottom rows in the other
-    swap = m.perm[0] >= half
-    if any((c >= half) != swap for c in m.perm[:half]):
+    # the top rows must land in one column half, the bottom rows in the
+    # other: the first dim points in one half of the 2 dim points
+    top, bottom = m.points[:m.dim], m.points[m.dim:]
+    swap = top[0] >= m.dim
+    if m.dim % 2 or any((x >= m.dim) != swap for x in top):
         raise ValueError("not a tensor product")
-    top_shift, bottom_shift = (half, 0) if swap else (0, half)
-    top = SignedMatrix([c - top_shift for c in m.perm[:half]],
-                       m.signs[:half])
-    bottom = SignedMatrix([c - bottom_shift for c in m.perm[half:]],
-                          m.signs[half:])
+    top_shift, bottom_shift = (m.dim, 0) if swap else (0, m.dim)
+    top = SignedMatrix._from_points(tuple(x - top_shift for x in top))
+    bottom = SignedMatrix._from_points(tuple(x - bottom_shift for x in bottom))
     if top == bottom:
         outer = SIGMA1 if swap else SIGMA0
     elif top == -bottom:

@@ -15,10 +15,21 @@ from math import gcd
 from numbers import Rational
 
 
+# The largest p accepted.  An element of Z[zeta_p] holds a tuple of p - 1
+# coefficients, 8 (p - 1) bytes of pointers, 128 MiB at the bound.  The
+# bound is tested before trial division, which then takes at most 2^12
+# steps, and before any coefficient tuple is built.
+MAX_PRIME = 1 << 24
+
+
 def check_prime(p):
-    """Raise ValueError unless p is a prime (2 allowed)."""
+    """Raise ValueError unless p is a prime (2 allowed) of at most
+    MAX_PRIME."""
     if not isinstance(p, int) or p < 2:
         raise ValueError("p must be a prime integer, got %r" % (p,))
+    if p > MAX_PRIME:
+        raise ValueError("p must be at most MAX_PRIME = %d, got %d"
+                         % (MAX_PRIME, p))
     d = 2
     while d * d <= p:
         if p % d == 0:
@@ -49,6 +60,7 @@ class CycInt:
 
     @classmethod
     def from_int(cls, p, a):
+        check_prime(p)              # before the (p - 2)-tuple is built
         return cls(p, (int(a),) + (0,) * (p - 2))
 
     @classmethod
@@ -280,8 +292,5 @@ def as_cycrat(p, v):
                              % (v.p, p))
         return v if isinstance(v, CycRat) else CycRat(v)
     if isinstance(v, Rational):
-        try:
-            return CycRat(CycInt.from_int(p, v.numerator), v.denominator)
-        except OverflowError:        # p - 2 is too large to be a length
-            raise ValueError("p must be a prime integer, got %d" % p) from None
+        return CycRat(CycInt.from_int(p, v.numerator), v.denominator)
     raise ValueError("bad operand: %r" % (v,))

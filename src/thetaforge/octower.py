@@ -13,15 +13,10 @@ from __future__ import annotations
 
 from math import prod
 
-from .cliffcode import SignedMatrix
+from .cliffcode import SignedMatrix, compose, invert
 from .linalg import row_reduce_mod_p
 
 MAX_TOWER_N = 12
-
-
-def signed_perm(perm, signs):
-    """Element with row r carrying signs[r] in column perm[r]."""
-    return SignedMatrix(tuple(perm), tuple(signs))
 
 
 def perm_parity(perm):
@@ -46,24 +41,9 @@ def _three_cycles(n):
 # The stabilizer chain
 # ---------------------------------------------------------------------------
 
-def _points(m):
-    """m as a permutation of the 2n points: 2r is +e_r and 2r + 1 is -e_r.
-    The row vector e_r.m is signs[r].e_perm[r], so m.m' acts as m first."""
-    return tuple(x for c, s in zip(m.perm, m.signs)
-                 for x in (2 * c + (s < 0), 2 * c + (s > 0)))
-
-
-def _mul(p, q):
-    """p first, then q."""
-    return tuple(map(q.__getitem__, p))
-
-
-def _inverse(p):
-    return tuple(sorted(range(len(p)), key=p.__getitem__))
-
-
 class Chain:
-    """Stabilizer chain of a group of signed permutations of rank n.
+    """Stabilizer chain of a group of signed permutations of rank n, on
+    their SignedMatrix.points (2k is +e_k and 2k + 1 is -e_k).
 
     An element fixing every +e_k is the identity, so the points 2k form a
     base.  Level k holds generators T_k, which fix +e_0..+e_{k-1}, and for
@@ -89,7 +69,7 @@ class Chain:
                 rep = self.orbits[k].get(x)
                 if rep is None:
                     return False
-                p = _mul(p, rep[1])
+                p = compose(p, rep[1])
         return True
 
     def _add(self, p, level):
@@ -100,21 +80,21 @@ class Chain:
         todo = [(u, p) for u, _ in list(orbit.values())]
         while todo:
             u, t = todo.pop()
-            ut = _mul(u, t)
+            ut = compose(u, t)
             x = ut[base]
             if x in orbit:
-                self._add(_mul(ut, orbit[x][1]), level + 1)
+                self._add(compose(ut, orbit[x][1]), level + 1)
             else:
-                orbit[x] = (ut, _inverse(ut))
+                orbit[x] = (ut, invert(ut))
                 todo += [(ut, s) for s in gens]
         return True
 
     def extend(self, m):
         """Add m to the group; False when it was a member already."""
-        return self._add(_points(m), 0)
+        return self._add(m.points, 0)
 
     def __contains__(self, m):
-        return self._sift(_points(m), 0)
+        return self._sift(m.points, 0)
 
     def order(self):
         return prod(len(orbit) for orbit in self.orbits)
@@ -128,9 +108,9 @@ def group_order(elements):
 def h_generators(n):
     """Generators of H, the evenly signed even permutations (order
     n!/2 * 2^(n-1)): the 3-cycles (0 1 i) and the sign flips on {0, i}."""
-    return ([signed_perm(x, (1,) * n) for x in _three_cycles(n)]
-            + [signed_perm(range(n), [-1 if j in (0, i) else 1
-                                      for j in range(n)])
+    return ([SignedMatrix(x, (1,) * n) for x in _three_cycles(n)]
+            + [SignedMatrix(range(n), [-1 if j in (0, i) else 1
+                                       for j in range(n)])
                for i in range(1, n)])
 
 
@@ -198,7 +178,7 @@ def crossed_hom_space(n):
             # row r of prefix.f(x_k) is prefix row r on f(x_k)'s unknowns
             for r, row in enumerate(_quotient_action(prefix)):
                 eq[r] ^= row << (k * d)
-            prefix = _mul(gens[k], prefix)
+            prefix = compose(gens[k], prefix)
         equations += eq
     nunk = (n - 2) * d
     dim_crossed = nunk - _rank_of_masks(equations, nunk)
@@ -210,7 +190,7 @@ def crossed_hom_space(n):
     dim_principal = d - dim_invariants
     return {
         "n": n,
-        "group_order": group_order([signed_perm(x, (1,) * n) for x in gens]),
+        "group_order": group_order([SignedMatrix(x, (1,) * n) for x in gens]),
         "dim_crossed": dim_crossed,
         "dim_principal": dim_principal,
         "dim_invariants": dim_invariants,
@@ -238,9 +218,9 @@ def index_two_intersection(n):
     """The determinant, permutation-parity, and sign-parity kernels of
     the full signed-permutation group, and their intersection."""
     h = h_generators(n)
-    cycle = signed_perm(list(range(1, n)) + [0], (1,) * n)
-    swap = signed_perm([1, 0] + list(range(2, n)), (1,) * n)
-    flip = signed_perm(range(n), [-1] + [1] * (n - 1))
+    cycle = SignedMatrix(list(range(1, n)) + [0], (1,) * n)
+    swap = SignedMatrix([1, 0] + list(range(2, n)), (1,) * n)
+    flip = SignedMatrix(range(n), [-1] + [1] * (n - 1))
     full = [cycle, swap, flip]
     characters = (det, lambda m: -1 if perm_parity(m.perm) else 1,
                   lambda m: -1 if m.signs.count(-1) % 2 else 1)

@@ -221,21 +221,35 @@ def eta(p, cutoff):
     return QSeries(p, 24, terms, cutoff)
 
 
+# The most exponent slots q^(k/24) that eta_power expands eta over, which
+# reaches q^100.  A product of two expansions costs about the square of
+# their slots.
+MAX_ETA_SLOTS = 2400
+
+
 def eta_power(p, power, cutoff):
     """eta^power, exact through the inclusive cutoff (at least 1/24).
 
     A power e < 1 divides out q^(1/24) and is exact only (1 - e)/24 below
     the cutoff of the eta it is taken from, so eta is expanded that much
     further and the power cut back to the cutoff.  A positive power keeps
-    the cutoff of its product, which is at least the one asked for.
+    the cutoff of its product, which is at least the one asked for.  The
+    slots of the eta expanded, 24 times its cutoff, are checked against
+    MAX_ETA_SLOTS first.
     """
     cutoff = Fraction(cutoff)
     if cutoff < Fraction(1, 24):
         raise ValueError("cutoff below the leading exponent 1/24")
     power = int(power)
+    reach = cutoff if power >= 1 else cutoff + Fraction(1 - power, 24)
+    slots = floor(24 * reach)
+    if slots > MAX_ETA_SLOTS:
+        raise ValueError("eta^%d through q^%s expands eta over %d exponent "
+                         "slots q^(k/24), more than the %d allowed"
+                         % (power, cutoff, slots, MAX_ETA_SLOTS))
     if power >= 1:
         return eta(p, cutoff) ** power
-    return (eta(p, cutoff + Fraction(1 - power, 24)) ** power).truncate(cutoff)
+    return (eta(p, reach) ** power).truncate(cutoff)
 
 
 def t_shift(series):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from thetaforge.cli import main
 from thetaforge.cliffcode import E_MATRICES
+from thetaforge.cyclotomic import MAX_PRIME, check_prime
 
 
 def run_main(capsys, argv):
@@ -419,6 +421,53 @@ def assert_exit_2_with_one_line(argv, option=None, starts=("error: ",)):
 def test_malformed_series_options_exit_2_with_one_line(case):
     option, argv = case
     assert_exit_2_with_one_line(argv, option)
+
+
+# Valid requests too large to hold or to expand: each is refused before a
+# coefficient tuple or a series is built.
+TOO_LARGE = {
+    "prime_2^61-1": ["qexp", "--prime", "2305843009213693951", "--cutoff",
+                     "1"],
+    "prime_10^9+7": ["qexp", "--prime", "1000000007", "--cutoff", "1"],
+    "cutoff_10^20": ["qexp", "--prime", "3", "--cutoff",
+                     "99999999999999999999"],
+    "power_-10^5": ["qexp", "--prime", "3", "--cutoff", "1", "--power",
+                    "-100000"],
+}
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE.values(), ids=TOO_LARGE.keys())
+def test_requests_too_large_exit_2_within_a_second(argv):
+    start = time.perf_counter()
+    assert_exit_2_with_one_line(argv)
+    assert time.perf_counter() - start < 1
+
+
+def test_largest_prime_and_series_still_accepted(capsys):
+    # 16777213 is the largest prime up to MAX_PRIME = 2^24 and 16777259 the
+    # next one; qexp at 16777213 holds 128 MiB per coefficient and takes
+    # seconds, so only the check is run on it
+    assert MAX_PRIME == 1 << 24
+    check_prime(16777213)
+    for composite in range(16777214, MAX_PRIME + 1):
+        with pytest.raises(ValueError, match="must be prime"):
+            check_prime(composite)
+    assert input_error(capsys, ["qexp", "--prime", "16777259", "--cutoff",
+                                "1"]).startswith("error: p must be at most")
+    # eta through q^100 is 2400 slots: eta itself at cutoff 100, whose last
+    # term is the pentagonal 1/24 + 8 * 23 / 2, and eta^-1 at 1199/12, which
+    # takes eta 2/24 further; eta^-2 there needs one slot more
+    last = {"100": "2209/24", "1199/12": "2375/24"}
+    for cutoff, power in (("100", "1"), ("1199/12", "-1")):
+        code, out = run_main(capsys, ["qexp", "--prime", "3", "--cutoff",
+                                      cutoff, "--power", power])
+        assert code == 0 and json.loads(out)[-1]["exp"] == last[cutoff]
+    # the coefficient of q^(99 - 1/24) in 1/eta is p(99)
+    assert json.loads(out)[-1]["coef"]["coeffs"] == [169229875, 0]
+    for cutoff, power in (("2401/24", "1"), ("1199/12", "-2")):
+        err = input_error(capsys, ["qexp", "--prime", "3", "--cutoff",
+                                   cutoff, "--power", power])
+        assert "2401 exponent slots" in err and "2400 allowed" in err
 
 
 # A valid numerical `verify alpbach` request; the fuzz below spoils one of

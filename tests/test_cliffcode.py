@@ -10,7 +10,6 @@ from thetaforge.cliffcode import (
     fano_laws, full_rep, group_structure_check, hamming_word_lift,
     induced_character_check, matrix_diag_bits, omega, pauli_hamming,
     spinor_rep, tensor_all, tensor_split, triality_kernels, verify_all,
-    word_mul,
 )
 from thetaforge.fpcode import (
     FANO_B_VECTORS, FANO_C_VECTORS, FANO_LINES_FIRST, FANO_LINES_SECOND,
@@ -103,7 +102,7 @@ def test_word_validation():
     with pytest.raises(ValueError):
         CliffordWord.from_support(4, [1, 1])
     with pytest.raises(ValueError):
-        word_mul(CliffordWord.identity(4), CliffordWord.identity(5))
+        CliffordWord.identity(4) * CliffordWord.identity(5)
 
 
 def test_pauli_diagonals_give_length8_code():

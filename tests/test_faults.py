@@ -186,6 +186,36 @@ def test_box_table_entry_dropped_or_doubled_fails_e8(monkeypatch, fault):
     assert not report["pass"]
 
 
+@pytest.mark.parametrize("pair, times", [("first", 1), ("last", 2)])
+def test_trace_gram_off_diagonal_shift_fails_e8_and_golay(
+        monkeypatch, pair, times):
+    # times p added to one symmetric off-diagonal pair of every trace Gram,
+    # which keeps it integral and even.  On the first pair neither Gram is
+    # positive definite any more; twice p on the last pair keeps e8's so,
+    # and its two routes disagree.  (Once p on e8's last pair gives another
+    # even unimodular Gram of rank 8, E8 again, and e8 passes.)
+    true_gram = codelattice.trace_gram
+
+    def shifted(rows, p):
+        gram = true_gram(rows, p)
+        i, j = (0, 1) if pair == "first" else (len(gram) - 2, len(gram) - 1)
+        gram[i][j] += times * p
+        gram[j][i] += times * p
+        return gram
+
+    monkeypatch.setattr(codelattice, "trace_gram", shifted)
+    assert is_even(lattice_of_code(standard_codes("tetracode")))
+    if pair == "first":
+        for stage in ("e8", "golay"):
+            with pytest.raises(ValueError, match="not positive definite"):
+                run_stage(stage)
+        return
+    e8 = cli.verify_e8()
+    assert not e8["theta_matches"] and not e8["routes_agree"]
+    assert not e8["pass"]
+    assert not cli.verify_golay()["pass"]
+
+
 def run_on_code(monkeypatch, stage, name, code):
     """A stage run with one built-in code, read through
     cli.standard_codes, replaced by another code."""

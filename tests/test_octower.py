@@ -9,7 +9,7 @@ from thetaforge.cliffcode import (
 )
 from thetaforge.octower import (
     Chain, crossed_hom_space, det, group_order, h_generators,
-    index_two_intersection, is_perfect, perm_parity, signed_perm,
+    index_two_intersection, is_perfect, perm_parity,
     tower_report, _quotient_action,
 )
 
@@ -20,7 +20,7 @@ from thetaforge.octower import (
 
 def full_group(n):
     """Reference: all signed permutation matrices, listed; order 2^n n!."""
-    return [signed_perm(perm, signs)
+    return [SignedMatrix(perm, signs)
             for perm in itertools.permutations(range(n))
             for signs in itertools.product((1, -1), repeat=n)]
 
