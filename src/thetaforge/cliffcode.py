@@ -2,9 +2,11 @@
 
 Checks the laws of the two Fano numberings and their incidence, and builds
 the length-8 binary code inside the diagonal Pauli tensors, the extraspecial
-2-group of Clifford words, the two 8-dimensional spinor representations
-realized by seven explicit signed matrices, their induced characters, the
-triality kernel data, and the 16x16 periodicity representation.
+2-group of Clifford words, the two 8-dimensional spinor representations,
+their induced characters, the triality kernel data, and the 16x16
+periodicity representation.  The spinor maps are generated by left
+multiplication by the seven imaginary octonion units, signed matrices
+whose signs come from one octonion cocycle on F_2^3.
 
 A word over n <= 8 symbols is a sign and a support bitmask.  Every product
 sign is read from one cocycle table per n, built on first use from the
@@ -359,74 +361,25 @@ def pauli_hamming():
 
 
 # ---------------------------------------------------------------------------
-# The seven generator matrices, transcribed literally
+# The seven generators: left multiplication by the imaginary octonion units
 # ---------------------------------------------------------------------------
 
-E_MATRICES = tuple(SignedMatrix.from_rows(rows) for rows in (
-    # E_1
-    ((0, -1, 0, 0, 0, 0, 0, 0),
-     (1, 0, 0, 0, 0, 0, 0, 0),
-     (0, 0, 0, -1, 0, 0, 0, 0),
-     (0, 0, 1, 0, 0, 0, 0, 0),
-     (0, 0, 0, 0, 0, 1, 0, 0),
-     (0, 0, 0, 0, -1, 0, 0, 0),
-     (0, 0, 0, 0, 0, 0, 0, 1),
-     (0, 0, 0, 0, 0, 0, -1, 0)),
-    # E_2
-    ((0, 0, -1, 0, 0, 0, 0, 0),
-     (0, 0, 0, 1, 0, 0, 0, 0),
-     (1, 0, 0, 0, 0, 0, 0, 0),
-     (0, -1, 0, 0, 0, 0, 0, 0),
-     (0, 0, 0, 0, 0, 0, -1, 0),
-     (0, 0, 0, 0, 0, 0, 0, 1),
-     (0, 0, 0, 0, 1, 0, 0, 0),
-     (0, 0, 0, 0, 0, -1, 0, 0)),
-    # E_3
-    ((0, 0, 0, -1, 0, 0, 0, 0),
-     (0, 0, -1, 0, 0, 0, 0, 0),
-     (0, 1, 0, 0, 0, 0, 0, 0),
-     (1, 0, 0, 0, 0, 0, 0, 0),
-     (0, 0, 0, 0, 0, 0, 0, -1),
-     (0, 0, 0, 0, 0, 0, -1, 0),
-     (0, 0, 0, 0, 0, 1, 0, 0),
-     (0, 0, 0, 0, 1, 0, 0, 0)),
-    # E_4
-    ((0, 0, 0, 0, -1, 0, 0, 0),
-     (0, 0, 0, 0, 0, -1, 0, 0),
-     (0, 0, 0, 0, 0, 0, 1, 0),
-     (0, 0, 0, 0, 0, 0, 0, 1),
-     (1, 0, 0, 0, 0, 0, 0, 0),
-     (0, 1, 0, 0, 0, 0, 0, 0),
-     (0, 0, -1, 0, 0, 0, 0, 0),
-     (0, 0, 0, -1, 0, 0, 0, 0)),
-    # E_5
-    ((0, 0, 0, 0, 0, -1, 0, 0),
-     (0, 0, 0, 0, 1, 0, 0, 0),
-     (0, 0, 0, 0, 0, 0, 0, -1),
-     (0, 0, 0, 0, 0, 0, 1, 0),
-     (0, -1, 0, 0, 0, 0, 0, 0),
-     (1, 0, 0, 0, 0, 0, 0, 0),
-     (0, 0, 0, -1, 0, 0, 0, 0),
-     (0, 0, 1, 0, 0, 0, 0, 0)),
-    # E_6
-    ((0, 0, 0, 0, 0, 0, -1, 0),
-     (0, 0, 0, 0, 0, 0, 0, -1),
-     (0, 0, 0, 0, -1, 0, 0, 0),
-     (0, 0, 0, 0, 0, -1, 0, 0),
-     (0, 0, 1, 0, 0, 0, 0, 0),
-     (0, 0, 0, 1, 0, 0, 0, 0),
-     (1, 0, 0, 0, 0, 0, 0, 0),
-     (0, 1, 0, 0, 0, 0, 0, 0)),
-    # E_7
-    ((0, 0, 0, 0, 0, 0, 0, -1),
-     (0, 0, 0, 0, 0, 0, 1, 0),
-     (0, 0, 0, 0, 0, 1, 0, 0),
-     (0, 0, 0, 0, -1, 0, 0, 0),
-     (0, 0, 0, 1, 0, 0, 0, 0),
-     (0, 0, -1, 0, 0, 0, 0, 0),
-     (0, -1, 0, 0, 0, 0, 0, 0),
-     (1, 0, 0, 0, 0, 0, 0, 0)),
-))
+def _octonion_sign(a, b):
+    """The octonion sign cocycle on F_2^3: e_a e_b = (-1)^f(a, b) e_(a xor b)
+    with a_k = a >> k & 1 (Albuquerque and Majid, J. Algebra 220, 1999;
+    Baez, Bull. AMS 39, 2002)."""
+    a0, a1, a2 = (a >> k & 1 for k in range(3))
+    b0, b1, b2 = (b >> k & 1 for k in range(3))
+    return (a0 * (b0 + b2) + a1 * (b0 + b1) + a2 * (b1 + b2)
+            + a0 * a1 * b2 + a0 * a2 * b1 + a1 * a2 * b0) & 1
+
+
+# E_i e_c = (-1)^f(i, c) e_(i xor c) on columns: column c has its entry in
+# row i xor c, so row r has it in column i xor r
+E_MATRICES = tuple(
+    SignedMatrix([i ^ r for r in range(8)],
+                 [-1 if _octonion_sign(i, i ^ r) else 1 for r in range(8)])
+    for i in range(1, 8))
 
 
 # ---------------------------------------------------------------------------

@@ -552,7 +552,9 @@ def theta_series(lattice, order, shift_word=None):
     terms = {}
     for norm, cnt in counts.items():
         k = norm * p / 2
-        assert k.denominator == 1, "norm outside the expected (2/p)Z grid"
+        if k.denominator != 1:
+            raise ValueError("norm %s outside the expected (2/%d)Z grid"
+                             % (norm, p))
         terms[int(k)] = cnt
     return QSeries(p, p, terms, order)
 

@@ -155,25 +155,13 @@ def dual_code(code):
     """The dual under the standard inner product; linear codes only."""
     if not code.is_linear:
         raise ValueError("dual of a nonlinear code is undefined here")
-    p, n = code.p, code.n
-    # w[pivot] = -row[f] needs a reduced echelon basis: clear each pivot
-    # column above its row, last row first.  Pivots are 1 and lead their row.
-    basis = [list(row) for row in code.basis]
-    pivots = [row.index(1) for row in basis]
-    for i in reversed(range(len(basis))):
-        for above in basis[:i]:
-            f = above[pivots[i]]
-            if f:
-                for j in range(n):
-                    above[j] = (above[j] - f * basis[i][j]) % p
-    free = [j for j in range(n) if j not in pivots]
-    dual_basis = []
-    for f in free:
-        w = [0] * n
-        w[f] = 1
-        for row, pc in zip(basis, pivots):
-            w[pc] = (-row[f]) % p
-        dual_basis.append(tuple(w))
+    p, n, k = code.p, code.n, len(code.basis)
+    # row j is (column j of the basis | e_j); an echelon row that is zero
+    # on the first k entries carries a word w with basis . w = 0
+    rows = [[b[j] for b in code.basis] + [int(i == j) for i in range(n)]
+            for j in range(n)]
+    echelon, _ = row_reduce_mod_p(rows, p)
+    dual_basis = [row[k:] for row in echelon if not any(row[:k])]
     if not dual_basis:
         return zero_code(p, n)
     return make_code(p, n, generators=dual_basis)

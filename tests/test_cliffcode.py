@@ -360,6 +360,10 @@ def test_spinor_and_conjugation_images_pinned():
         "68d6b3bab0ee42b4609ba4614feb6341a96b10d978dbd7142772c6a85d276a3b")
     assert digest(conjugation_rep(w) for w in all_words(8)) == (
         "9d923a8f8bda1d20ec89d53f78e0f9bd22cb2c2d5395156709848bd697d9fdb6")
+    # the seven generators themselves, as dense rows
+    text = json.dumps([m.rows() for m in E_MATRICES])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d6b505f8997af946995da2dcd55face334d5cf74e8a5b296968368bbbf9d456c")
 
 
 def test_group_structure():

@@ -209,6 +209,13 @@ def test_trace_gram_off_diagonal_shift_fails_e8_and_golay(
         for stage in ("e8", "golay"):
             with pytest.raises(ValueError, match="not positive definite"):
                 run_stage(stage)
+        # the series stages read the p = 3 block, whose norms now leave
+        # the grid; a fresh cache keeps a true lattice from hiding that
+        fresh_caches(monkeypatch, cli, ("standard_lattice",))
+        for stage in ("expansion", "alpbach_exact_tetracode"):
+            with pytest.raises(ValueError, match=r"outside the expected "
+                               r"\(2/3\)Z grid"):
+                run_stage(stage)
         return
     e8 = cli.verify_e8()
     assert not e8["theta_matches"] and not e8["routes_agree"]
