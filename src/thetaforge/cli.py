@@ -25,6 +25,7 @@ from .codelattice import (
     box_count_by_norm, count_by_norm, lattice_info, lattice_of_code,
     standard_lattice, theta_series, theta_series_by_word,
 )
+from .cyclotomic import CycInt
 from .fpcode import (
     code_predicates, hamming_weight, read_code_file, standard_codes,
     weight_enumerator,
@@ -303,6 +304,17 @@ def verify_sl2f3_cmd(zs, tol):
     return {"points": rows, "tol": tol, "pass": ok}
 
 
+def _trace_form_gram(lat):
+    """p times the Gram of lat's basis, each row read as n elements of
+    Z[zeta_p]: sum over blocks of Tr(u_i conj(v_i)).  Shares no code with
+    codelattice.trace_gram, so it ties the Gram to the basis."""
+    p, d = lat.p, lat.p - 1
+    rows = [[CycInt(p, row[i:i + d]) for i in range(0, len(row), d)]
+            for row in lat.basis]
+    return [[sum((a * b.conj()).trace() for a, b in zip(u, v)) for v in rows]
+            for u in rows]
+
+
 def verify_e8():
     lat = lattice_of_code(standard_codes("tetracode"))
     info = lattice_info(lat)
@@ -312,13 +324,18 @@ def verify_e8():
     # the series counts the Fincke-Pohst vectors of norm 2e at each q^e
     fp_counts = {2 * e: c for e, c in series.items()}
     box_counts = box_count_by_norm(lat, Fraction(6))
+    # both routes read only the Gram (or only the code), and any even
+    # unimodular Gram of rank 8 is E8's, so the Gram is checked on its own
+    gram_ok = _trace_form_gram(lat) == [[lat.p * x for x in row]
+                                        for row in lat.gram]
     ok = (info["rank"] == 8 and info["discriminant"] == 1 and info["even"]
-          and theta_ok and fp_counts == box_counts)
+          and theta_ok and fp_counts == box_counts and gram_ok)
     return {
         "lattice": info,
         "theta": qexp.to_json_obj(series),
         "theta_matches": theta_ok,
         "routes_agree": fp_counts == box_counts,
+        "gram_matches_basis": gram_ok,
         "pass": bool(ok),
     }
 

@@ -24,8 +24,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, reduce
 
-import numpy as np
-
 from .fpcode import (
     FANO_B_VECTORS, FANO_C_VECTORS, FANO_LINES_FIRST, FANO_LINES_SECOND,
     make_code, standard_codes,
@@ -157,6 +155,7 @@ def _cocycle(n):
     beta(a, b) = a (L + I) b^T mod 2 with L the strict lower triangle:
     sum_{s>t} a_s b_t counts the transpositions that normal-order the
     product, sum_t a_t b_t the squares e_t e_t = -1.  64 KB at n = 8."""
+    import numpy as np
     bits = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.uint8)
     beta = bits @ np.tri(n, dtype=np.uint8) @ bits.T & 1
     beta.flags.writeable = False        # one table serves every caller
@@ -167,6 +166,7 @@ def _flips(n, rows, cols):
     """(beta + beta^T)[h, k] mod 2 over rows x cols, read from the cocycle
     table: 1 exactly where e_h and e_k anticommute, so conjugating e_k by
     e_h multiplies it by (-1)^flip."""
+    import numpy as np
     beta = _cocycle(n)
     h = np.asarray(rows)[:, None]
     k = np.asarray(cols)[None, :]
@@ -196,6 +196,7 @@ def _matches_pairing(n, rows, cols):
     Guard: the left side is the product cocycle's beta + beta^T and the
     right side the popcount of the bits; neither is derived from the
     other."""
+    import numpy as np
     h = np.asarray(rows)[:, None]
     k = np.asarray(cols)[None, :]
     return bool(np.array_equal(_flips(n, rows, cols),
@@ -454,6 +455,7 @@ def induced_character_check():
     (-1)^flip[s, x], so Ind chi(g) = +-chi(e_s) sum_x (-1)^flip[s, x],
     with chi zero off the lifted subgroup.
     """
+    import numpy as np
     # chi(e_s), from chi = 1 (plus) or (-1)^s_0 (minus) on the section word
     chi = {1: [0] * 256, -1: [0] * 256}
     for w in hamming_word_lift().values():

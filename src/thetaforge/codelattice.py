@@ -19,8 +19,6 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
 
-import numpy as np
-
 from .fpcode import code_predicates, linear_basis, zero_code
 from .linalg import fraction_inverse, integer_row_basis, integral_gso
 from .qexp import QSeries
@@ -242,6 +240,7 @@ CHUNK = 1 << 12
 
 def _isqrt(cap):
     """Exact floor square roots of a nonnegative array."""
+    import numpy as np
     if cap.dtype == object:
         return np.array([isqrt(c) for c in cap], dtype=object)
     r = np.sqrt(cap.astype(np.float64)).astype(np.int64)
@@ -311,6 +310,7 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True):
     exact: float sqrt corrected by one step on int64, math.isqrt on Python
     ints.
     """
+    import numpy as np
     rank = len(gram)
     d, lam = integral_gso(gram)
     shift = [Fraction(s) for s in shift]
@@ -417,6 +417,7 @@ def count_by_norm(lattice, bound, shift_word=None):
     reach Python.  A zero shift walks the half-tree of _fincke_pohst, one
     vector of each +-x pair, and each nonzero norm's count is doubled; any
     other shift walks the full tree of enumerate_coset."""
+    import numpy as np
     _check_cap(bound)
     shift = ([Fraction(0)] * lattice.rank if shift_word is None
              else lattice.shift_in_basis(shift_word))
@@ -454,6 +455,7 @@ def _block_table(p, limit):
     the box every coordinate is taken from; at k = p-1 it is the exact
     norm test.
     """
+    import numpy as np
     w = isqrt(2 * limit // p)
     vals = np.arange(-w, w + 1, dtype=np.int64)
     s = t = np.zeros(1, dtype=np.int64)
@@ -481,6 +483,7 @@ def box_count_by_norm(lattice, bound, shift_word=None):
     code words, so it shares nothing with the basis, its reduction or the
     Fincke-Pohst enumerator, and the two serve as independent cross-checks.
     """
+    import numpy as np
     _check_cap(bound)
     p, n = lattice.p, lattice.n
     bound = Fraction(bound)
@@ -502,7 +505,9 @@ def box_count_by_norm(lattice, bound, shift_word=None):
                       for word in lattice.code.words],
                      dtype=np.int64).reshape(-1, n)
     full = words @ (p ** np.arange(n - 1, -1, -1, dtype=np.int64))
-    prefixes = [np.unique(full // p ** (n - j)) for j in range(n + 1)]
+    # the return_counts form, because a plain np.unique imports numpy.ma
+    prefixes = [np.unique(full // p ** (n - j), return_counts=True)[0]
+                for j in range(n + 1)]
 
     def frame(norm, digits, j):
         """Nodes with j blocks fixed, their children's table ranges and
@@ -576,6 +581,7 @@ def theta_series_by_word(p, n, order):
     well, for -x.  Each value equals
     theta_series(standard_lattice(p, n), order, word).
     """
+    import numpy as np
     order = Fraction(order)
     _check_cap(2 * order)
     d = p - 1

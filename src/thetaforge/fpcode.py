@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-import numpy as np
-
 from .cyclotomic import check_prime
 from .linalg import row_reduce_mod_p
 
@@ -224,6 +222,7 @@ def min_distance(code):
         return None
     if code.is_linear:
         return min(hamming_weight(w) for w in code.words if any(w))
+    import numpy as np
     words = np.array(code.words, dtype=np.int64)
     best = code.n
     # each block of rows against itself and every later word, the block

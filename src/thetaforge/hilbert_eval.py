@@ -24,8 +24,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .codelattice import (
     enumerate_coset, lift_word, max_norm_cap, standard_lattice,
 )
@@ -81,6 +79,7 @@ def _coset_arrays(p, n, word, bound):
     coset exists.  The kept rows are concatenated and stably sorted by
     norm at the end; an empty coset gives a (0, r) table.  Cached so that
     evaluating the same coset at several points enumerates once."""
+    import numpy as np
     lat = standard_lattice(p, n)
     shift = lat.shift_in_basis(word)
     d = p - 1
@@ -136,6 +135,7 @@ def _coset_table(p, n, word, bound):
 def _shell_reversal(shell_ends):
     """The row order that reverses each shell, the shells ending at the
     rows shell_ends, the first starting at row 0."""
+    import numpy as np
     counts = np.diff(shell_ends, prepend=0)
     return (np.repeat(2 * shell_ends - counts - 1, counts)
             - np.arange(counts.sum()))
@@ -151,6 +151,7 @@ def _coset_values(p, n, word, points, tail_tol):
     and keep the enumeration order, so a point's value does not depend on
     the table it is read from.
     """
+    import numpy as np
     if not points:
         return []
     # initial bound sized so the stop rule usually fires on the first pass;

@@ -197,44 +197,23 @@ class QSeries:
 # Named series and operations
 # ---------------------------------------------------------------------------
 
-def eta(p, cutoff):
-    """Dedekind eta = q^(1/24) * prod(1 - q^n), via the pentagonal sparse form.
-
-    The cutoff must be at least 1/24 so the leading term is representable.
-    """
-    cutoff = Fraction(cutoff)
-    if cutoff < Fraction(1, 24):
-        raise ValueError("cutoff below the leading exponent 1/24")
-    terms = {}
-    limit = cutoff * 24 - 1          # offsets above q^(1/24)
-    k = 0
-    while True:
-        hit = False
-        for kk in ([0] if k == 0 else [k, -k]):
-            off = kk * (3 * kk - 1) * 12    # 24 * k(3k-1)/2
-            if off <= limit:
-                terms[1 + off] = 1 if kk % 2 == 0 else -1
-                hit = True
-        if not hit and k > 0:
-            break
-        k += 1
-    return QSeries(p, 24, terms, cutoff)
-
-
-# The most exponent slots q^(k/24) that eta_power expands eta over, which
-# reaches q^100.  A product of two expansions costs about the square of
-# their slots.
+# The most exponent slots q^(k/24) of eta that an eta_power request may
+# reach, eta through q^100.
 MAX_ETA_SLOTS = 2400
 
 
 def eta_power(p, power, cutoff):
     """eta^power, exact through the inclusive cutoff (at least 1/24).
 
-    A power e < 1 divides out q^(1/24) and is exact only (1 - e)/24 below
-    the cutoff of the eta it is taken from, so eta is expanded that much
-    further and the power cut back to the cutoff.  A positive power keeps
-    the cutoff of its product, which is at least the one asked for.  The
-    slots of the eta expanded, 24 times its cutoff, are checked against
+    eta^k = q^(k/24) P^k with P = prod(1 - q^n) = sum_j a_j q^j, whose a_j
+    are the pentagonal signs.  The coefficients b_n of P^k follow from
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7):
+    b_0 = 1 and n b_n = sum_{j=1..n} ((k+1) j - n) a_j b_(n-j), exactly
+    divisible by n, at any integer k.  A power k >= 1 is exact through
+    cutoff + (k-1)/24, as the k-th power of eta through the cutoff is; any
+    other power through the cutoff, as the k-th power of eta through
+    reach = cutoff + (1 - k)/24 is.  The slots q^(k/24) of eta through
+    reach (through the cutoff for k >= 1) are checked against
     MAX_ETA_SLOTS first.
     """
     cutoff = Fraction(cutoff)
@@ -248,8 +227,17 @@ def eta_power(p, power, cutoff):
                          "slots q^(k/24), more than the %d allowed"
                          % (power, cutoff, slots, MAX_ETA_SLOTS))
     if power >= 1:
-        return eta(p, cutoff) ** power
-    return (eta(p, reach) ** power).truncate(cutoff)
+        cutoff += Fraction(power - 1, 24)
+    top = (floor(24 * cutoff) - power) // 24    # the last n with a term
+    # a_j at the generalized pentagonal j = m(3m-1)/2 >= |m|, m != 0
+    pentagonal = {m * (3 * m - 1) // 2: -1 if m % 2 else 1
+                  for m in range(-top, top + 1) if m}
+    b = [1]
+    for n in range(1, top + 1):
+        b.append(sum(((power + 1) * j - n) * a * b[n - j]
+                     for j, a in pentagonal.items() if j <= n) // n)
+    return QSeries(p, 24, {24 * n + power: c for n, c in enumerate(b)},
+                   cutoff)
 
 
 def t_shift(series):

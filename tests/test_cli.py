@@ -13,9 +13,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetaforge.cli import main
+from thetaforge.cli import _trace_form_gram, main
 from thetaforge.cliffcode import E_MATRICES
+from thetaforge.codelattice import lattice_of_code, standard_lattice
 from thetaforge.cyclotomic import MAX_PRIME, check_prime
+from thetaforge.fpcode import standard_codes
 
 
 def run_main(capsys, argv):
@@ -632,6 +634,57 @@ def test_help_lists_every_subcommand(capsys):
         assert name in out
 
 
+STARTUP_PROBE = r"""
+import contextlib, io, json, sys
+from thetaforge import cli
+loaded = ["numpy" in sys.modules]
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+    loaded.append("numpy" in sys.modules)
+print(json.dumps({"codes": codes, "numpy": loaded,
+                  "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def _startup_probe(commands):
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE,
+                          json.dumps(commands)], capture_output=True,
+                         text=True, check=True).stdout
+    return json.loads(out)
+
+
+def test_exact_commands_start_without_numpy():
+    # numpy is imported inside the functions that do array work, so the
+    # import of cli and the exact-arithmetic commands never load it
+    assert _startup_probe([]) == {"codes": [], "numpy": [False],
+                                  "numpy.ma": False}
+    commands = [["qexp", "--prime", "3", "--cutoff", "2", "--power", "-24"],
+                ["tower", "check", "--n", "5"],
+                ["clifford", "delta", "--word", "0,1"],
+                ["code", "--code", "golay12"], ["verify", "hamming"],
+                ["verify", "grades"], ["--help"], ["tower", "check", "--n"]]
+    report = _startup_probe(commands)
+    assert report["codes"] == [0] * 7 + [2]
+    assert report["numpy"] == [False] * (len(commands) + 1)
+    # desk does array work, but never a plain np.unique, which would
+    # import numpy.ma
+    desk = _startup_probe([["verify", "all", "--level", "desk"]])
+    assert desk == {"codes": [0], "numpy": [False, True], "numpy.ma": False}
+
+
+def test_e8_gram_recomputed_from_the_basis():
+    for lat in (lattice_of_code(standard_codes("tetracode")),
+                standard_lattice(5, 2)):
+        assert _trace_form_gram(lat) == [[lat.p * x for x in row]
+                                         for row in lat.gram]
+
+
 def test_output_byte_stable():
     cmd = [sys.executable, "-m", "thetaforge.cli", "theta", "--prime", "5",
            "--class", "2", "--order", "2"]
@@ -654,11 +707,15 @@ def test_output_byte_stable():
             (["clifford", "verify"],
              "d992f82a27921f815814094887b5541d"
              "db52ed0779af6b0890c1e4c6fce2decc"),
+            (["qexp", "--prime", "3", "--cutoff", "100", "--power",
+              "100000000"],
+             "df3de1251ec017e5974921a9bf16a8aa"
+             "077528114957ff70e9fb53d48bb96383"),
             (["tower", "check", "--n", "5"],
              "9718ceceabd0ac172495fb82babdf2ad"
              "156bb3f623726d5b8a763571dc27fc8f"),
             (["verify", "all", "--level", "desk"],
-             "776ea4b3479fe0f9d2a3f557acfadc10"
-             "d4676f64d76b488e8ca7fae8df59e249")):
+             "55f3851ff6595bd9636e5087aad1b5e4"
+             "dd08b9cfdadf90332a03362a424fe306")):
         out = subprocess.run(cmd[:3] + argv, capture_output=True).stdout
         assert hashlib.sha256(out).hexdigest() == digest, argv

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import floor
 
@@ -7,8 +8,33 @@ from hypothesis import given, settings, strategies as st
 from thetaforge.cyclotomic import CycInt, CycRat
 from thetaforge.fpcode import standard_codes, weight_enumerator
 from thetaforge.qexp import (
-    QSeries, compose_enumerator, eta, eta_power, t_shift, to_json_obj,
+    QSeries, compose_enumerator, eta_power, t_shift, to_json_obj,
 )
+
+
+def eta(p, cutoff):
+    """Dedekind eta = q^(1/24) * prod(1 - q^n), via the pentagonal sparse form:
+    the reference whose QSeries powers eta_power is checked against.
+
+    The cutoff must be at least 1/24 so the leading term is representable.
+    """
+    cutoff = Fraction(cutoff)
+    if cutoff < Fraction(1, 24):
+        raise ValueError("cutoff below the leading exponent 1/24")
+    terms = {}
+    limit = cutoff * 24 - 1          # offsets above q^(1/24)
+    k = 0
+    while True:
+        hit = False
+        for kk in ([0] if k == 0 else [k, -k]):
+            off = kk * (3 * kk - 1) * 12    # 24 * k(3k-1)/2
+            if off <= limit:
+                terms[1 + off] = 1 if kk % 2 == 0 else -1
+                hit = True
+        if not hit and k > 0:
+            break
+        k += 1
+    return QSeries(p, 24, terms, cutoff)
 
 
 def S(terms, cutoff, p=3, N=1):
@@ -122,6 +148,35 @@ def test_eta_inverse_is_partition_generating_function():
     assert eta_power(3, 2, 1) == eta(3, 1) ** 2
     with pytest.raises(ValueError):
         eta_power(3, -1, 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(-30, 30),
+       st.fractions(Fraction(1, 24), 5, max_denominator=30))
+def test_eta_power_recurrence_matches_series_power(power, cutoff):
+    # Miller's recurrence against QSeries.__pow__ on eta, with the old
+    # reach rule for powers below 1: the same terms, N and cutoff
+    if power >= 1:
+        want = eta(5, cutoff) ** power
+    else:
+        reach = cutoff + Fraction(1 - power, 24)
+        want = (eta(5, reach) ** power).truncate(cutoff)
+    got = eta_power(5, power, cutoff)
+    assert (got.N, got.cutoff, got.terms) == (want.N, want.cutoff, want.terms)
+
+
+def test_eta_power_large_positive_power_is_fast():
+    # eta^(10^8) through q^100: the recurrence does about 100 steps, where
+    # square-and-multiply took seconds; its leading terms are
+    # q^(10^8/24) (1 - 10^8 q + ...)
+    start = time.perf_counter()
+    series = eta_power(3, 10 ** 8, 100)
+    assert time.perf_counter() - start < 1
+    assert series.cutoff == 100 + Fraction(10 ** 8 - 1, 24)
+    items = series.items()
+    assert len(items) == 100     # q^(10^8/24 + n), n = 0 .. 99
+    assert [(e, c.as_fraction()) for e, c in items[:2]] == [
+        (Fraction(10 ** 8, 24), 1), (Fraction(10 ** 8, 24) + 1, -10 ** 8)]
 
 
 def test_eta_24th_power_is_discriminant_series():

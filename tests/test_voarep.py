@@ -7,12 +7,18 @@ import pytest
 from thetaforge.codelattice import lattice_of_code, theta_series
 from thetaforge.cyclotomic import as_cycrat
 from thetaforge.fpcode import WeightEnumerator, standard_codes
-from thetaforge.qexp import QSeries, compose_enumerator, eta
+from thetaforge.qexp import QSeries, compose_enumerator, eta_power
 from thetaforge.voarep import (
     OrbitClass, RepElement, ThetaMonomial, _leading_data, all_orbits,
     main_theorem_check, module_of_code, orbit_of, orbit_size, orbit_theta,
     rep_mul, z_map, z_tilde,
 )
+
+
+def eta(p, cutoff):
+    """Dedekind eta through the cutoff: eta_power at k = 1, which
+    tests/test_qexp.py checks against the pentagonal series."""
+    return eta_power(p, 1, cutoff)
 
 
 class PartitionMeta:
