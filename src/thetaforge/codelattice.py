@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .fpcode import code_predicates, linear_basis, zero_code
 from .linalg import fraction_inverse, integer_row_basis, integral_gso
@@ -249,6 +249,26 @@ def _isqrt(cap):
     return r
 
 
+def _dtypes(norm_top, reach):
+    """The dtypes (dt, ct) of _fincke_pohst's arrays, from the largest
+    scaled norm, unit * max(room, 1), and the coordinate bound reach.
+
+    Every array is int64 when norm_top < 2^62 and reach * (CHUNK + 1) <
+    2^61, and holds Python ints otherwise.  The coordinate-side arrays
+    (the partial sums acc, the rows of C, lo, ends and a block's x column)
+    hold values of size at most reach, except ends, which counts the
+    children of at most CHUNK nodes, at most 2 reach - 1 each.  So they
+    take ct, which is int32 when dt is int64 and reach * (CHUNK + 1) <
+    2^30 (golay's is about 5.5 * 10^8), and dt otherwise.  Whatever mixes
+    them with x, n_i, w or rem is computed in dt.
+    """
+    import numpy as np
+    if norm_top >= 1 << 62 or reach * (CHUNK + 1) >= 1 << 61:
+        return object, object
+    return np.int64, (np.int32 if reach * (CHUNK + 1) < 1 << 30
+                      else np.int64)
+
+
 def enumerate_coset(gram, shift, bound, emit):
     """Hand every integer x with (x + shift) G (x + shift)^T <= bound to
     emit(X, scaled, scale), a block of leaves per call.
@@ -275,16 +295,20 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True):
     and each x whose first nonzero coordinate in tree order (x_{rank-1},
     ..., x_0) is positive, one of each +-x pair (Schnorr-Euchner 1994), in
     the same order as the full tree; the caller counts each nonzero leaf
-    for itself and for its negative.  Each node carries one boolean, "every
-    coordinate so far is zero": a flagged node takes children x >= 0 only,
-    and a child keeps the flag only when its x is 0.
+    for itself and for its negative.  A node whose coordinates so far are
+    all zero takes children x >= 0 only.  There is at most one such node
+    per level, and it is node 0 of its block: the root, and then the first
+    child, x = 0, of the one before it, which is node 0 of the block made
+    from the first chunk.  So each block carries one boolean, lead, for
+    its node 0.
 
     The tree is expanded a level at a time in numpy: a block holds the
     nodes of one level, and its children are made at most CHUNK at a time
     (np.repeat of each parent by its child count).  Blocks are taken
     depth-first, which keeps the leaf order and leaves at most rank blocks
     of at most CHUNK nodes alive, each node with O(rank) entries: memory is
-    O(rank^2 CHUNK) array entries, about 16 MB at rank 24.  The leaf
+    O(rank^2 CHUNK) array entries, about 16 MB at rank 24 when every array
+    is int64 and about 8 MB with the int32 ones of _dtypes.  The leaf
     matrix is stacked from the level columns already held, so a chunk adds
     O(rank CHUNK) entries, and the caller decides what to keep.  With
     coords false, emit gets None for X: no leaf matrix is stacked, and the
@@ -304,11 +328,12 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True):
     gden are divided by their gcd, so scale is gden reduced (about
     4.5 * 10^15 for golay).
 
-    One rule picks the dtype: every array is int64 when
-    unit * max(room, 1) < 2^62 and reach * (CHUNK + 1) < 2^61, and holds
-    Python ints otherwise, so no array wraps around.  Square roots are
-    exact: float sqrt corrected by one step on int64, math.isqrt on Python
-    ints.
+    _dtypes picks the dtypes, so that no array wraps around; the leaf
+    matrix and the scaled norms are int64 or Python ints, and the
+    coordinate-side arrays may be int32.  A block's parent column is int32,
+    its entries below CHUNK.  A node's first child is the previous node's
+    end, so it is not stored.  Square roots are exact: float sqrt corrected
+    by one step on int64, math.isqrt on Python ints.
     """
     import numpy as np
     rank = len(gram)
@@ -345,49 +370,51 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True):
     # a scaled norm is unit * (room used) / gden: reduce the fraction
     h = gcd(unit, gden)
     unit, gden = unit // h, gden // h
-    dt = (np.int64 if unit * max(room, 1) < 1 << 62
-          and reach * (CHUNK + 1) < 1 << 61 else object)
+    dt, ct = _dtypes(unit * max(room, 1), reach)
     updates = [None] * rank
     for j, row in enumerate(C):
         j0 = next((i for i, c in enumerate(row) if c), j)
         if j0 < j:
-            updates[j] = (j0, np.array(row[j0:], dtype=dt))
+            updates[j] = (j0, np.array(row[j0:], dtype=ct))
 
-    def block(x, par, zero, i, rem, acc):
+    def block(x, par, lead, i, rem, acc):
         """Nodes at level i (their x_{i+1} and parent index one level up,
-        both None without coords, and all-zero flags) and their children's
-        x ranges, as a stack entry whose last slot is the index of the next
-        child to expand."""
+        both None without coords, and whether node 0 is all zero) and their
+        children's x ranges, as a stack entry whose last slot is the index
+        of the next child to expand."""
         base = Lam[i] * sv[i] + acc[:, i]
         wmax = _isqrt(rem // g[i])
         step = Lam[i] * q
         lo = -((wmax + base) // step)
-        if half:
-            lo[zero] = 0    # a flagged node has base 0, so lo <= 0 there
+        if lead:
+            lo[0] = 0   # node 0 has base 0, so lo <= 0 there
         ends = np.cumsum(np.maximum((wmax - base) // step - lo + 1, 0),
-                         dtype=np.int64)
+                         dtype=np.int64 if ct is object else ct)
         if not coords:
             x = par = None
-        return [x, par, zero, i, rem, acc, lo, ends,
-                np.concatenate(([0], ends[:-1])), 0]
+        return [x, par, lead, i, rem, acc, lo.astype(ct, copy=False), ends, 0]
 
-    stack = [block(None, None, np.array([half]), rank - 1,
-                   np.array([room], dtype=dt), np.zeros((1, rank), dtype=dt))]
+    stack = [block(None, None, half, rank - 1,
+                   np.array([room], dtype=dt), np.zeros((1, rank), dtype=ct))]
     while stack:
         entry = stack[-1]
-        _, _, zero, i, rem, acc, lo, ends, starts, start = entry
+        _, _, lead, i, rem, acc, lo, ends, start = entry
         total = int(ends[-1])
         if start >= total:
             stack.pop()
             continue
         stop = min(start + CHUNK, total)
         entry[-1] = stop
-        # children start .. stop-1 belong to nodes first .. last-1
+        # children start .. stop-1 belong to nodes first .. last-1, and
+        # each node's children start where the previous node's end
         first = np.searchsorted(ends, start, side="right")
         last = np.searchsorted(ends, stop - 1, side="right") + 1
-        par = np.repeat(np.arange(first, last), np.minimum(
-            ends[first:last], stop) - np.maximum(starts[first:last], start))
-        x = lo[par] + (np.arange(start, stop) - starts[par])
+        starts = np.concatenate((ends[first - 1:first] if first else [0],
+                                 ends[first:last - 1]))
+        rel = np.repeat(np.arange(last - first), np.minimum(
+            ends[first:last], stop) - np.maximum(starts, start))
+        par = rel + first
+        x = lo[par] + (np.arange(start, stop) - starts[rel])
         n_i = q * x + sv[i]
         w = Lam[i] * n_i + acc[par, i]
         rem_c = rem[par] - g[i] * w * w
@@ -404,9 +431,10 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True):
         acc_c = acc[par, :i]
         if updates[i] is not None:
             j0, row = updates[i]
-            acc_c[:, j0:] += n_i[:, None] * row
-        zero_c = zero[par] & (x == 0) if half else None
-        stack.append(block(x, par, zero_c, i - 1, rem_c, acc_c))
+            acc_c[:, j0:] += n_i.astype(ct)[:, None] * row
+        if coords:  # kept for the leaf matrix; a parent index is < CHUNK
+            x, par = x.astype(ct), par.astype(np.int32)
+        stack.append(block(x, par, lead and start == 0, i - 1, rem_c, acc_c))
 
 
 def count_by_norm(lattice, bound, shift_word=None):
@@ -467,6 +495,42 @@ def _block_table(p, limit):
     norms = p * t - s * s
     order = np.argsort(norms, kind="stable")
     return norms[order], s[order] % p
+
+
+@lru_cache(maxsize=16)
+def _digit_counts(p, limit):
+    """counts[a, k]: how many x in Z^(p-1) have digit a (sum x mod p) and
+    scaled norm k = p x.x - (sum x)^2 <= limit, from _block_table.  The
+    array is read-only, since the cache hands it to every caller."""
+    import numpy as np
+    norms, digits = _block_table(p, limit)
+    counts = np.bincount(digits * (limit + 1) + norms,
+                         minlength=p * (limit + 1)).reshape(p, limit + 1)
+    counts.flags.writeable = False
+    return counts
+
+
+def coset_shell_counts(p, n, word, bound):
+    """Exact shell sizes of the coset word of standard_lattice(p, n) up to
+    a norm bound: an integer array whose entry k counts the vectors of norm
+    k / p, for k = 0 .. floor(p * bound).
+
+    A vector of the coset is n elements of O, element i of digit word[i],
+    and its scaled norm p * norm is the sum of theirs, so the counts are
+    the one-element counts of each digit (_digit_counts) convolved over the
+    word: in int64 when the product of their totals fits, else in Python
+    ints.  No basis and no Fincke-Pohst run is involved."""
+    import numpy as np
+    bound = Fraction(bound)
+    limit = (bound.numerator * p) // bound.denominator
+    table = _digit_counts(p, limit)
+    rows = [table[int(a) % p] for a in word]
+    dt = np.int64 if prod(int(row.sum()) for row in rows) < 1 << 63 else object
+    counts = np.zeros(limit + 1, dtype=dt)
+    counts[0] = 1
+    for row in rows:
+        counts = np.convolve(counts, row.astype(dt))[:limit + 1]
+    return counts
 
 
 def box_count_by_norm(lattice, bound, shift_word=None):

@@ -2,19 +2,21 @@
 
 For an element x of O^n with y = sum_i x_i conj(x_i), the summand attached
 to a point (z_1, ..., z_r) is exp(2 pi i sum_l z_l sigma_l(y) / p), the
-sigma_l running over one embedding per conjugate pair.  Each call
-enumerates a coset once, into one table for all of its points, at the
-bound of the smallest Im z: the r values sigma_l(y) of every vector, rows
-sorted by norm, and the shells' norms and end rows.  The table is built
-from the enumerator's blocks as they arrive, so only its own rows are held
-for the whole coset, about 24 bytes per vector at p = 5, and the cosets w
-and -w share one table.  At a point, sums are taken shell by shell in
-increasing norm until the worst-case contribution of a shell drops below
-tail_tol/10, and only the rows before that shell are exponentiated;
-while some point's stop shell lies past the table, the bound grows by 5/4
-up to the THETA_FORGE_MAX_NORM cap.  A sum that is not finite, a cap
-reached first, or a Re z so large that float64 phases err by more than
-tail_tol is an error naming the point.
+sigma_l running over one embedding per conjugate pair.  At a point, sums
+are taken shell by shell in increasing norm until the worst-case
+contribution of a shell drops below tail_tol/10.  Each call first finds
+every point's stop shell from the coset's exact shell sizes, which come
+from one cyclotomic block's norm table and no enumeration of the coset;
+while some point has none, the bound grows by 5/4 up to the
+THETA_FORGE_MAX_NORM cap.  It then enumerates the coset once, to the norm
+of the last shell any point sums, into one table for all of its points:
+the r values sigma_l(y) of every vector, rows sorted by norm, and the
+shells' norms and end rows.  The table is built from the enumerator's
+blocks as they arrive, so only its own rows are held for the whole coset,
+about 24 bytes per vector at p = 5, and the cosets w and -w share one
+table.  Only the rows a point sums are exponentiated.  A sum that is not
+finite, a cap reached first, or a Re z so large that float64 phases err
+by more than tail_tol is an error naming the point.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .codelattice import (
-    enumerate_coset, lift_word, max_norm_cap, standard_lattice,
+    coset_shell_counts, enumerate_coset, lift_word, max_norm_cap,
+    standard_lattice,
 )
 from .cyclotomic import check_odd_prime, check_prime
 
@@ -145,11 +148,16 @@ def _coset_values(p, n, word, points, tail_tol):
     """Shell-ordered sums of exp(2 pi i sum_l z_l sigma_l(y) / p) over the
     coset, one per point, each up to the first shell of norm u whose count
     times exp(-pi y_min u) is below tail_tol/10; only the shells before it
-    are exponentiated.  All points share one table (_coset_table),
-    enumerated to the bound of the smallest Im z and grown by 5/4 until it
-    holds every point's stop shell.  Shells are complete up to the bound
-    and keep the enumeration order, so a point's value does not depend on
-    the table it is read from.
+    are exponentiated.
+
+    The stop shells come from coset_shell_counts, exact and cheap, taken
+    first at the bound of the smallest Im z and grown by 5/4 until every
+    point has one.  All points then share one table (_coset_table),
+    enumerated to the exact norm of the last shell any point sums, and a
+    point reads the table's shells up to the norm of its own last one.
+    The enumeration order is lexicographic at any bound and the sort by
+    norm is stable, so a shell's rows, and a point's value, do not depend
+    on the bound the table was built at.
     """
     import numpy as np
     if not points:
@@ -164,9 +172,9 @@ def _coset_values(p, n, word, points, tail_tol):
     word = tuple(int(c) % p for c in word)
     while True:
         use = min(bound, cap)
-        sigma, shell_norms, shell_ends = _coset_table(p, n, word, use)
-        ends = [0] + shell_ends.tolist()
-        shells = list(zip(shell_norms.tolist(), np.diff(ends).tolist()))
+        counts = coset_shell_counts(p, n, word, use)
+        ks = np.flatnonzero(counts)
+        shells = list(zip((ks / p).tolist(), counts[ks].tolist()))
         stops = [next((k for k, (u, cnt) in enumerate(shells)
                        if cnt * math.exp(-math.pi * y_min * u)
                        < tail_tol / 10), None)
@@ -187,23 +195,32 @@ def _coset_values(p, n, word, points, tail_tol):
                 "%s asks for a norm bound of %s"
                 % (tail_tol, cap, _point_text(point), advice))
         bound = bound * 5 / 4
+    if not any(stops):
+        return [0j] * len(points)   # no point sums a shell
+    sigma, shell_norms, shell_ends = _coset_table(
+        p, n, word, Fraction(int(ks[max(stops) - 1]), p))
+    ends = [0] + shell_ends.tolist()
     values = []
     for point, stop in zip(points, stops):
+        # the table's shells up to the norm of the point's last one
+        norm_max, last = 0.0, 0
+        if stop:
+            norm_max = shells[stop - 1][0]
+            last = int(np.searchsorted(shell_norms, norm_max, side="right"))
         # a huge Re z overflows the phase to inf and the terms to nan; the
         # finished sum is checked instead of warning on the way
         total = 0j
         with np.errstate(over="ignore", invalid="ignore"):
-            phase = np.zeros(ends[stop], dtype=np.complex128)
+            phase = np.zeros(ends[last], dtype=np.complex128)
             for l, z in enumerate(point.values):
-                phase += z * sigma[:ends[stop], l]
+                phase += z * sigma[:ends[last], l]
             terms = np.exp((2j * np.pi / p) * phase)
-            for s0, s1 in zip(ends[:stop], ends[1:stop + 1]):
+            for s0, s1 in zip(ends[:last], ends[1:last + 1]):
                 total += complex(terms[s0:s1].sum())
         if not cmath.isfinite(total):
             raise ValueError("the theta sum at the point %s is not finite"
                              % _point_text(point))
-        _check_phase_rounding(point, shells[stop - 1][0] if stop else 0.0,
-                              tail_tol)
+        _check_phase_rounding(point, norm_max, tail_tol)
         values.append(total)
     return values
 

@@ -15,6 +15,8 @@ after construction, so with_N returns the series itself at the same N.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from math import floor, gcd
 
@@ -214,7 +216,8 @@ def eta_power(p, power, cutoff):
     other power through the cutoff, as the k-th power of eta through
     reach = cutoff + (1 - k)/24 is.  The slots q^(k/24) of eta through
     reach (through the cutoff for k >= 1) are checked against
-    MAX_ETA_SLOTS first.
+    MAX_ETA_SLOTS first, and then the size of the b_n against the number
+    of digits Python prints an integer with (_digits_bound).
     """
     cutoff = Fraction(cutoff)
     if cutoff < Fraction(1, 24):
@@ -230,6 +233,13 @@ def eta_power(p, power, cutoff):
         cutoff += Fraction(power - 1, 24)
     top = (floor(24 * cutoff) - power) // 24    # the last n with a term
     # a_j at the generalized pentagonal j = m(3m-1)/2 >= |m|, m != 0
+    printable = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _digits_bound(abs(power), top)
+    if printable and digits > printable:
+        raise ValueError("--power is too large for the cutoff %s: the "
+                         "coefficients may have up to %d decimal digits, more "
+                         "than the %d an integer is printed with"
+                         % (cutoff, digits, printable))
     pentagonal = {m * (3 * m - 1) // 2: -1 if m % 2 else 1
                   for m in range(-top, top + 1) if m}
     b = [1]
@@ -238,6 +248,27 @@ def eta_power(p, power, cutoff):
                      for j, a in pentagonal.items() if j <= n) // n)
     return QSeries(p, 24, {24 * n + power: c for n, c in enumerate(b)},
                    cutoff)
+
+
+def _digits_bound(k, n):
+    """An upper bound on the decimal digits of every coefficient b_0 ..
+    b_n of P^(+-k), k >= 0, P = prod_m (1 - q^m).
+
+    |b_j| is at most c_j, the coefficient of q^j in prod_m (1 - q^m)^-k,
+    the number of k-coloured partitions of j, and c_j grows with j.  Two
+    bounds on c_n: p(n) k^n, since each partition takes at most k^n
+    colourings, with p(n) < exp(pi sqrt(2n/3)); and, as the coefficients
+    are nonnegative, x^-n prod_m (1 - x^m)^-k <= x^-n exp(k x / (1 - x)^2)
+    for 0 < x < 1, at x = n / (k + n) equal to ((k + n)/n)^n exp(n + n^2/k),
+    within a few digits of c_n when k is large against n.
+    """
+    if not k or n <= 0:
+        return 1
+    by_partitions = (math.pi * math.sqrt(2 * n / 3) / math.log(10)
+                     + n * math.log10(k))
+    by_saddle = (n * (math.log10(k + n) - math.log10(n))
+                 + (n + n * n / k) / math.log(10))
+    return floor(min(by_partitions, by_saddle)) + 1
 
 
 def t_shift(series):

@@ -435,6 +435,8 @@ TOO_LARGE = {
                      "99999999999999999999"],
     "power_-10^5": ["qexp", "--prime", "3", "--cutoff", "1", "--power",
                     "-100000"],
+    "power_10^60": ["qexp", "--prime", "3", "--cutoff", "100", "--power",
+                    str(10 ** 60)],
 }
 
 
@@ -470,6 +472,21 @@ def test_largest_prime_and_series_still_accepted(capsys):
         err = input_error(capsys, ["qexp", "--prime", "3", "--cutoff",
                                    cutoff, "--power", power])
         assert "2401 exponent slots" in err and "2400 allowed" in err
+
+
+def test_power_with_unprintable_coefficients_names_the_option(capsys):
+    # eta^(10^60) through q^100 has coefficients near (10^60)^99 / 99!, some
+    # 5,800 digits, past the 4,300 Python prints an integer with; 10^8
+    # there, about 640 digits, prints (pinned in test_output_byte_stable)
+    err = input_error(capsys, ["qexp", "--prime", "3", "--cutoff", "100",
+                               "--power", str(10 ** 60)])
+    assert err.startswith("error: --power is too large for the cutoff ")
+    assert "5786 decimal digits, more than the 4300" in err
+    code, out = run_main(capsys, ["qexp", "--prime", "3", "--cutoff", "100",
+                                  "--power", str(10 ** 8)])
+    assert code == 0
+    assert max(len(str(c)) for term in json.loads(out)
+               for c in term["coef"]["coeffs"]) == 638
 
 
 # A valid numerical `verify alpbach` request; the fuzz below spoils one of

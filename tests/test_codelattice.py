@@ -758,10 +758,48 @@ def test_coordinate_free_histograms_match_the_leaves():
         assert sum(leaf_histogram(gram, bound).values()) == size
 
 
+def test_int32_threshold_matches_python_ints(monkeypatch):
+    # An integer moved from x_0 into the shift leaves the coset, so its
+    # leaves and norms, as they are; it raises reach by 6 per unit, here to
+    # just below and just above the largest int32 reach, 2^30 / (CHUNK + 1)
+    # rounded down (262,080).  Each run, with or without coordinates, must
+    # hand over the same blocks as the run forced onto Python ints.
+    true_dtypes = codelattice._dtypes
+    chosen = []
+
+    def spied(norm_top, reach):
+        chosen.append((reach, true_dtypes(norm_top, reach)))
+        return chosen[-1][1]
+
+    def blocks(shift, coords):
+        out = []
+        codelattice._fincke_pohst(
+            SLICE_GRAM, shift, 12,
+            lambda X, scaled, scale: out.append((
+                None if X is None else X.tolist(), scaled.tolist(), scale)),
+            False, coords)
+        return out
+
+    assert (1 << 30) // (codelattice.CHUNK + 1) == 262080
+    for offset, reach, ct in ((43668, 262076, np.int32),
+                              (43669, 262082, np.int64)):
+        shift = [SLICE_SHIFT[0] + offset] + SLICE_SHIFT[1:]
+        for coords in (True, False):
+            monkeypatch.setattr(codelattice, "_dtypes", spied)
+            got = blocks(shift, coords)
+            assert chosen[-1] == (reach, (np.int64, ct))
+            monkeypatch.setattr(codelattice, "_dtypes",
+                                lambda norm_top, reach: (object, object))
+            assert got == blocks(shift, coords)
+            assert sum(len(b[1]) for b in got) == 172
+
+
 def test_golay_histogram_memory():
     # numpy reports its buffers to tracemalloc.  Without coordinates the
     # half-tree's blocks hold no x or parent columns and no leaf matrix is
-    # stacked: about 7.5-7.9 MB at the peak, against 10.5-11.0 MB with them.
+    # stacked, and golay's partial sums, lo and ends fit in int32: about
+    # 4.1 MB at the peak, against 7.9 MB with int64 and 10.5-11.0 MB with
+    # the coordinate columns as well.
     golay = lattice_of_code(standard_codes("golay12"))
     tracemalloc.start()
     try:
@@ -770,7 +808,7 @@ def test_golay_histogram_memory():
     finally:
         tracemalloc.stop()
     assert counts == {0: 1, 2: 72, 4: 194832}
-    assert peak < 8.5e6, peak / 1e6
+    assert peak < 5.5e6, peak / 1e6
 
 
 def test_theta_series_by_word_matches_full_tree():

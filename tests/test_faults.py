@@ -47,9 +47,11 @@ def fresh_clifford_tables(monkeypatch):
 
 
 def fresh_enumeration_caches(monkeypatch):
-    """Every cache that holds a value counted by the Fincke-Pohst tree."""
+    """Every cache that holds a value counted by the Fincke-Pohst tree or
+    by the one-block norm table."""
     fresh_caches(monkeypatch, hilbert_eval, ("_coset_arrays",))
     fresh_caches(monkeypatch, voarep, ("_digit_minimum", "orbit_theta"))
+    fresh_caches(monkeypatch, codelattice, ("_digit_counts",))
 
 
 def patch_everywhere(monkeypatch, original, replacement):
@@ -181,6 +183,7 @@ def test_box_table_entry_dropped_or_doubled_fails_e8(monkeypatch, fault):
         return np.insert(norms, 1, norms[1]), np.insert(digits, 1, digits[1])
 
     monkeypatch.setattr(codelattice, "_block_table", faulty)
+    fresh_enumeration_caches(monkeypatch)
     report = cli.verify_e8()
     assert report["theta_matches"] and not report["routes_agree"]
     assert not report["pass"]

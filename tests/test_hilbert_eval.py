@@ -4,14 +4,16 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
 
+from thetaforge import hilbert_eval
 from thetaforge.codelattice import (
-    CHUNK, enumerate_coset, lift_word, max_norm_cap, standard_lattice,
-    theta_series,
+    CHUNK, coset_shell_counts, enumerate_coset, lift_word, max_norm_cap,
+    standard_lattice, theta_series,
 )
 from thetaforge.fpcode import make_code, standard_codes
 from thetaforge.hilbert_eval import (
@@ -291,14 +293,60 @@ def test_empty_coset_table_matches_reference(monkeypatch):
 
 
 def test_bound_growth_matches_reference():
-    # The stop shell at Im z = 0.7 lies past the first bound, so a second,
-    # larger table is enumerated; the point at Im z = 1.5 reads it too.
+    # The stop shell at Im z = 0.7 lies past the first bound, so the shell
+    # counts are taken again at a larger one; only then is one table
+    # enumerated, and the point at Im z = 1.5 reads it too.
     points = [as_point(5, 0.7j), as_point(5, [1.5j, 0.2 + 1.6j])]
     _coset_arrays.cache_clear()
     values = _coset_values(5, 2, (1, 2), points, 1e-10)
-    assert _coset_arrays.cache_info().misses == 2
+    assert _coset_arrays.cache_info().misses == 1
     assert values == [reference_coset_value(5, 2, (1, 2), point, 1e-10)
                       for point in points]
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                                  (5, 3), (7, 1), (7, 2)])
+def test_shell_counts_match_the_tables(p, n):
+    # the stop shells come from one block's norm table, convolved over the
+    # word's digits; every coset table must have exactly those shells
+    for bound in (Fraction(4), Fraction(13, 2)):
+        for word in product(range(p), repeat=n):
+            counts = coset_shell_counts(p, n, word, bound)
+            assert len(counts) == int(p * bound) + 1
+            _, shell_norms, shell_ends = _coset_table(p, n, word, bound)
+            ks = np.flatnonzero(counts)
+            assert (ks / p).tolist() == shell_norms.tolist()
+            assert counts[ks].tolist() == np.diff(shell_ends,
+                                                  prepend=0).tolist()
+    _coset_arrays.cache_clear()
+
+
+def test_one_table_per_pm_pair_at_the_last_summed_norm(monkeypatch):
+    built = []
+
+    @lru_cache(maxsize=64)
+    def recorded(p, n, word, bound):
+        built.append((word, bound))
+        return _coset_arrays.__wrapped__(p, n, word, bound)
+
+    monkeypatch.setattr(hilbert_eval, "_coset_arrays", recorded)
+    points = [as_point(5, [1j, 1.5j]), as_point(5, 0.7j),
+              as_point(5, [0.3 + 2j, 2.2j])]
+    tail_tol = 1e-10
+    for word in ((1, 2), (4, 3)):
+        _coset_values(5, 2, word, points, tail_tol)
+    [(word, bound)] = built
+    assert word == (1, 2) and bound.denominator in (1, 5)
+    # the table ends at the shell of norm bound, and that is the last shell
+    # the point at Im z = 0.7 sums: the next one is the first below the
+    # stop threshold
+    _, norms, ends = _coset_arrays.__wrapped__(5, 2, word, bound + 2)
+    counts = np.diff(ends, prepend=0).tolist()
+    last = norms.tolist().index(float(bound))
+    assert recorded(5, 2, word, bound)[2].tolist() == ends[:last + 1].tolist()
+    below = [cnt * math.exp(-math.pi * 0.7 * u) < tail_tol / 10
+             for u, cnt in zip(norms.tolist(), counts)]
+    assert below.index(True) == last + 1
 
 
 def test_alpbach_reads_one_table_per_coset():
@@ -420,8 +468,10 @@ def test_streamed_table_memory():
 
 
 def test_tables_left_by_the_numeric_stage():
-    # The cache holds one table per +- pair of code cosets: about 4.3 MB
-    # after the desk stage's five codes, 7.5 MB with a table per coset.
+    # The cache holds one table per +- pair of code cosets, each enumerated
+    # only to the last shell any point sums: about 2.3 MB after the desk
+    # stage's five codes, 4.5 MB with each table enumerated to the first
+    # bound that holds every stop shell, 7.5 MB with a table per coset.
     from thetaforge.cli import verify_alpbach_random_numerical
     _coset_arrays.cache_clear()
     tracemalloc.start()
@@ -434,7 +484,7 @@ def test_tables_left_by_the_numeric_stage():
         left, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held - left < 5.5e6, (held - left) / 1e6
+    assert held - left < 3.0e6, (held - left) / 1e6
 
 
 def test_sigma_rows_sum_to_half_p_times_the_norm():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from thetaforge.cyclotomic import CycInt, CycRat
 from thetaforge.fpcode import standard_codes, weight_enumerator
 from thetaforge.qexp import (
-    QSeries, compose_enumerator, eta_power, t_shift, to_json_obj,
+    QSeries, _digits_bound, compose_enumerator, eta_power, t_shift,
+    to_json_obj,
 )
 
 
@@ -163,6 +164,20 @@ def test_eta_power_recurrence_matches_series_power(power, cutoff):
         want = (eta(5, reach) ** power).truncate(cutoff)
     got = eta_power(5, power, cutoff)
     assert (got.N, got.cutoff, got.terms) == (want.N, want.cutoff, want.terms)
+
+
+@pytest.mark.parametrize("power", [1, -1, 5, -7, -24, 3000, 10 ** 8,
+                                   10 ** 20])
+def test_digits_bound_holds(power):
+    # the refusal of large powers reads this bound, never the series
+    for cutoff in (3, 20, 60):
+        series = eta_power(3, power, cutoff)
+        n = (max(series.terms) - power) // 24
+        digits = max(len(str(abs(c.as_fraction()))) for _, c in series.items())
+        bound = _digits_bound(abs(power), n)
+        assert digits <= bound
+        if power >= 3000:   # close when the power is large against n
+            assert bound - digits <= 3
 
 
 def test_eta_power_large_positive_power_is_fast():
