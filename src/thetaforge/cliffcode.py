@@ -9,11 +9,11 @@ multiplication by the seven imaginary octonion units, signed matrices
 whose signs come from one octonion cocycle on F_2^3.
 
 A word over n <= 8 symbols is a sign and a support bitmask.  Every product
-sign is read from one cocycle table per n, built on first use from the
-symbol order: e_a e_b = (-1)^beta[a, b] e_(a xor b) with
+sign is one bilinear form on the support bits, computed from the symbol
+order: e_a e_b = (-1)^beta(a, b) e_(a xor b) with
 beta(a, b) = sum_{s>t} a_s b_t + sum_t a_t b_t mod 2 (Calderbank, Rains,
 Shor and Sloane, IEEE Trans. IT 44, 1998).  Conjugation signs, commutation
-and inverses come from the same table.  Each spinor map holds one image
+and inverses come from the same form.  Each spinor map holds one image
 table, a signed matrix per positive even support, built once from that
 map's own generator images; the image of a word is its support's entry
 times its sign.
@@ -120,17 +120,17 @@ class CliffordWord:
         return bin(self.bits).count("1") % 2 == 0
 
     def __mul__(self, other):
-        """Normal-ordered product; the sign is read from the cocycle
-        table."""
+        """Normal-ordered product; the sign is (-1)^beta of the two
+        supports."""
         if self.n != other.n:
             raise ValueError("words over different symbol counts")
-        sign = -1 if _cocycle(self.n)[self.bits, other.bits] else 1
+        sign = -1 if _beta(self.bits, other.bits) else 1
         return CliffordWord(self.n, sign * self.sign * other.sign,
                             self.bits ^ other.bits)
 
     def inverse(self):
-        # w * w = (-1)^beta[a, a] for the support a
-        return -self if _cocycle(self.n)[self.bits, self.bits] else self
+        # w * w = (-1)^beta(a, a) for the support a
+        return -self if _beta(self.bits, self.bits) else self
 
     def __neg__(self):
         return CliffordWord(self.n, -self.sign, self.bits)
@@ -147,30 +147,26 @@ class CliffordWord:
         return "%s%s" % ("" if self.sign > 0 else "-", body)
 
 
-@lru_cache(maxsize=None)
-def _cocycle(n):
-    """The sign cocycle of the n-symbol word group, a (2^n, 2^n) uint8
-    table: e_a e_b = (-1)^beta[a, b] e_(a xor b) for supports a, b.
+def _beta(a, b):
+    """The sign cocycle of the word group: e_a e_b = (-1)^beta(a, b)
+    e_(a xor b) for supports a, b.
 
-    beta(a, b) = a (L + I) b^T mod 2 with L the strict lower triangle:
-    sum_{s>t} a_s b_t counts the transpositions that normal-order the
-    product, sum_t a_t b_t the squares e_t e_t = -1.  64 KB at n = 8."""
-    import numpy as np
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.uint8)
-    beta = bits @ np.tri(n, dtype=np.uint8) @ bits.T & 1
-    beta.flags.writeable = False        # one table serves every caller
-    return beta
+    beta(a, b) = sum_{s>=t} a_s b_t mod 2: sum_{s>t} a_s b_t counts the
+    transpositions that normal-order the product, sum_t a_t b_t the
+    squares e_t e_t = -1.  So beta is the parity of a & m, where bit s of
+    m is the parity of b's bits 0..s: the prefix xor of b, taken over
+    every bit of a, since a may reach past b's top bit."""
+    m, shift = b, 1
+    while shift < a.bit_length():
+        m ^= m << shift
+        shift <<= 1
+    return (a & m).bit_count() & 1
 
 
-def _flips(n, rows, cols):
-    """(beta + beta^T)[h, k] mod 2 over rows x cols, read from the cocycle
-    table: 1 exactly where e_h and e_k anticommute, so conjugating e_k by
-    e_h multiplies it by (-1)^flip."""
-    import numpy as np
-    beta = _cocycle(n)
-    h = np.asarray(rows)[:, None]
-    k = np.asarray(cols)[None, :]
-    return beta[h, k] ^ beta[k, h]
+def _flip(h, k):
+    """1 exactly where e_h and e_k anticommute, so conjugating e_k by e_h
+    multiplies it by (-1)^flip."""
+    return _beta(h, k) ^ _beta(k, h)
 
 
 def omega(n):
@@ -189,31 +185,28 @@ def all_words(n, even_only=False):
             for sign in (1, -1)]
 
 
-def _matches_pairing(n, rows, cols):
+def _matches_pairing(rows, cols):
     """Whether e_h and e_k commute exactly when |h & k| is even, for h in
     rows and k in cols, the even supports of the commutator form.
 
     Guard: the left side is the product cocycle's beta + beta^T and the
     right side the popcount of the bits; neither is derived from the
     other."""
-    import numpy as np
-    h = np.asarray(rows)[:, None]
-    k = np.asarray(cols)[None, :]
-    return bool(np.array_equal(_flips(n, rows, cols),
-                               np.bitwise_count(h & k) & 1))
+    return all(_flip(h, k) == (h & k).bit_count() & 1
+               for h in rows for k in cols)
 
 
 def beta_form_check(n=8):
     """The commutator form against the pairing on all even vectors."""
     evens = _even_supports(n)
-    return _matches_pairing(n, evens, evens)
+    return _matches_pairing(evens, evens)
 
 
 def pair_form_sweep(n=8):
     """The weight-2 exhaustive comparison: all pairs of length-2 words."""
     pairs = [(1 << i) | (1 << j)
              for i, j in itertools.combinations(range(n), 2)]
-    return len(pairs), _matches_pairing(n, pairs, pairs)
+    return len(pairs), _matches_pairing(pairs, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +448,14 @@ def induced_character_check():
     (-1)^flip[s, x], so Ind chi(g) = +-chi(e_s) sum_x (-1)^flip[s, x],
     with chi zero off the lifted subgroup.
     """
-    import numpy as np
     # chi(e_s), from chi = 1 (plus) or (-1)^s_0 (minus) on the section word
     chi = {1: [0] * 256, -1: [0] * 256}
     for w in hamming_word_lift().values():
         chi[1][w.bits] = w.sign
         chi[-1][w.bits] = -w.sign if w.bits & 1 else w.sign
     reps = [0] + [1 | 1 << i for i in range(1, 8)]
-    conj_sums = (len(reps) - 2 * _flips(8, range(256), reps).sum(
-        axis=1, dtype=np.int64)).tolist()
+    conj_sums = [len(reps) - 2 * sum(_flip(s, x) for x in reps)
+                 for s in range(256)]
 
     def induced(variant, g):
         return g.sign * chi[variant][g.bits] * conj_sums[g.bits]
@@ -489,10 +481,10 @@ def induced_character_check():
 
 def conjugation_rep(word):
     """The image of a word under conjugation on the symbol span: the
-    diagonal signed matrix whose entry j is the sign of w e_j w^-1, read
-    from the cocycle table."""
-    flips = _flips(word.n, [word.bits], [1 << j for j in range(word.n)])
-    return SignedMatrix(range(word.n), [-1 if f else 1 for f in flips[0]])
+    diagonal signed matrix whose entry j is the sign of w e_j w^-1,
+    (-1)^flip(w, e_j)."""
+    return SignedMatrix(range(word.n), [-1 if _flip(word.bits, 1 << j) else 1
+                                        for j in range(word.n)])
 
 
 def triality_kernels():
@@ -645,9 +637,9 @@ def group_structure_check():
 
     # central in the even part: commutes with all pair generators
     evens = _even_supports(n)
-    flips = _flips(n, evens, [1 | 1 << i for i in range(1, n)])
-    centre_ok = [s for s, row in zip(evens, flips)
-                 if not row.any()] == [0, (1 << n) - 1]
+    centre_ok = [s for s in evens
+                 if not any(_flip(s, 1 | 1 << i) for i in range(1, n))
+                 ] == [0, (1 << n) - 1]
 
     # unique factorization: (lift of B-part) * (lifted-code element)
     bcode = make_code(2, 8, generators=[     # parity slot 0 stays empty
@@ -658,7 +650,7 @@ def group_structure_check():
     semidirect_ok = sorted(b ^ h for b in b_bits for h in h_bits) == evens
 
     # conjugation acts on the lifted code by the pairing sign
-    conj_ok = _matches_pairing(n, b_bits, h_bits)
+    conj_ok = _matches_pairing(b_bits, h_bits)
 
     # odd part is partitioned by the eight symbol cosets
     sizes_ok = sorted(1 << i ^ h for i in range(n) for h in h_bits) == [

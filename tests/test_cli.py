@@ -684,10 +684,12 @@ def test_exact_commands_start_without_numpy():
     commands = [["qexp", "--prime", "3", "--cutoff", "2", "--power", "-24"],
                 ["tower", "check", "--n", "5"],
                 ["clifford", "delta", "--word", "0,1"],
+                ["clifford", "delta", "--word", "0,1,2", "--full"],
+                ["clifford", "verify"],
                 ["code", "--code", "golay12"], ["verify", "hamming"],
                 ["verify", "grades"], ["--help"], ["tower", "check", "--n"]]
     report = _startup_probe(commands)
-    assert report["codes"] == [0] * 7 + [2]
+    assert report["codes"] == [0] * 9 + [2]
     assert report["numpy"] == [False] * (len(commands) + 1)
     # desk does array work, but never a plain np.unique, which would
     # import numpy.ma

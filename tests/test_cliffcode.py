@@ -10,6 +10,7 @@ from thetaforge.cliffcode import (
     fano_laws, full_rep, group_structure_check, hamming_word_lift,
     induced_character_check, matrix_diag_bits, omega, pauli_hamming,
     spinor_rep, tensor_all, tensor_split, triality_kernels, verify_all,
+    _beta,
 )
 from thetaforge.fpcode import (
     FANO_B_VECTORS, FANO_C_VECTORS, FANO_LINES_FIRST, FANO_LINES_SECOND,
@@ -60,7 +61,7 @@ def test_word_mul_associativity_and_inverse():
 
 
 def reference_mul(a, b):
-    """The swap-counting product that the cocycle table replaced: the sign
+    """The swap-counting product that the cocycle replaced: the sign
     counts the transpositions that normal-order the product and the
     squares e_t e_t = -1."""
     swaps = 0
@@ -75,8 +76,8 @@ def reference_mul(a, b):
 
 
 def reference_inverse(w):
-    """The closed-form inverse the table replaced: w * w = (-1)^(C(k,2) + k)
-    with k the weight."""
+    """The closed-form inverse the cocycle replaced:
+    w * w = (-1)^(C(k,2) + k) with k the weight."""
     k = bin(w.bits).count("1")
     return CliffordWord(w.n, -w.sign if (k * (k - 1) // 2 + k) % 2
                         else w.sign, w.bits)
@@ -89,6 +90,41 @@ def test_table_product_and_inverse_match_reference():
             assert a.inverse() == reference_inverse(a)
             for b in words:
                 assert a * b == reference_mul(a, b), (a, b)
+
+
+def literal_sign(a, b, n):
+    """The sign exponent of e_a e_b, found by writing out the symbols of
+    the two normal-ordered words and sorting them: one sign per adjacent
+    swap of two different symbols, then one per e_t e_t = -1."""
+    symbols = ([t for t in range(n) if a >> t & 1]
+               + [t for t in range(n) if b >> t & 1])
+    sign = 0
+    for end in range(len(symbols) - 1, 0, -1):
+        for j in range(end):
+            if symbols[j] > symbols[j + 1]:
+                symbols[j], symbols[j + 1] = symbols[j + 1], symbols[j]
+                sign ^= 1
+    left = []
+    for t in symbols:
+        if left and left[-1] == t:
+            left.pop()
+            sign ^= 1
+        else:
+            left.append(t)
+    assert left == [t for t in range(n) if (a ^ b) >> t & 1]
+    return sign
+
+
+def test_beta_matches_literal_products():
+    for n in range(1, 7):
+        for a in range(1 << n):
+            for b in range(1 << n):
+                assert _beta(a, b) == literal_sign(a, b, n), (n, a, b)
+    rng = random.Random(26)
+    for n in (7, 8):
+        for _ in range(2000):
+            a, b = rng.randrange(1 << n), rng.randrange(1 << n)
+            assert _beta(a, b) == literal_sign(a, b, n), (n, a, b)
 
 
 def test_word_validation():

@@ -43,7 +43,7 @@ def fresh_caches(monkeypatch, module, names):
 
 
 def fresh_clifford_tables(monkeypatch):
-    fresh_caches(monkeypatch, cliffcode, ("_cocycle", "_spinor_images"))
+    fresh_caches(monkeypatch, cliffcode, ("_spinor_images",))
 
 
 def fresh_enumeration_caches(monkeypatch):
@@ -147,6 +147,33 @@ def test_unreversed_negated_table_is_seen_only_by_exact_reads(monkeypatch):
     assert not np.array_equal(read, direct)
     moved = hilbert_eval._coset_values(5, 2, word, [point], 1e-12)[0]
     assert moved != honest and abs(moved - honest) < 1e-12
+
+
+def test_last_shell_dropped_fails_sl2f3_and_narrows_alpbach(monkeypatch):
+    # every Hilbert table loses its last shell, so each point stops one
+    # shell early.  sl2f3's S-residuals grow far past its tolerance of
+    # 1e-7; alpbach_numerical still passes its 1e-8, but its largest
+    # residual rises from about 2e-11 to about 5e-9, a margin of 2.
+    alpbach = run_stage("alpbach_numerical")
+    sl2f3 = run_stage("sl2f3")
+    assert alpbach["pass"] and sl2f3["pass"]
+    assert max(t["max_residual"] for t in alpbach["trials"]) < 1e-10
+    true_table = hilbert_eval._coset_table
+
+    def last_shell_dropped(p, n, word, bound):
+        sigma, shell_norms, shell_ends = true_table(p, n, word, bound)
+        keep = shell_ends[-2] if len(shell_ends) > 1 else 0
+        return sigma[:keep], shell_norms[:-1], shell_ends[:-1]
+
+    monkeypatch.setattr(hilbert_eval, "_coset_table", last_shell_dropped)
+    alpbach = run_stage("alpbach_numerical")
+    residual = max(t["max_residual"] for t in alpbach["trials"])
+    assert alpbach["pass"] and 1e-9 < residual < alpbach["tol"]
+    sl2f3 = run_stage("sl2f3")
+    assert not any(point["pass"] for point in sl2f3["points"])
+    residuals = [r for point in sl2f3["points"] for r in point["s_residuals"]]
+    assert 1e-6 < min(residuals) and max(residuals) < 1e-3
+    assert not sl2f3["pass"]
 
 
 def test_unfolded_word_table_fails_orbit_invariance(monkeypatch):
@@ -272,11 +299,13 @@ def test_golay_stage_fails_on_three_tetracodes(monkeypatch):
 
 def test_flipped_cocycle_entry_fails_clifford(monkeypatch):
     fresh_clifford_tables(monkeypatch)
-    true_cocycle = cliffcode._cocycle
-    beta = true_cocycle(8).copy()
-    beta[0b0011, 0b1100] ^= 1          # e_0 e_1 times e_2 e_3 changes sign
-    monkeypatch.setattr(cliffcode, "_cocycle",
-                        lambda n: beta if n == 8 else true_cocycle(n))
+    true_beta = cliffcode._beta
+
+    def flipped(a, b):
+        # e_0 e_1 times e_2 e_3 changes sign, and no other product
+        return true_beta(a, b) ^ ((a, b) == (0b0011, 0b1100))
+
+    monkeypatch.setattr(cliffcode, "_beta", flipped)
     report = cli.clifford_verify_all()
     assert not report["group"]["commutation_matches_pairing"]
     assert not report["pass"]
