@@ -25,7 +25,7 @@ from .codelattice import (
     box_count_by_norm, count_by_norm, lattice_info, lattice_of_code,
     standard_lattice, theta_series, theta_series_by_word,
 )
-from .cyclotomic import CycInt
+from .cyclotomic import CycRat
 from .fpcode import (
     code_predicates, hamming_weight, read_code_file, standard_codes,
     weight_enumerator,
@@ -309,7 +309,7 @@ def _trace_form_gram(lat):
     Z[zeta_p]: sum over blocks of Tr(u_i conj(v_i)).  Shares no code with
     codelattice.trace_gram, so it ties the Gram to the basis."""
     p, d = lat.p, lat.p - 1
-    rows = [[CycInt(p, row[i:i + d]) for i in range(0, len(row), d)]
+    rows = [[CycRat(p, row[i:i + d]) for i in range(0, len(row), d)]
             for row in lat.basis]
     return [[sum((a * b.conj()).trace() for a, b in zip(u, v)) for v in rows]
             for u in rows]

@@ -474,7 +474,8 @@ def count_by_norm(lattice, bound, shift_word=None):
 
 def _block_table(p, limit):
     """Scaled norms and digits of every x in Z^(p-1) with
-    p x.x - (sum x)^2 <= limit, sorted by norm, one entry per x.
+    p x.x - (sum x)^2 <= limit, sorted by norm, one entry per x: the
+    pruned oracle's block, which needs one leaf per vector.
 
     Coordinates are fixed one at a time.  With k of them fixed (sum s, sum
     of squares t), the least scaled norm over real values of the other
@@ -500,12 +501,32 @@ def _block_table(p, limit):
 @lru_cache(maxsize=16)
 def _digit_counts(p, limit):
     """counts[a, k]: how many x in Z^(p-1) have digit a (sum x mod p) and
-    scaled norm k = p x.x - (sum x)^2 <= limit, from _block_table.  The
-    array is read-only, since the cache hands it to every caller."""
+    scaled norm k = p x.x - (sum x)^2 <= limit, with no vector listed.
+
+    The histogram of (x.x, sum x) is built one coordinate at a time, then
+    binned by (sum x mod p, p x.x - (sum x)^2).  Since (sum x)^2 <= (p-1)
+    x.x, the norm is at least x.x, so every prefix of a counted x has
+    x.x <= limit and |sum x| <= isqrt((p-1) limit), the histogram's
+    window.  Entries are int64 when the box (2 isqrt(limit) + 1)^(p-1)
+    bounding every count is below 2^63, Python ints otherwise.  The array
+    is read-only, since the cache hands it to every caller."""
     import numpy as np
-    norms, digits = _block_table(p, limit)
-    counts = np.bincount(digits * (limit + 1) + norms,
-                         minlength=p * (limit + 1)).reshape(p, limit + 1)
+    w, S = isqrt(limit), isqrt((p - 1) * limit)
+    dt = np.int64 if (2 * w + 1) ** (p - 1) < 1 << 63 else object
+    hist = np.zeros((limit + 1, 2 * S + 1), dtype=dt)   # [x.x, sum x + S]
+    hist[0, S] = 1
+    for _ in range(p - 1):
+        step = np.zeros_like(hist)
+        for x in range(-w, w + 1):
+            t, lo, hi = x * x, max(x, 0), 2 * S + 1 + min(x, 0)
+            step[t:, lo:hi] += hist[:limit + 1 - t, lo - x:hi - x]
+        hist = step
+    s = np.arange(-S, S + 1)
+    norms = p * np.arange(limit + 1)[:, None] - s * s
+    keep = (norms >= 0) & (norms <= limit)
+    digits = np.broadcast_to(s % p, norms.shape)
+    counts = np.zeros((p, limit + 1), dtype=dt)
+    np.add.at(counts, (digits[keep], norms[keep]), hist[keep])
     counts.flags.writeable = False
     return counts
 

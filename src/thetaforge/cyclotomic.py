@@ -1,10 +1,12 @@
-"""Exact arithmetic in the ring of integers of the p-th cyclotomic field.
+"""Exact arithmetic in the p-th cyclotomic field Q(zeta_p).
 
-Elements are stored on the power basis zeta^0, ..., zeta^(p-2) with integer
-coefficients, for p an odd prime.  p = 2 is allowed as a degenerate case
-(the ring is plain Z, coefficient vectors have length 1) so that binary
-codes can share the downstream machinery.  All operations here are exact;
-the only floating point lives in the complex embeddings.
+An element is stored on the power basis zeta^0, ..., zeta^(p-2) as integer
+coefficients over a positive denominator, gcd-reduced, for p an odd prime;
+denominator 1 means the element lies in the ring of integers Z[zeta_p].
+p = 2 is allowed as a degenerate case (the field is plain Q, coefficient
+vectors have length 1) so that binary codes can share the downstream
+machinery.  All operations here are exact; the only floating point lives
+in the complex embeddings.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import gcd
 from numbers import Rational
 
 
-# The largest p accepted.  An element of Z[zeta_p] holds a tuple of p - 1
+# The largest p accepted.  An element of Q(zeta_p) holds a tuple of p - 1
 # coefficients, 8 (p - 1) bytes of pointers, 128 MiB at the bound.  The
 # bound is tested before trial division, which then takes at most 2^12
 # steps, and before any coefficient tuple is built.
@@ -44,59 +46,84 @@ def check_odd_prime(p):
         raise ValueError("need an odd prime")
 
 
-class CycInt:
-    """An element of Z[zeta_p] with integer power-basis coefficients."""
+def _reduce_top(p, acc):
+    """The p - 1 power-basis coefficients of sum acc[k] zeta^k, k < p:
+    zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))."""
+    top = acc[p - 1]
+    return [acc[k] - top for k in range(p - 1)]
 
-    __slots__ = ("p", "coeffs")
 
-    def __init__(self, p, coeffs):
+def _convolve(p, xs, ys):
+    """Power-basis coefficients of the product of two integer elements."""
+    acc = [0] * p
+    for i, a in enumerate(xs):
+        if a == 0:
+            continue
+        for j, b in enumerate(ys):
+            if b:
+                acc[(i + j) % p] += a * b
+    return _reduce_top(p, acc)
+
+
+class CycRat:
+    """An element of Q(zeta_p): integer power-basis coefficients over a
+    positive, gcd-reduced denominator (den == 1 is an element of
+    Z[zeta_p])."""
+
+    __slots__ = ("p", "coeffs", "den")
+
+    def __init__(self, p, coeffs, den=1):
         check_prime(p)
         coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) != p - 1:
             raise ValueError("need %d coefficients for p=%d, got %d"
                              % (p - 1, p, len(coeffs)))
+        den = int(den)
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            coeffs, den = tuple(-c for c in coeffs), -den
+        g = gcd(den, *coeffs) if den != 1 else 1
+        if g > 1:
+            coeffs, den = tuple(c // g for c in coeffs), den // g
         self.p = p
         self.coeffs = coeffs
+        self.den = den
 
     @classmethod
-    def from_int(cls, p, a):
+    def from_int(cls, p, a, den=1):
+        """The rational a / den."""
         check_prime(p)              # before the (p - 2)-tuple is built
-        return cls(p, (int(a),) + (0,) * (p - 2))
+        return cls(p, (a,) + (0,) * (p - 2), den)
 
     @classmethod
     def zeta_pow(cls, p, k):
         """zeta^k as a basis element (k reduced mod p; zeta^(p-1) expanded)."""
         check_prime(p)
-        k %= p
-        c = [0] * (p - 1)
-        if k == p - 1:
-            # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-            c = [-1] * (p - 1)
-        else:
-            c[k] = 1
-        return cls(p, c)
+        acc = [0] * p
+        acc[k % p] = 1
+        return cls(p, _reduce_top(p, acc))
 
     def _operand(self, other):
-        """other as a CycInt of this prime, or None for an operand that is
-        neither an int nor a CycInt; another prime raises ValueError."""
-        if isinstance(other, int):
-            return CycInt.from_int(self.p, other)
-        if not isinstance(other, CycInt):
-            return None
-        if other.p != self.p:
-            raise ValueError("mixed primes: %d and %d" % (self.p, other.p))
-        return other
+        """other as a CycRat of this prime, or None for an operand that is
+        neither a CycRat nor a numbers.Rational; another prime raises
+        ValueError."""
+        if isinstance(other, (CycRat, Rational)):
+            return as_cycrat(self.p, other)
+        return None
 
     def __add__(self, other):
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return CycInt(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b = self.den, other.den
+        return CycRat(self.p, [x * b + y * a for x, y
+                               in zip(self.coeffs, other.coeffs)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycInt(self.p, [-a for a in self.coeffs])
+        return CycRat(self.p, [-a for a in self.coeffs], self.den)
 
     def __sub__(self, other):
         other = self._operand(other)
@@ -110,40 +137,59 @@ class CycInt:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        p = self.p
-        # convolve on exponents mod p, then eliminate zeta^(p-1)
-        acc = [0] * p
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    acc[(i + j) % p] += a * b
-        top = acc[p - 1]
-        return CycInt(p, [acc[k] - top for k in range(p - 1)])
+        return CycRat(self.p, _convolve(self.p, self.coeffs, other.coeffs),
+                      self.den * other.den)
 
     __rmul__ = __mul__
 
+    def inverse(self):
+        """Multiplicative inverse: the cofactor prod_{r=2}^{p-1} sigma_r(x)
+        of the numerator x over its norm, the rational constant of
+        x * cofactor."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        p = self.p
+        cofactor = (1,) + (0,) * (p - 2)
+        for r in range(2, p):
+            cofactor = _convolve(p, cofactor, self.galois(r).coeffs)
+        norm = _convolve(p, self.coeffs, cofactor)[0]
+        return CycRat(p, [c * self.den for c in cofactor], norm)
+
+    def __truediv__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else self * other.inverse()
+
     def __eq__(self, other):
-        """Equal to a CycInt of the same prime with the same coefficients,
-        or to an int; any other operand is left to its own __eq__."""
-        if isinstance(other, int):
-            other = CycInt.from_int(self.p, other)
-        elif not isinstance(other, CycInt):
+        """Equal to a CycRat of the same prime with the same coefficients
+        and denominator, or to the int or Fraction of a rational element;
+        any other operand is left to its own __eq__."""
+        try:
+            other = self._operand(other)
+        except ValueError:           # another prime
             return NotImplemented
-        return other.p == self.p and other.coeffs == self.coeffs
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.den == other.den
 
     def __hash__(self):
-        # a rational element hashes as the int it equals
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.p, self.coeffs))
+        # a rational element hashes as the Fraction (or int) it equals
+        if self.is_rational():
+            return hash(Fraction(self.coeffs[0], self.den))
+        return hash((self.p, self.coeffs, self.den))
 
     def __repr__(self):
-        return "CycInt(p=%d, %r)" % (self.p, list(self.coeffs))
+        return "CycRat(p=%d, %r, %d)" % (self.p, list(self.coeffs), self.den)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
+
+    def is_rational(self):
+        return not any(self.coeffs[1:])
+
+    def as_fraction(self):
+        if not self.is_rational():
+            raise ValueError("not a rational element: %r" % (self,))
+        return Fraction(self.coeffs[0], self.den)
 
     def galois(self, r):
         """Apply the automorphism zeta -> zeta^r, for r coprime to p."""
@@ -153,16 +199,17 @@ class CycInt:
         acc = [0] * p
         for k, a in enumerate(self.coeffs):
             acc[(k * r) % p] += a
-        top = acc[p - 1]
-        return CycInt(p, [acc[k] - top for k in range(p - 1)])
+        return CycRat(p, _reduce_top(p, acc), self.den)
 
     def conj(self):
         """Complex conjugation, zeta -> zeta^(p-1)."""
         return self.galois(self.p - 1)
 
     def trace(self):
-        """Field trace down to Z: (p-1)*a_0 - sum of the other coefficients."""
-        return (self.p - 1) * self.coeffs[0] - sum(self.coeffs[1:])
+        """Field trace down to Q: ((p-1)*a_0 - sum of the other
+        coefficients) / den, an int when den == 1."""
+        t = (self.p - 1) * self.coeffs[0] - sum(self.coeffs[1:])
+        return t if self.den == 1 else Fraction(t, self.den)
 
     def embed(self, r):
         """Complex embedding zeta -> exp(2*pi*i*r/p), 1 <= r <= p-1."""
@@ -172,125 +219,19 @@ class CycInt:
         for k, a in enumerate(self.coeffs):
             if a:
                 z += a * cmath.exp(2j * cmath.pi * k * r / self.p)
-        return z
-
-
-class CycRat:
-    """A quotient of a CycInt by a positive integer, kept gcd-reduced."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1):
-        if isinstance(num, int):
-            raise ValueError("wrap plain integers via as_cycrat")
-        den = int(den)
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(den, *(abs(c) for c in num.coeffs)) if den != 1 else 1
-        if g > 1:
-            num = CycInt(num.p, [c // g for c in num.coeffs])
-            den //= g
-        self.num = num
-        self.den = den
-
-    @property
-    def p(self):
-        return self.num.p
-
-    def __add__(self, other):
-        if not isinstance(other, _NUMBERS):
-            return NotImplemented
-        other = as_cycrat(self.p, other)
-        return CycRat(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycRat(-self.num, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, _NUMBERS):
-            return NotImplemented
-        return self + (-as_cycrat(self.p, other))
-
-    def __rsub__(self, other):
-        if not isinstance(other, _NUMBERS):
-            return NotImplemented
-        return as_cycrat(self.p, other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, _NUMBERS):
-            return NotImplemented
-        other = as_cycrat(self.p, other)
-        return CycRat(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        """Multiplicative inverse: the cofactor prod_{r=2}^{p-1} sigma_r(num)
-        over the norm, the rational constant of num * cofactor."""
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        cofactor = CycInt.from_int(self.p, 1)
-        for r in range(2, self.p):
-            cofactor = cofactor * self.num.galois(r)
-        norm = (self.num * cofactor).coeffs[0]
-        return CycRat(cofactor * self.den, norm)
-
-    def __truediv__(self, other):
-        if not isinstance(other, _NUMBERS):
-            return NotImplemented
-        return self * as_cycrat(self.p, other).inverse()
-
-    def __eq__(self, other):
-        if not isinstance(other, _NUMBERS):
-            return NotImplemented
-        try:
-            other = as_cycrat(self.p, other)
-        except ValueError:           # another prime
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        # as the CycInt, int or Fraction it equals, when there is one
-        if self.den == 1:
-            return hash(self.num)
-        if self.is_rational():
-            return hash(Fraction(self.num.coeffs[0], self.den))
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return "CycRat(%r, %d)" % (self.num, self.den)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_rational(self):
-        return all(c == 0 for c in self.num.coeffs[1:])
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError("not a rational element: %r" % (self,))
-        return Fraction(self.num.coeffs[0], self.den)
-
-
-# the operands CycRat arithmetic takes; anything else is NotImplemented
-_NUMBERS = (CycRat, CycInt, Rational)
+        return z / self.den
 
 
 def as_cycrat(p, v):
-    """v as a CycRat over Q(zeta_p): a CycRat or CycInt of the same prime,
-    or a numbers.Rational (int, Fraction).  Anything else, text and floats
+    """v as a CycRat over Q(zeta_p): a CycRat of the same prime, or a
+    numbers.Rational (int, Fraction).  Anything else, text and floats
     included, raises ValueError.
     """
-    if isinstance(v, (CycRat, CycInt)):
+    if isinstance(v, CycRat):
         if v.p != p:
             raise ValueError("coefficient for prime %d, expected %d"
                              % (v.p, p))
-        return v if isinstance(v, CycRat) else CycRat(v)
+        return v
     if isinstance(v, Rational):
-        return CycRat(CycInt.from_int(p, v.numerator), v.denominator)
+        return CycRat.from_int(p, v.numerator, v.denominator)
     raise ValueError("bad operand: %r" % (v,))

@@ -6,11 +6,12 @@ negative.  Cutoffs are tracked pessimistically through arithmetic so a
 stored coefficient is always trustworthy.
 
 Stored terms are canonical: no zero coefficient and no k/N past the cutoff
-is kept, and a coefficient is a gcd-reduced CycRat (positive denominator)
-over the power basis, so two coefficients are equal exactly when their
-numerator coefficients and denominators are.  Equality therefore compares
-term dicts and does no coefficient arithmetic.  A series is never mutated
-after construction, so with_N returns the series itself at the same N.
+is kept, and a coefficient is a CycRat: integer power-basis coefficients
+over a positive, gcd-reduced denominator, so two coefficients are equal
+exactly when their coefficient tuples and denominators are.  Equality
+therefore compares term dicts and does no coefficient arithmetic.  A
+series is never mutated after construction, so with_N returns the series
+itself at the same N.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from fractions import Fraction
 from math import floor, gcd
 
-from .cyclotomic import CycInt, as_cycrat
+from .cyclotomic import CycRat, as_cycrat
 
 
 class QSeries:
@@ -278,7 +279,7 @@ def t_shift(series):
         raise ValueError("t_shift needs exponent denominator 1 or p")
     if series.N == 1:
         return series
-    terms = {k: c * CycInt.zeta_pow(p, k % p)
+    terms = {k: c * CycRat.zeta_pow(p, k)
              for k, c in series.terms.items()}
     return QSeries(p, series.N, terms, series.cutoff)
 
@@ -312,5 +313,5 @@ def compose_enumerator(enum, thetas):
 def to_json_obj(series):
     """Stable JSON-ready form: exponents as reduced 'a/b' strings."""
     return [{"exp": str(e),
-             "coef": {"coeffs": list(c.num.coeffs), "den": c.den}}
+             "coef": {"coeffs": list(c.coeffs), "den": c.den}}
             for e, c in series.items()]

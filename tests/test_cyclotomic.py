@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetaforge.cyclotomic import CycInt, CycRat, as_cycrat, check_prime
+from thetaforge.cyclotomic import CycRat, as_cycrat, check_prime
 from thetaforge.qexp import QSeries
 
 PRIMES = [3, 5, 7]
@@ -19,14 +19,14 @@ def trace_pairing(x, y):
 
 def one_minus_zeta(p):
     """Generator of the ramified prime ideal, 1 - zeta."""
-    return CycInt.from_int(p, 1) - CycInt.zeta_pow(p, 1)
+    return CycRat.from_int(p, 1) - CycRat.zeta_pow(p, 1)
 
 
 def rho(x):
     """x mod the ramified prime (1 - zeta), found by division: the one r in
     0..p-1 for which (x - r) / (1 - zeta) is a cyclotomic integer."""
-    lam = CycRat(one_minus_zeta(x.p))
-    found = [r for r in range(x.p) if (CycRat(x - r) / lam).den == 1]
+    lam = one_minus_zeta(x.p)
+    found = [r for r in range(x.p) if ((x - r) / lam).den == 1]
     assert len(found) == 1, (x, found)
     return found[0]
 
@@ -54,31 +54,31 @@ def test_check_prime_rejects_composites():
 def test_zeta_power_relation():
     # 1 + zeta + ... + zeta^(p-1) = 0
     for p in PRIMES:
-        s = CycInt.from_int(p, 0)
+        s = CycRat.from_int(p, 0)
         for k in range(p):
-            s = s + CycInt.zeta_pow(p, k)
+            s = s + CycRat.zeta_pow(p, k)
         assert s.is_zero()
 
 
 def test_multiplication_reduces_top_power():
-    z = CycInt.zeta_pow(3, 1)
-    assert z * z == CycInt(3, [-1, -1])          # zeta^2 = -1 - zeta
-    assert z * z * z == CycInt.from_int(3, 1)    # zeta^3 = 1
-    z5 = CycInt.zeta_pow(5, 1)
-    assert z5 * CycInt.zeta_pow(5, 4) == CycInt.from_int(5, 1)
+    z = CycRat.zeta_pow(3, 1)
+    assert z * z == CycRat(3, [-1, -1])          # zeta^2 = -1 - zeta
+    assert z * z * z == CycRat.from_int(3, 1)    # zeta^3 = 1
+    z5 = CycRat.zeta_pow(5, 1)
+    assert z5 * CycRat.zeta_pow(5, 4) == CycRat.from_int(5, 1)
 
 
 def test_trace_values():
     for p in PRIMES:
-        assert CycInt.from_int(p, 1).trace() == p - 1
-        assert CycInt.zeta_pow(p, 1).trace() == -1
+        assert CycRat.from_int(p, 1).trace() == p - 1
+        assert CycRat.zeta_pow(p, 1).trace() == -1
         for k in range(1, p - 1):
-            assert CycInt.zeta_pow(p, k).trace() == -1
+            assert CycRat.zeta_pow(p, k).trace() == -1
 
 
 def test_trace_matches_embedding_sum():
     for p in PRIMES:
-        x = CycInt(p, range(1, p))
+        x = CycRat(p, range(1, p))
         total = sum(x.embed(r) for r in range(1, p))
         assert abs(total.imag) < 1e-9
         assert abs(total.real - x.trace()) < 1e-9
@@ -86,19 +86,19 @@ def test_trace_matches_embedding_sum():
 
 def test_conj_is_involution_and_trace_invariant():
     for p in PRIMES:
-        x = CycInt(p, [k * k - 3 for k in range(p - 1)])
+        x = CycRat(p, [k * k - 3 for k in range(p - 1)])
         assert x.conj().conj() == x
         assert x.conj().trace() == x.trace()
 
 
 def test_rho_is_ring_homomorphism():
     for p in PRIMES:
-        x = CycInt(p, [2 * k + 1 for k in range(p - 1)])
-        y = CycInt(p, [5 - k for k in range(p - 1)])
+        x = CycRat(p, [2 * k + 1 for k in range(p - 1)])
+        y = CycRat(p, [5 - k for k in range(p - 1)])
         assert rho(x + y) == (rho(x) + rho(y)) % p
         assert rho(x * y) == (rho(x) * rho(y)) % p
     # zeta == 1 mod (1 - zeta)
-    assert rho(CycInt.zeta_pow(5, 1)) == 1
+    assert rho(CycRat.zeta_pow(5, 1)) == 1
 
 
 def test_ramified_generator():
@@ -111,7 +111,7 @@ def test_ramified_generator():
             norm = norm * lam.galois(r)
         assert norm == p
         # so 1/lam is that cofactor over p
-        inv = CycRat(lam).inverse()
+        inv = lam.inverse()
         assert inv.den == p and inv * lam == 1
         # pairing of the generator with itself is 2 for every p
         assert trace_pairing(lam, lam) == 2
@@ -122,7 +122,7 @@ def test_pairing_positive_definite_and_even_on_kernel():
         seen_nonzero = False
         for seed in range(40):
             coeffs = [((seed + 3) ** (k + 2)) % 7 - 3 for k in range(p - 1)]
-            x = CycInt(p, coeffs)
+            x = CycRat(p, coeffs)
             q = trace_pairing(x, x)
             if x.is_zero():
                 assert q == 0
@@ -136,9 +136,9 @@ def test_pairing_positive_definite_and_even_on_kernel():
 
 def test_pairing_is_symmetric_and_bilinear():
     p = 5
-    x = CycInt(p, [1, 2, 0, -1])
-    y = CycInt(p, [0, 1, 1, 3])
-    z = CycInt(p, [2, -2, 1, 0])
+    x = CycRat(p, [1, 2, 0, -1])
+    y = CycRat(p, [0, 1, 1, 3])
+    z = CycRat(p, [2, -2, 1, 0])
     assert trace_pairing(x, y) == trace_pairing(y, x)
     assert trace_pairing(x + z, y) == trace_pairing(x, y) + trace_pairing(z, y)
 
@@ -147,7 +147,7 @@ def test_real_embed_pair_nonnegative_and_matches_pairing():
     # sum over l of sigma_l(x conj(x)) / p equals pairing(x, x) / 2
     for p in PRIMES:
         r = (p - 1) // 2
-        x = CycInt(p, [k + 1 for k in range(p - 1)])
+        x = CycRat(p, [k + 1 for k in range(p - 1)])
         vals = [real_embed_pair(x, l) for l in range(1, r + 1)]
         assert all(v >= 0 for v in vals)
         lhs = sum(vals) / p
@@ -157,8 +157,9 @@ def test_real_embed_pair_nonnegative_and_matches_pairing():
 
 def test_cycrat_reduction_and_inverse():
     p = 3
-    x = CycRat(CycInt(p, [2, 4]), 6)
-    assert x.num == CycInt(p, [1, 2]) and x.den == 3
+    x = CycRat(p, [2, 4], 6)
+    assert x.coeffs == (1, 2) and x.den == 3
+    assert CycRat(p, [2, 4], -6) == -x and CycRat(p, [0, 0], 6).den == 1
     inv = x.inverse()
     assert x * inv == 1
     with pytest.raises(ZeroDivisionError):
@@ -169,21 +170,22 @@ def test_cycrat_rational_detection():
     x = as_cycrat(5, Fraction(-7, 3))
     assert x.is_rational()
     assert x.as_fraction() == Fraction(-7, 3)
-    y = CycRat(CycInt.zeta_pow(5, 1))
+    y = CycRat.zeta_pow(5, 1)
     assert not y.is_rational()
     with pytest.raises(ValueError):
         y.as_fraction()
 
 
 def test_as_cycrat_coerces_coefficients_for_one_prime():
-    half = CycRat(CycInt.from_int(5, 1), 2)
+    half = CycRat(5, [1, 0, 0, 0], 2)
     assert as_cycrat(5, half) is half
-    assert as_cycrat(5, CycInt.zeta_pow(5, 1)) == CycRat(CycInt.zeta_pow(5, 1))
+    zeta = CycRat.zeta_pow(5, 1)
+    assert as_cycrat(5, zeta) is zeta
     assert as_cycrat(5, Fraction(1, 2)) == half
-    assert as_cycrat(5, 3) == CycRat(CycInt.from_int(5, 3))
+    assert as_cycrat(5, 3) == CycRat.from_int(5, 3)
     # only a cyclotomic number of the same prime or a numbers.Rational:
     # text and floats are refused, although Fraction() would take them
-    for bad in (CycInt.zeta_pow(3, 1), CycRat(CycInt.zeta_pow(7, 1)), None,
+    for bad in (CycRat.zeta_pow(3, 1), CycRat(7, [0, 1, 0, 0, 0, 0], 2), None,
                 1j, float("inf"), "x", "1/2", 0.5):
         with pytest.raises(ValueError):
             as_cycrat(5, bad)
@@ -196,35 +198,35 @@ def test_as_cycrat_coerces_coefficients_for_one_prime():
 
 
 def test_foreign_operands_are_left_to_the_other_operand():
-    """+, - and * of a CycInt or CycRat return NotImplemented for an
-    operand that is no number here, so a series on either side gets the
+    """+, - and * of a CycRat, integral or not, return NotImplemented for
+    an operand that is no number here, so a series on either side gets the
     operation; another prime still raises ValueError."""
-    x = CycInt(3, [1, 2])
+    x = CycRat(3, [1, 2])
     s = QSeries(3, 1, {0: 1, 1: 2}, 2)
     ops = (operator.add, operator.sub, operator.mul)
-    for a in (x, CycRat(x, 2)):
+    for a in (x, CycRat(3, [1, 2], 2)):
         for name in ("add", "radd", "sub", "rsub", "mul", "rmul"):
             for b in (s, "1/2", 0.5, None):
                 assert getattr(a, "__%s__" % name)(b) is NotImplemented
         assert (a + s, a - s, a * s) == (s + a, -(s - a), s * a)
         for op in ops:
-            for b in (CycInt.zeta_pow(5, 1), CycRat(CycInt.zeta_pow(5, 1))):
+            for b in (CycRat.zeta_pow(5, 1), CycRat(5, [0, 1, 0, 0], 2)):
                 for left, right in ((a, b), (b, a)):
                     with pytest.raises(ValueError):
                         op(left, right)
             for left, right in ((a, "1/2"), ("1/2", a), (a, 0.5), (0.5, a)):
                 with pytest.raises(TypeError):
                     op(left, right)
-    # a CycInt and a CycRat of one prime meet in the CycRat
-    half = CycRat(x, 2)
-    assert x + half == half + x == CycRat(3 * x, 2)
-    assert x * half == half * x == CycRat(x * x, 2)
+    # an integral and a non-integral element of one prime
+    half = CycRat(3, [1, 2], 2)
+    assert x + half == half + x == CycRat(3, (3 * x).coeffs, 2)
+    assert x * half == half * x == CycRat(3, (x * x).coeffs, 2)
     assert x - half == half == -(half - x)
 
 
 def test_degenerate_p2_ring_is_integers():
-    a = CycInt.from_int(2, 5)
-    b = CycInt.from_int(2, -3)
+    a = CycRat.from_int(2, 5)
+    b = CycRat.from_int(2, -3)
     assert (a * b).coeffs == (-15,)
     assert a.conj() == a
     assert a.trace() == 5
@@ -240,7 +242,7 @@ coeff = st.integers(min_value=-8, max_value=8)
        st.lists(coeff, min_size=4, max_size=4))
 def test_ring_laws_sampled(a, b, c):
     p = 5
-    x, y, z = CycInt(p, a), CycInt(p, b), CycInt(p, c)
+    x, y, z = CycRat(p, a), CycRat(p, b), CycRat(p, c)
     assert x * (y + z) == x * y + x * z
     assert (x * y) * z == x * (y * z)
     assert x * y == y * x
@@ -250,9 +252,10 @@ def test_ring_laws_sampled(a, b, c):
 
 @st.composite
 def operands(draw):
-    """A small value as a CycInt, CycRat, int, Fraction, float or constant
-    q-series, or something that is no number.  The ranges are small, so
-    two draws are often equal across types."""
+    """A small value as an integral CycRat (denominator 1), a CycRat, an
+    int, Fraction, float or constant q-series, or something that is no
+    number.  The ranges are small, so two draws are often equal across
+    types."""
     p = draw(st.sampled_from((2, 3, 5)))
     k = draw(st.integers(-2, 2))
     den = draw(st.integers(1, 2))
@@ -260,13 +263,13 @@ def operands(draw):
     if draw(st.booleans()):
         rest = draw(st.lists(st.integers(-1, 1), min_size=p - 2,
                              max_size=p - 2))
-    num = CycInt(p, [k] + rest)
-    kind = draw(st.sampled_from(("cycint", "cycrat", "int", "fraction",
+    num = [k] + rest
+    kind = draw(st.sampled_from(("integral", "cycrat", "int", "fraction",
                                  "float", "series", "foreign")))
-    if kind == "cycint":
-        return num
+    if kind == "integral":
+        return CycRat(p, num)
     if kind == "cycrat":
-        return CycRat(num, den)
+        return CycRat(p, num, den)
     if kind == "int":
         return k
     if kind == "fraction":
@@ -274,7 +277,7 @@ def operands(draw):
     if kind == "float":
         return k / den
     if kind == "series":
-        return QSeries(p, 1, {0: CycRat(num, den)}, draw(st.integers(0, 1)))
+        return QSeries(p, 1, {0: CycRat(p, num, den)}, draw(st.integers(0, 1)))
     return draw(st.sampled_from(("x", None, 1j)))
 
 
@@ -288,15 +291,34 @@ def test_equality_is_symmetric_and_equal_values_hash_equal(a, b):
 
 
 def test_equality_across_types_fixed_cases():
-    x = CycInt(3, [1, 2])
-    assert x == CycRat(x) and CycRat(x) == x
-    assert x.__eq__(CycRat(x)) is NotImplemented
+    x = CycRat(3, [1, 2])
+    assert x == CycRat(3, [2, 4], 2) and CycRat(3, [2, 4], 2) == x
     assert x.__eq__(QSeries(3, 1, {0: x}, 1)) is NotImplemented
     assert x == QSeries(3, 1, {0: x}, 1) == x
-    five = CycInt.from_int(3, 5)
+    five = CycRat.from_int(3, 5)
     assert five == 5 and hash(five) == hash(5)
-    assert hash(CycRat(five)) == hash(5)
+    assert five == Fraction(5) and hash(five) == hash(Fraction(5))
     half = as_cycrat(5, Fraction(1, 2))
     assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
-    # rational, but not of a type CycInt compares with
-    assert five != 5.0 and five != Fraction(5) and five != "5"
+    # rational, but not of a type CycRat compares with
+    assert five != 5.0 and five != "5"
+
+
+def test_rational_elements_equal_and_hash_as_their_value():
+    """An element with no zeta terms equals, and hashes as, the int and the
+    Fraction of its value, integral or not, both ways round; its trace and
+    embeddings are that value scaled by p - 1 and 1."""
+    for p in (2, 3, 5, 7):
+        for num, den in ((5, 1), (-7, 3), (0, 4), (4, 6)):
+            x = CycRat.from_int(p, num, den)
+            v = Fraction(num, den)
+            values = (v, int(v)) if v.denominator == 1 else (v,)
+            for w in values:
+                assert x == w and w == x and not x != w and not w != x
+                assert hash(x) == hash(w)
+            assert x.as_fraction() == v
+            assert x.trace() == (p - 1) * v
+            assert type(x.trace()) is (int if v.denominator == 1 else Fraction)
+            assert all(abs(x.embed(r) - float(v)) < 1e-12
+                       for r in range(1, p))
+    assert CycRat.from_int(5, 5) != Fraction(5, 2) != CycRat.from_int(5, 5)

@@ -23,7 +23,7 @@ from thetaforge import (
 from thetaforge.codelattice import (
     CodeLattice, box_count_by_norm, is_even, lattice_info, lattice_of_code,
 )
-from thetaforge.cyclotomic import CycInt
+from thetaforge.cyclotomic import CycRat
 from thetaforge.fpcode import (
     code_predicates, make_code, standard_codes, zero_code,
 )
@@ -48,7 +48,7 @@ def fresh_clifford_tables(monkeypatch):
 
 def fresh_enumeration_caches(monkeypatch):
     """Every cache that holds a value counted by the Fincke-Pohst tree or
-    by the one-block norm table."""
+    by the one-block digit counts."""
     fresh_caches(monkeypatch, hilbert_eval, ("_coset_arrays",))
     fresh_caches(monkeypatch, voarep, ("_digit_minimum", "orbit_theta"))
     fresh_caches(monkeypatch, codelattice, ("_digit_counts",))
@@ -375,20 +375,25 @@ def test_enumerator_without_its_last_profile_fails_exact_alpbach(
 
 
 def test_cyclotomic_product_off_by_one_fails_the_series_stages(monkeypatch):
-    # both sides of the exact identity multiply through CycInt.__mul__, so
+    # both sides of the exact identity multiply through CycRat.__mul__, so
     # the mutant corrupts both; each stage below still sees them disagree
-    true_mul = CycInt.__mul__
+    true_mul = CycRat.__mul__
 
     def off_by_one(a, b):
         prod = true_mul(a, b)
-        return CycInt(prod.p, (prod.coeffs[0] + 1,) + prod.coeffs[1:])
+        if prod is NotImplemented:
+            return prod
+        return CycRat(prod.p, (prod.coeffs[0] + prod.den,) + prod.coeffs[1:],
+                      prod.den)
 
-    monkeypatch.setattr(CycInt, "__mul__", off_by_one)
-    monkeypatch.setattr(CycInt, "__rmul__", off_by_one)
+    monkeypatch.setattr(CycRat, "__mul__", off_by_one)
+    monkeypatch.setattr(CycRat, "__rmul__", off_by_one)
     assert not run_stage("alpbach_exact_tetracode")["pass"]
     assert not run_stage("alpbach_exact_random")["pass"]
     orbits = run_stage("orbits")
     assert not orbits["multiplicativity"] and not orbits["pass"]
+    e8 = run_stage("e8")
+    assert not e8["gram_matches_basis"] and not e8["pass"]
 
 
 def test_is_even_says_no_on_odd_grams():

@@ -30,7 +30,7 @@ def evaluate_at(series, z, embedding=1):
     error."""
     total = 0j
     for e, c in series.items():
-        total += (c.num.embed(embedding) / c.den
+        total += (c.embed(embedding)
                   * cmath.exp(2j * cmath.pi * z * float(e)))
     return total
 
@@ -307,8 +307,9 @@ def test_bound_growth_matches_reference():
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
                                   (5, 3), (7, 1), (7, 2)])
 def test_shell_counts_match_the_tables(p, n):
-    # the stop shells come from one block's norm table, convolved over the
-    # word's digits; every coset table must have exactly those shells
+    # the stop shells come from one block's per-digit counts, convolved
+    # over the word's digits; every coset table must have exactly those
+    # shells
     for bound in (Fraction(4), Fraction(13, 2)):
         for word in product(range(p), repeat=n):
             counts = coset_shell_counts(p, n, word, bound)
