@@ -123,9 +123,8 @@ def _verdict(report):
 
 def cmd_code(args):
     code = _load_code(args.code)
-    enum = weight_enumerator(code)
     profiles = {",".join(str(k) for k in expo): cnt
-                for expo, cnt in sorted(enum.coefficients.items())}
+                for expo, cnt in sorted(weight_enumerator(code).items())}
     out = {
         "p": code.p,
         "n": code.n,
@@ -208,10 +207,10 @@ def cmd_tower_check(args):
 def _alpbach_exact(code, order):
     cutoff = Fraction(order)
     lhs = voarep.z_map(voarep.module_of_code(code), cutoff).truncate(cutoff)
-    enum = weight_enumerator(code)
     thetas = [theta_series(standard_lattice(code.p, 1), cutoff, (j,))
-              for j in range(enum.r + 1)]
-    rhs = qexp.compose_enumerator(enum, thetas).truncate(cutoff)
+              for j in range((code.p + 1) // 2)]
+    rhs = qexp.compose_enumerator(weight_enumerator(code),
+                                  thetas).truncate(cutoff)
     return {
         "prime": code.p,
         "n": code.n,

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm, prod
 
-from .fpcode import code_predicates, linear_basis, zero_code
+from .fpcode import code_predicates, zero_code
 from .linalg import fraction_inverse, integer_row_basis, integral_gso
 from .qexp import QSeries
 
@@ -205,7 +205,7 @@ def lattice_of_code(code):
     if code.dimension == 0:
         basis = rows                  # block basis is already reduced
     else:
-        for g in linear_basis(code):
+        for g in code.basis:
             rows.append(lift_word(g, p, n))
         basis = integer_row_basis(rows)
         assert len(basis) == n * d, "lattice rank mismatch"

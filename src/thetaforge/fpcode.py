@@ -3,7 +3,9 @@
 Words are tuples of digits in 0..p-1.  A linear Code carries its echelon
 basis, and linearity is decided by rank: a word set is linear exactly when
 it has p^rank words.  All heavier machinery downstream requires linearity
-only where the mathematics does.
+only where the mathematics does.  A word's profile (l_0, ..., l_r) counts
+its digits congruent to +-j mod p, r = (p-1)/2 for odd p and r = 1 for
+p = 2; the symmetrized weight enumerator is a plain {profile: count} dict.
 """
 
 from __future__ import annotations
@@ -142,13 +144,6 @@ def zero_code(p, n):
     return make_code(p, n, words=[(0,) * n])
 
 
-def linear_basis(code):
-    """The echelon basis of a linear code."""
-    if not code.is_linear:
-        raise ValueError("code is not linear")
-    return list(code.basis)
-
-
 def dual_code(code):
     """The dual under the standard inner product; linear codes only."""
     if not code.is_linear:
@@ -169,30 +164,6 @@ def _inner(u, v, p):
     return sum(a * b for a, b in zip(u, v)) % p
 
 
-class WeightEnumerator:
-    """Symmetrized weight statistics: counts of digit-class profiles.
-
-    coefficients maps an exponent tuple (l_0, ..., l_r) to the number of
-    words with l_j coordinates congruent to +-j mod p, where
-    r = (p-1)/2 for odd p and r = 1 for p = 2.
-    """
-
-    def __init__(self, p, n, coefficients):
-        self.p = p
-        self.n = n
-        self.r = 1 if p == 2 else (p - 1) // 2
-        self.coefficients = dict(coefficients)
-        for expo, cnt in self.coefficients.items():
-            assert len(expo) == self.r + 1 and sum(expo) == n and cnt > 0
-
-    def __eq__(self, other):
-        return (isinstance(other, WeightEnumerator) and other.p == self.p
-                and other.coefficients == self.coefficients)
-
-    def __repr__(self):
-        return "WeightEnumerator(p=%d, %r)" % (self.p, self.coefficients)
-
-
 def digit_class(d, p):
     """The symmetrization class of a digit: j with d = +-j mod p."""
     d %= p
@@ -208,8 +179,8 @@ def word_profile(w, p):
 
 
 def weight_enumerator(code):
-    counts = Counter(word_profile(w, code.p) for w in code.words)
-    return WeightEnumerator(code.p, code.n, counts)
+    """The symmetrized weight enumerator as {profile: number of words}."""
+    return dict(Counter(word_profile(w, code.p) for w in code.words))
 
 
 def hamming_weight(w):

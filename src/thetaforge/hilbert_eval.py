@@ -278,9 +278,8 @@ def theta_code_eval(code, z, tail_tol=1e-10):
 def _enumerator_value(code, theta_values):
     """The symmetrized weight enumerator evaluated on numbers."""
     from .fpcode import weight_enumerator
-    wenum = weight_enumerator(code)
     total = 0j
-    for expo, cnt in wenum.coefficients.items():
+    for expo, cnt in weight_enumerator(code).items():
         term = complex(cnt)
         for base, e in zip(theta_values, expo):
             if e:

@@ -141,35 +141,10 @@ class QSeries:
         return QSeries(self.p, self.N,
                        {k: v * c for k, v in self.terms.items()}, self.cutoff)
 
-    def inverse(self):
-        """Multiplicative inverse; the leading coefficient must be nonzero."""
-        if not self.terms:
-            raise ZeroDivisionError("inverse of the zero series")
-        v = self.valuation()
-        kv = min(self.terms)
-        lead = self.terms[kv]
-        rel = self.cutoff - v          # relative precision of the unit part
-        m = int(rel * self.N)          # largest representable offset
-        if m < 0:
-            raise ValueError("no usable precision for inverse")
-        u = {k - kv: c for k, c in self.terms.items()}   # unit part, u[0]=lead
-        lead_inv = lead.inverse()
-        b = {0: lead_inv}
-        for j in range(1, m + 1):
-            acc = None
-            for i in range(0, j):
-                if i in b and (j - i) in u:
-                    t = b[i] * u[j - i]
-                    acc = t if acc is None else acc + t
-            if acc is not None and not acc.is_zero():
-                b[j] = -(lead_inv * acc)
-        terms = {j - kv: c for j, c in b.items()}
-        return QSeries(self.p, self.N, terms, self.cutoff - 2 * v)
-
     def __pow__(self, e):
         e = int(e)
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValueError("negative power %d of a series" % e)
         if e == 0:
             # relative precision is what survives multiplying by x^0
             return QSeries.one(self.p, self.cutoff - self.valuation(), self.N)
@@ -287,14 +262,15 @@ def t_shift(series):
 def compose_enumerator(enum, thetas):
     """Substitute component series into a symmetrized weight enumerator.
 
-    enum is an fpcode.WeightEnumerator; thetas lists one series per digit
+    enum maps profiles (l_0, ..., l_r) to counts, as
+    fpcode.weight_enumerator returns it; thetas lists one series per digit
     class (r + 1 of them).
     """
-    if len(thetas) != enum.r + 1:
-        raise ValueError("need %d component series, got %d"
-                         % (enum.r + 1, len(thetas)))
     total = None
-    for expo, cnt in sorted(enum.coefficients.items()):
+    for expo, cnt in sorted(enum.items()):
+        if len(expo) != len(thetas):
+            raise ValueError("need %d component series, got %d"
+                             % (len(expo), len(thetas)))
         term = None
         for t, e in zip(thetas, expo):
             if e == 0:

@@ -152,9 +152,18 @@ class RepElement:
         return RepElement(self.p, merged)
 
     def __mul__(self, other):
+        """Bilinear extension of profile addition (word concatenation)."""
         if not isinstance(other, RepElement):
             return NotImplemented
-        return rep_mul(self, other)
+        if other.p != self.p:
+            raise ValueError("mixed primes")
+        out = {}
+        for pa, ca in self.terms.items():
+            for pb, cb in other.terms.items():
+                prof = tuple(x + y for x, y in zip(pa, pb))
+                c = ca * cb
+                out[prof] = out[prof] + c if prof in out else c
+        return RepElement(self.p, out)
 
     def __eq__(self, other):
         return (isinstance(other, RepElement) and other.p == self.p
@@ -166,19 +175,6 @@ class RepElement:
         more = " + ..." if len(self.terms) > 5 else ""
         return "RepElement(p=%d, %s%s)" % (self.p,
                                            " + ".join(bits) or "0", more)
-
-
-def rep_mul(a, b):
-    """Bilinear extension of profile addition (word concatenation)."""
-    if a.p != b.p:
-        raise ValueError("mixed primes")
-    out = {}
-    for pa, ca in a.terms.items():
-        for pb, cb in b.terms.items():
-            prof = tuple(x + y for x, y in zip(pa, pb))
-            c = ca * cb
-            out[prof] = out[prof] + c if prof in out else c
-    return RepElement(a.p, out)
 
 
 # ---------------------------------------------------------------------------
@@ -220,40 +216,15 @@ def z_map(x, cutoff):
     return total
 
 
-class ThetaMonomial:
-    """Formal monomial in the r+1 digit-class theta symbols."""
-
-    __slots__ = ("p", "exponents")
-
-    def __init__(self, p, exponents):
-        check_odd_prime(p)
-        r = (p - 1) // 2
-        exponents = tuple(int(e) for e in exponents)
-        if len(exponents) != r + 1 or any(e < 0 for e in exponents):
-            raise ValueError("need %d nonnegative exponents" % (r + 1))
-        self.p = p
-        self.exponents = exponents
-
-    def __eq__(self, other):
-        return (isinstance(other, ThetaMonomial) and other.p == self.p
-                and other.exponents == self.exponents)
-
-    def __hash__(self):
-        return hash((self.p, self.exponents))
-
-    def __repr__(self):
-        return "ThetaMonomial(p=%d, %r)" % (self.p, self.exponents)
-
-
 def z_tilde(o):
-    """The monomial with exponents equal to the orbit profile."""
-    return ThetaMonomial(o.p, o.profile)
+    """The orbit's theta monomial, as its exponent tuple: the profile."""
+    return o.profile
 
 
 def module_of_code(code):
     """The code's module class: one orbit term per word, counted."""
     check_odd_prime(code.p)
-    return RepElement(code.p, weight_enumerator(code).coefficients)
+    return RepElement(code.p, weight_enumerator(code))
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def test_coset_theta_equals_enumerator_composition_exact():
             enum = weight_enumerator(code)
             if thetas1 is None:
                 thetas1 = [theta_series(standard_lattice(3, 1), cutoff, (j,))
-                           for j in range(enum.r + 1)]
+                           for j in range(2)]
             rhs = compose_enumerator(enum, thetas1)
             assert lhs.truncate(cutoff) == rhs.truncate(cutoff)
 
@@ -208,7 +208,7 @@ def test_orbit_map_invariance_and_ring_properties():
             for n in range(1, 9):
                 orbits = list(all_orbits(p, n))
                 assert len(orbits) == math.comb(n + r, r)
-                monomials = {z_tilde(o).exponents for o in orbits}
+                monomials = {z_tilde(o) for o in orbits}
                 assert len(monomials) == len(orbits)
 
 
@@ -218,7 +218,7 @@ def test_grade_bases_biject_at_p3():
             orbits = list(all_orbits(3, n))
             assert len(orbits) == n + 1
             expected = {(n - k, k) for k in range(n + 1)}
-            assert {z_tilde(o).exponents for o in orbits} == expected
+            assert {z_tilde(o) for o in orbits} == expected
 
 
 def test_modular_action_translation_exact_inversion_numerical():

@@ -185,8 +185,8 @@ def test_tetracode_facts():
     assert preds["self_dual"] and preds["self_orthogonal"]
     assert preds["min_distance"] == 3
     w = weight_enumerator(t)
-    assert w.coefficients == {(4, 0): 1, (1, 3): 8}
-    assert sum(w.coefficients.values()) == len(t) == 9
+    assert w == {(4, 0): 1, (1, 3): 8}
+    assert sum(w.values()) == len(t) == 9
 
 
 def test_hamming8_facts():
@@ -195,7 +195,7 @@ def test_hamming8_facts():
     assert preds["self_dual"] and preds["doubly_even"]
     assert preds["min_distance"] == 4
     w = weight_enumerator(h)
-    assert w.coefficients == {(8, 0): 1, (4, 4): 14, (0, 8): 1}
+    assert w == {(8, 0): 1, (4, 4): 14, (0, 8): 1}
 
 
 def test_golay12_facts():
@@ -205,8 +205,21 @@ def test_golay12_facts():
     assert preds["self_dual"]
     assert preds["min_distance"] == 6
     w = weight_enumerator(g)
-    assert w.coefficients == {(12, 0): 1, (6, 6): 264, (3, 9): 440,
-                              (0, 12): 24}
+    assert w == {(12, 0): 1, (6, 6): 264, (3, 9): 440, (0, 12): 24}
+
+
+@pytest.mark.parametrize("code", [
+    standard_codes("tetracode"), standard_codes("hamming8"),
+    standard_codes("golay12"),
+    make_code(5, 3, words=[(0, 0, 0), (1, 2, 3), (4, 4, 0), (2, 0, 1)]),
+], ids=["tetracode", "hamming8", "golay12", "nonlinear_p5"])
+def test_enumerator_profiles_have_one_entry_per_class(code):
+    # compose_enumerator and RepElement read the profiles as they are
+    w = weight_enumerator(code)
+    width = 2 if code.p == 2 else (code.p - 1) // 2 + 1
+    assert all(len(expo) == width and sum(expo) == code.n for expo in w)
+    assert all(cnt > 0 for cnt in w.values())
+    assert sum(w.values()) == len(code)
 
 
 def test_standard_codes_rejects_unknown():
@@ -224,7 +237,7 @@ def test_enumerator_mass_and_monomial_invariance():
     g = MonomialTransform(3, sigma=(2, 0, 3, 1), scalars=(1, 2, 2, 1))
     image = apply_monomial(t, g)
     assert weight_enumerator(image) == weight_enumerator(t)
-    assert sum(weight_enumerator(image).coefficients.values()) == len(t)
+    assert sum(weight_enumerator(image).values()) == len(t)
 
 
 def test_monomial_composition_law():

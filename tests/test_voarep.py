@@ -6,13 +6,14 @@ import pytest
 
 from thetaforge.codelattice import lattice_of_code, theta_series
 from thetaforge.cyclotomic import as_cycrat
-from thetaforge.fpcode import WeightEnumerator, standard_codes
+from thetaforge.fpcode import standard_codes
 from thetaforge.qexp import QSeries, compose_enumerator, eta_power
 from thetaforge.voarep import (
-    OrbitClass, RepElement, ThetaMonomial, _leading_data, all_orbits,
-    main_theorem_check, module_of_code, orbit_of, orbit_size, orbit_theta,
-    rep_mul, z_map, z_tilde,
+    OrbitClass, RepElement, _leading_data, all_orbits, main_theorem_check,
+    module_of_code, orbit_of, orbit_size, orbit_theta, z_map, z_tilde,
 )
+
+from test_qexp import series_inverse
 
 
 def eta(p, cutoff):
@@ -57,21 +58,19 @@ def partition_function(o, cutoff):
         return QSeries.one(p, cutoff, N=p), meta
     # eta^-c loses (c+1)/24 of cutoff plus the theta valuation shift
     work = cutoff + Fraction(c + 1, 24) + 1
-    eta_inv_pow = eta(p, work) ** (-c)
+    eta_inv_pow = series_inverse(eta(p, work)) ** c
     theta = orbit_theta(o, cutoff + Fraction(c, 24))
     series = (eta_inv_pow * theta).truncate(cutoff)
     return series, meta
 
 
-def monomial_series(mono, cutoff):
-    """Reference: a theta monomial expanded as a q-series through the
-    single-digit expansions, the substitution route, independent of the
-    direct product-lattice enumeration used by z_map."""
-    p = mono.p
-    enum = WeightEnumerator(p, sum(mono.exponents), {mono.exponents: 1})
+def monomial_series(p, mono, cutoff):
+    """Reference: a theta monomial (its exponent tuple) expanded as a
+    q-series through the single-digit expansions, the substitution route,
+    independent of the direct product-lattice enumeration used by z_map."""
     thetas = [orbit_theta(OrbitClass(p, unit_profile(p, j)), cutoff)
               for j in range(((p - 1) // 2) + 1)]
-    return compose_enumerator(enum, thetas)
+    return compose_enumerator({mono: 1}, thetas)
 
 
 def unit_profile(p, j):
@@ -215,8 +214,8 @@ def test_z_map_multiplicative_on_pairs():
     pool3 = all_orbits(3, 1) + all_orbits(3, 2)
     for _ in range(6):
         a, b = rng.choice(pool3), rng.choice(pool3)
-        lhs = z_map(rep_mul(RepElement.from_orbit(a),
-                            RepElement.from_orbit(b)), Fraction(2))
+        lhs = z_map(RepElement.from_orbit(a) * RepElement.from_orbit(b),
+                    Fraction(2))
         rhs = z_map(a, Fraction(2)) * z_map(b, Fraction(2))
         assert lhs == rhs
 
@@ -264,14 +263,14 @@ def test_z_map_grading_invariant():
 
 
 def test_z_tilde_examples():
-    assert z_tilde(OrbitClass(3, (1, 3))) == ThetaMonomial(3, (1, 3))
-    assert z_tilde(OrbitClass(5, (4, 0, 0))) == ThetaMonomial(5, (4, 0, 0))
+    assert z_tilde(OrbitClass(3, (1, 3))) == (1, 3)
+    assert z_tilde(OrbitClass(5, (4, 0, 0))) == (4, 0, 0)
     a, b = OrbitClass(3, (1, 0)), OrbitClass(3, (0, 2))
-    prod = rep_mul(RepElement.from_orbit(a), RepElement.from_orbit(b))
+    prod = RepElement.from_orbit(a) * RepElement.from_orbit(b)
     (only_orbit, coeff), = prod.items()
     # concatenation adds profiles, and so exponents
-    assert z_tilde(only_orbit).exponents == tuple(
-        x + y for x, y in zip(z_tilde(a).exponents, z_tilde(b).exponents))
+    assert z_tilde(only_orbit) == tuple(
+        x + y for x, y in zip(z_tilde(a), z_tilde(b)))
 
 
 def test_diagonal_factorization():
@@ -279,7 +278,7 @@ def test_diagonal_factorization():
     for o in [OrbitClass(3, (1, 1)), OrbitClass(3, (0, 2)),
               OrbitClass(5, (1, 1, 0)), OrbitClass(5, (0, 0, 2))]:
         direct = z_map(o, Fraction(2))
-        composed = monomial_series(z_tilde(o), Fraction(2))
+        composed = monomial_series(o.p, z_tilde(o), Fraction(2))
         assert direct == composed
 
 
