@@ -16,7 +16,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import gcd, isqrt, lcm, prod
 
 from .fpcode import code_predicates, zero_code
@@ -237,15 +237,29 @@ def is_even(lattice):
 
 CHUNK = 1 << 12
 
+# A zero-shift histogram forks one child at the first block whose children,
+# times the levels left below them, reach SPLIT_WORK: golay to norm 4 at
+# 31,158 (1,731 children at level 18) and theta_series_by_word(5, 3, 3) at
+# 33,220.  The next half-tree walk of verify all, golay's minimal norm, peaks
+# at 12,694 and takes about 3 ms, which a fork would not repay.  The block's
+# children are cut into SPLIT_PARTS segments, which the two processes claim
+# one at a time (see _half_tree_counts); 8 to 32 segments measured alike.
+SPLIT_WORK = 1 << 14
+SPLIT_PARTS = 16
 
-def _isqrt(cap):
-    """Exact floor square roots of a nonnegative array."""
+
+def _isqrt(cap, top):
+    """Exact floor square roots of a nonnegative array whose entries are at
+    most top.  Below 2^52 the float square root is exact: float(c) is, and
+    sqrt(k^2 - 1) lies 1/(2k) below k, more than half a float step at
+    k <= 2^26, so the correction steps run only above it."""
     import numpy as np
     if cap.dtype == object:
         return np.array([isqrt(c) for c in cap], dtype=object)
-    r = np.sqrt(cap.astype(np.float64)).astype(np.int64)
-    r -= r * r > cap
-    r += (r + 1) * (r + 1) <= cap
+    r = np.sqrt(cap).astype(np.int64)
+    if top >= 1 << 52:
+        r -= r * r > cap
+        r += (r + 1) * (r + 1) <= cap
     return r
 
 
@@ -255,9 +269,11 @@ def _dtypes(norm_top, reach):
 
     Every array is int64 when norm_top < 2^62 and reach * (CHUNK + 1) <
     2^61, and holds Python ints otherwise.  The coordinate-side arrays
-    (the partial sums acc, the rows of C, lo, ends and a block's x column)
-    hold values of size at most reach, except ends, which counts the
-    children of at most CHUNK nodes, at most 2 reach - 1 each.  So they
+    (the partial sums acc, the rows of C, and a block's child counts cnt,
+    child offsets off and x column) hold values below 2 reach in size,
+    except off, a node's first child index among the children of at most
+    CHUNK nodes, at most 2 reach - 1 each, less its least x: below
+    2 reach (CHUNK + 1).  So they
     take ct, which is int32 when dt is int64 and reach * (CHUNK + 1) <
     2^30 (golay's is about 5.5 * 10^8), and dt otherwise.  Whatever mixes
     them with x, n_i, w or rem is computed in dt.
@@ -267,6 +283,12 @@ def _dtypes(norm_top, reach):
         return object, object
     return np.int64, (np.int32 if reach * (CHUNK + 1) < 1 << 30
                       else np.int64)
+
+
+def _chunks(start, stop):
+    """(start, stop) ranges of at most CHUNK children covering start ..
+    stop - 1, in order."""
+    return ((s, min(s + CHUNK, stop)) for s in range(start, stop, CHUNK))
 
 
 def enumerate_coset(gram, shift, bound, emit):
@@ -282,13 +304,15 @@ def enumerate_coset(gram, shift, bound, emit):
     an empty coset makes no call.  The values are exact; no float is
     involved.  Every vector of the coset is one leaf, at any shift; the
     histograms of zero-shift cosets walk half the tree instead (see
-    _fincke_pohst).
+    _fincke_pohst).  This run is never split: its callers read the leaves
+    in order (the Hilbert tables fix float sums by it).
     """
     _fincke_pohst(gram, shift, bound, emit, False)
 
 
-def _fincke_pohst(gram, shift, bound, emit, half, coords=True):
-    """enumerate_coset's tree; with half, the half-tree of a zero shift.
+def _fincke_pohst(gram, shift, bound, emit, half, coords=True, split=None):
+    """enumerate_coset's tree; with half, the half-tree of a zero shift;
+    with split, one of two processes' share of it.
 
     With half true the shift must be zero, so the coset is closed under
     x -> -x and -x has the norm of x.  The tree then visits the zero vector
@@ -304,15 +328,34 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True):
 
     The tree is expanded a level at a time in numpy: a block holds the
     nodes of one level, and its children are made at most CHUNK at a time
-    (np.repeat of each parent by its child count).  Blocks are taken
-    depth-first, which keeps the leaf order and leaves at most rank blocks
-    of at most CHUNK nodes alive, each node with O(rank) entries: memory is
-    O(rank^2 CHUNK) array entries, about 16 MB at rank 24 when every array
-    is int64 and about 8 MB with the int32 ones of _dtypes.  The leaf
-    matrix is stacked from the level columns already held, so a chunk adds
-    O(rank CHUNK) entries, and the caller decides what to keep.  With
-    coords false, emit gets None for X: no leaf matrix is stacked, and the
-    blocks keep no x or parent columns, only what their children need.
+    (np.repeat of each parent by its number of children in the chunk).
+    Blocks are taken depth-first, which keeps the leaf order and leaves at
+    most rank blocks of at most CHUNK nodes alive, each node with O(rank)
+    entries: memory is O(rank^2 CHUNK) array entries, about 16 MB at rank
+    24 when every array is int64 and about 8 MB with the int32 ones of
+    _dtypes.  The leaf matrix is stacked from the level columns already
+    held, so a chunk adds O(rank CHUNK) entries, and the caller decides
+    what to keep.  With coords false, emit gets None for X: no leaf matrix
+    is stacked, and the blocks keep no x or parent columns, only what their
+    children need.  With coords a tuple of group numbers 0 .. k - 1, one
+    per coordinate, emit gets for X the (m, k) matrix of each leaf's sums
+    of x_j over the coordinates j of each group (in dt): each block keeps
+    its nodes' sums instead of its x and parent columns, and a child adds
+    its x_i to its parent's, so no leaf matrix is stacked either
+    (theta_series_by_word reads only the digit sums of the cyclotomic
+    blocks).
+
+    split, when given, is called once, at the first block whose children
+    times its level i (the levels left below them) reach SPLIT_WORK, as
+    split(SPLIT_PARTS); it returns None, and the walk goes on whole, or an
+    iterator of the segment numbers 0 .. SPLIT_PARTS - 1 this process
+    walks.  The block's children are cut into SPLIT_PARTS segments of
+    nearly equal size, and the walk expands only the claimed ones, in the
+    order they come; every other block is walked whole.  Two processes
+    whose claims partition the segments between them walk the blocks above
+    that level twice and every leaf below it once.  Only the zero-shift
+    histograms split (_half_tree_counts), since they merge exact integer
+    counts whatever the order; a leaf-order reader never passes split.
 
     Everything comes from the integers (d, lam) of linalg.integral_gso,
     with mu_ji = lam_ji / d_(i+1) and |b_i*|^2 = d_(i+1) / d_i.  With Lam_i
@@ -331,9 +374,10 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True):
     _dtypes picks the dtypes, so that no array wraps around; the leaf
     matrix and the scaled norms are int64 or Python ints, and the
     coordinate-side arrays may be int32.  A block's parent column is int32,
-    its entries below CHUNK.  A node's first child is the previous node's
-    end, so it is not stored.  Square roots are exact: float sqrt corrected
-    by one step on int64, math.isqrt on Python ints.
+    its entries below CHUNK.  A child's x is its index among the block's
+    children less its parent's off, the parent's first child index less its
+    least x.  Square roots are exact: float sqrt, corrected by one step on
+    int64 where the square may pass 2^52, math.isqrt on Python ints.
     """
     import numpy as np
     rank = len(gram)
@@ -371,6 +415,7 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True):
     h = gcd(unit, gden)
     unit, gden = unit // h, gden // h
     dt, ct = _dtypes(unit * max(room, 1), reach)
+    count_dt = np.int64 if ct is object else ct     # child counts and indices
     updates = [None] * rank
     for j, row in enumerate(C):
         j0 = next((i for i, c in enumerate(row) if c), j)
@@ -379,48 +424,61 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True):
 
     def block(x, par, lead, i, rem, acc):
         """Nodes at level i (their x_{i+1} and parent index one level up,
-        both None without coords, and whether node 0 is all zero) and their
-        children's x ranges, as a stack entry whose last slot is the index
-        of the next child to expand."""
-        base = Lam[i] * sv[i] + acc[:, i]
-        wmax = _isqrt(rem // g[i])
+        both None without coords, or their group sums and None, and
+        whether node 0 is all zero) and their children's x ranges, as a
+        stack entry whose last slot iterates over the chunks of children
+        still to expand."""
+        nonlocal split
+        base = acc[:, i] + Lam[i] * sv[i] if sv[i] else acc[:, i]
+        wmax = _isqrt(rem // g[i], room // g[i])
         step = Lam[i] * q
         lo = -((wmax + base) // step)
         if lead:
             lo[0] = 0   # node 0 has base 0, so lo <= 0 there
-        ends = np.cumsum(np.maximum((wmax - base) // step - lo + 1, 0),
-                         dtype=np.int64 if ct is object else ct)
+        cnt = np.maximum((wmax - base) // step - lo + 1, 0).astype(
+            count_dt, copy=False)
+        ends = np.cumsum(cnt, dtype=count_dt)
+        total = int(ends[-1])
+        chunks = _chunks(0, total)
+        if split is not None and total * i >= SPLIT_WORK:
+            claims, split = split(SPLIT_PARTS), None
+            if claims is not None:
+                cuts = [k * total // SPLIT_PARTS
+                        for k in range(SPLIT_PARTS + 1)]
+                chunks = chain.from_iterable(_chunks(cuts[k], cuts[k + 1])
+                                             for k in claims)
         if not coords:
             x = par = None
-        return [x, par, lead, i, rem, acc, lo.astype(ct, copy=False), ends, 0]
+        off = ends - cnt - lo.astype(ct, copy=False)
+        return [x, par, lead, i, rem, acc, cnt, total, off, chunks]
 
-    stack = [block(None, None, half, rank - 1,
+    grouped = not isinstance(coords, bool)
+    sums = np.zeros((1, max(coords) + 1), dtype=dt) if grouped else None
+    stack = [block(sums, None, half, rank - 1,
                    np.array([room], dtype=dt), np.zeros((1, rank), dtype=ct))]
     while stack:
         entry = stack[-1]
-        _, _, lead, i, rem, acc, lo, ends, start = entry
-        total = int(ends[-1])
-        if start >= total:
+        _, _, lead, i, rem, acc, cnt, total, off, chunks = entry
+        span = next(chunks, None)
+        if span is None:
             stack.pop()
             continue
-        stop = min(start + CHUNK, total)
-        entry[-1] = stop
-        # children start .. stop-1 belong to nodes first .. last-1, and
-        # each node's children start where the previous node's end
-        first = np.searchsorted(ends, start, side="right")
-        last = np.searchsorted(ends, stop - 1, side="right") + 1
-        starts = np.concatenate((ends[first - 1:first] if first else [0],
-                                 ends[first:last - 1]))
-        rel = np.repeat(np.arange(last - first), np.minimum(
-            ends[first:last], stop) - np.maximum(starts, start))
-        par = rel + first
-        x = lo[par] + (np.arange(start, stop) - starts[rel])
-        n_i = q * x + sv[i]
+        start, stop = span
+        if stop - start < total:    # each node's children within the chunk
+            ends = np.cumsum(cnt)
+            cnt = np.maximum(np.minimum(ends, stop)
+                             - np.maximum(ends - cnt, start), 0)
+        par = np.repeat(np.arange(len(cnt)), cnt)
+        x = np.arange(start, stop) - off[par]
+        n_i = q * x + sv[i] if q > 1 or sv[i] else x
         w = Lam[i] * n_i + acc[par, i]
         rem_c = rem[par] - g[i] * w * w
+        if grouped:     # each child's sums of x over the groups
+            sums = entry[0][par]
+            sums[:, coords[i]] += x
         if i == 0:
-            X = None
-            if coords:
+            X = sums if grouped else None
+            if coords is True:
                 columns = [x]
                 for up_x, up_par, *_ in reversed(stack[1:]):
                     columns.append(up_x[par])
@@ -428,28 +486,187 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True):
                 X = np.stack(columns, axis=1)
             emit(X, unit * (room - rem_c), gden)
             continue
-        acc_c = acc[par, :i]
+        acc_c = np.take(acc[:, :i], par, axis=0)
         if updates[i] is not None:
             j0, row = updates[i]
             acc_c[:, j0:] += n_i.astype(ct)[:, None] * row
-        if coords:  # kept for the leaf matrix; a parent index is < CHUNK
+        if grouped:
+            x, par = sums, None
+        elif coords:  # kept for the leaf matrix; a parent index is < CHUNK
             x, par = x.astype(ct), par.astype(np.int32)
         stack.append(block(x, par, lead and start == 0, i - 1, rem_c, acc_c))
 
 
+def _half_tree_counts(gram, bound, keys, coords):
+    """Counter of the integer keys(X, scaled, scale) over the leaves of the
+    zero coset's half-tree (_fincke_pohst), counted block by block with
+    np.unique, and the run's scale (1 when there is no leaf).
+
+    A wide walk is split between this process and one forked child, where
+    os.fork exists and the process may run on more than one CPU: at the
+    first wide block (see _fincke_pohst) the parent takes segment 0, the
+    child segment 1, and each then claims the next unclaimed segment from
+    a pipe of one-byte tokens when it has finished its last, so neither
+    waits on the other's share.  The child clears the counts it inherited,
+    counts its own leaves, pickles (counts, scale) through a second pipe
+    and exits; the parent merges them (_join).  An exception in the child
+    is pickled instead and raised in the parent; an exception in the parent
+    kills the child.  The child is reaped before this returns or raises.
+    The fork copies only the calling thread, so the child must not reach
+    a lock another thread may hold: it runs integer numpy code, which
+    never calls the BLAS whose worker threads numpy starts, and pickle.
+    """
+    import numpy as np
+    counts = Counter()
+    scale = None
+    child = None    # (pid, result pipe) once forked; pid 0 in the child
+
+    def emit(X, scaled, run_scale):
+        nonlocal scale
+        vals, cnts = np.unique(keys(X, scaled, run_scale),
+                               return_counts=True)
+        counts.update(dict(zip(vals.tolist(), cnts.tolist())))
+        scale = run_scale
+
+    def split(parts):
+        nonlocal child
+        if not _can_split():
+            return None
+        try:
+            claims, child = _fork(parts)
+        except OSError:     # no process to spare: walk on alone
+            return None
+        if not child[0]:
+            counts.clear()
+        return claims
+
+    try:
+        _fincke_pohst(gram, [0] * len(gram), bound, emit, True, coords,
+                      split)
+    except BaseException as exc:
+        if child is None:
+            raise
+        if not child[0]:
+            _hand_over(child[1], exc)
+        _abandon(*child)
+        raise
+    if child is None:
+        return counts, scale or 1
+    if not child[0]:
+        _hand_over(child[1], (counts, scale))
+    theirs, their_scale = _join(*child)
+    counts.update(theirs)
+    return counts, scale or their_scale or 1
+
+
+def _can_split():
+    """Whether a second process could take half a walk: os.fork exists and
+    this process may run on more than one CPU."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _fork(parts):
+    """Fork the child of a split walk: the segments this process walks and
+    (pid, its end of the result pipe), pid 0 in the child.  The parent
+    walks segment 0 and the child segment 1 first; the token pipe holds one
+    byte for each of the segments 2 .. parts - 1 and is closed for writing,
+    so a read claims the next unclaimed segment and returns b"" once all
+    are claimed."""
+    tokens, fill = os.pipe()
+    os.write(fill, bytes(range(2, parts)))
+    os.close(fill)
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (tokens, read, write):
+            os.close(fd)
+        raise
+    if pid:
+        os.close(write)
+        return _claims(0, tokens), (pid, read)
+    os.close(read)
+    return _claims(1, tokens), (0, write)
+
+
+def _claims(first, tokens):
+    try:
+        yield first
+        while claimed := os.read(tokens, 1):
+            yield claimed[0]
+    finally:
+        os.close(tokens)
+
+
+def _hand_over(write, payload):
+    """The child's end of a split walk: pickle payload into the result pipe
+    and exit at once, so nothing after the fork runs twice."""
+    try:
+        import pickle
+        try:
+            data = pickle.dumps(payload)
+        except Exception:
+            data = pickle.dumps(RuntimeError(
+                "%s: %s" % (type(payload).__name__, payload)))
+        with open(write, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
+
+
+def _join(pid, read):
+    """The child's (counts, scale), read to the end of the result pipe,
+    with the child reaped; the exception its walk raised is raised here."""
+    import pickle
+    try:
+        with open(read, "rb") as fh:
+            data = fh.read()
+    except BaseException:
+        _abandon(pid, None)
+        raise
+    _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError("the second process of a split walk exited "
+                           "without a result (wait status %d)" % status)
+    payload = pickle.loads(data)
+    if isinstance(payload, BaseException):
+        raise payload
+    return payload
+
+
+def _abandon(pid, read):
+    """Kill and reap the child of a split walk whose parent side failed."""
+    import signal
+    if read is not None:
+        os.close(read)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
 def count_by_norm(lattice, bound, shift_word=None):
-    """Exact norm histogram of a lattice coset up to a bound (Fincke-Pohst).
+    """Exact norm histogram of a lattice coset up to a bound (Fincke-Pohst),
+    in increasing norm.
 
     Each block of leaves is counted with np.unique on its scaled norms (int64
     or Python ints, never floats), so only the distinct norms of a block
     reach Python.  A zero shift walks the half-tree of _fincke_pohst, one
-    vector of each +-x pair, and each nonzero norm's count is doubled; any
-    other shift walks the full tree of enumerate_coset."""
+    vector of each +-x pair, split across two processes when it is wide
+    (_half_tree_counts), and each nonzero norm's count is doubled; any
+    other shift walks the full tree of enumerate_coset in this process."""
     import numpy as np
     _check_cap(bound)
     shift = ([Fraction(0)] * lattice.rank if shift_word is None
              else lattice.shift_in_basis(shift_word))
-    half = not any(shift)
+    gram = [list(r) for r in lattice.gram]
+    if not any(shift):  # only the norms are read: no leaf matrix is stacked
+        counts, scale = _half_tree_counts(
+            gram, bound, lambda X, scaled, scale: scaled, coords=False)
+        return {Fraction(k, scale): c * 2 if k else c
+                for k, c in sorted(counts.items())}
     counts = Counter()
     scale = 1
 
@@ -459,13 +676,9 @@ def count_by_norm(lattice, bound, shift_word=None):
         counts.update(dict(zip(vals.tolist(), cnts.tolist())))
         scale = run_scale
 
-    gram = [list(r) for r in lattice.gram]
-    if half:    # only the norms are read, so no leaf matrix is stacked
-        _fincke_pohst(gram, shift, bound, emit, True, coords=False)
-    else:   # the public entry point, which perfbench/traced.py spans
-        enumerate_coset(gram, shift, bound, emit)
-    return {Fraction(k, scale): c * 2 if half and k else c
-            for k, c in counts.items()}
+    # the public entry point, which perfbench/traced.py spans
+    enumerate_coset(gram, shift, bound, emit)
+    return {Fraction(k, scale): c for k, c in sorted(counts.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +872,12 @@ def theta_series_by_word(p, n, order):
     power-basis coordinates with the integer Gram trace_gram of the
     identity rows (p I - J per block) and bound p * 2 * order, meets each
     coset vector of norm at most 2 * order.  O^n has zero shift, so the run
-    walks the half-tree of _fincke_pohst: each leaf x is binned by its
-    digit word w and exact norm, one integer key per leaf (int64, or Python
-    ints when width * p^n reaches 2^62) counted with np.unique, and each
-    count at a nonzero exponent is then added to the word -w mod p as
-    well, for -x.  Each value equals
-    theta_series(standard_lattice(p, n), order, word).
+    walks the half-tree of _fincke_pohst, split across two processes when
+    it is wide (_half_tree_counts): each leaf x is binned by its digit word
+    w and exact norm, one integer key per leaf (int64, or Python ints when
+    width * p^n reaches 2^62) counted with np.unique, and each count at a
+    nonzero exponent is then added to the word -w mod p as well, for -x.
+    Each value equals theta_series(standard_lattice(p, n), order, word).
     """
     import numpy as np
     order = Fraction(order)
@@ -676,20 +889,17 @@ def theta_series_by_word(p, n, order):
     width = max(int(p * order), 0) + 1   # k = p * exponent lies in [0, width)
     kd = np.int64 if width * p ** n < 1 << 62 else object
     place = np.array([p ** (n - 1 - b) for b in range(n)], dtype=kd)
-    counts = Counter()
 
-    def emit(X, scaled, scale):
+    def keys(sums, scaled, scale):
         # p * norm = scaled / scale is an even integer on O^n
-        digits = sum(X[:, j::d] for j in range(d)) % p
-        keys = (digits.astype(kd) @ place) * width + (
+        return ((sums % p).astype(kd) @ place) * width + (
             scaled // (2 * scale)).astype(kd)
-        vals, cnts = np.unique(keys, return_counts=True)
-        counts.update(dict(zip(vals.tolist(), cnts.tolist())))
 
-    _fincke_pohst(gram, [0] * rank, 2 * p * order, emit, True)
+    counts, _ = _half_tree_counts(gram, 2 * p * order, keys,
+                                  tuple(j // d for j in range(rank)))
     words = list(product(range(p), repeat=n))
     terms = [{} for _ in words]
-    for key, c in counts.items():
+    for key, c in sorted(counts.items()):
         w, k = divmod(key, width)
         terms[w][k] = c
     terms = _fold_negatives(terms, words, p)

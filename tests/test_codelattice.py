@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetaforge import codelattice
+from thetaforge import cli, codelattice
 from thetaforge.codelattice import (
     CodeLattice, box_count_by_norm, count_by_norm, discriminant,
     enumerate_coset, is_even, lattice_info, lattice_of_code, lift_word,
@@ -758,6 +759,32 @@ def test_coordinate_free_histograms_match_the_leaves():
         assert sum(leaf_histogram(gram, bound).values()) == size
 
 
+def test_group_sums_match_the_leaf_matrix():
+    # coords as a group per coordinate: each leaf comes as its sums of x
+    # over the groups, in the blocks and order of the leaf matrix, for the
+    # full tree at a shift and for the half-tree, int64 and Python ints
+    golay = [list(r) for r in
+             lattice_of_code(standard_codes("golay12")).gram]
+    for gram, shift, half, bound, groups in (
+            (SLICE_GRAM, SLICE_SHIFT, False, 12, (1, 0, 1, 2)),
+            (SLICE_GRAM, [0] * 4, True, 12, (0, 0, 1, 1)),
+            (golay, [0] * 24, True, 2, tuple(j // 8 for j in range(24))),
+            (skewed_gram(10 ** 9, 10 ** 12 + 3), [0, 0], False, 6, (0, 0))):
+        runs = {}
+        for coords in (True, groups):
+            blocks = runs[coords] = []
+            codelattice._fincke_pohst(
+                gram, shift, bound,
+                lambda X, scaled, scale: blocks.append(
+                    (X.tolist(), scaled.tolist(), scale)),
+                half, coords)
+        assert runs[True]
+        assert runs[groups] == [
+            ([[sum(v for v, g in zip(x, groups) if g == c)
+               for c in range(max(groups) + 1)] for x in X], scaled, scale)
+            for X, scaled, scale in runs[True]]
+
+
 def test_int32_threshold_matches_python_ints(monkeypatch):
     # An integer moved from x_0 into the shift leaves the coset, so its
     # leaves and norms, as they are; it raises reach by 6 per unit, here to
@@ -876,6 +903,132 @@ def test_half_tree_in_chunks_of_three(monkeypatch):
     lat = standard_lattice(3, 2)
     for word, series in theta_series_by_word(3, 2, 3).items():
         assert series == lattice_theta(lat, Fraction(3), word), word
+
+
+# ---------------------------------------------------------------------------
+# Zero-shift histograms split across two processes
+# ---------------------------------------------------------------------------
+
+def spied_forks(monkeypatch, force=True):
+    """List the pid each fork of a split walk gives the parent (0 in the
+    child's copy); with force, the wide walks fork whatever the CPU count."""
+    if force:
+        monkeypatch.setattr(codelattice, "_can_split", lambda: True)
+    true_fork = codelattice._fork
+    pids = []
+
+    def spied(parts):
+        claims, child = true_fork(parts)
+        pids.append(child[0])
+        return claims, child
+
+    monkeypatch.setattr(codelattice, "_fork", spied)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def series_items(table):
+    return [(word, list(series.terms.items()))
+            for word, series in table.items()]
+
+
+def test_split_and_serial_histograms_are_equal(monkeypatch):
+    golay = lattice_of_code(standard_codes("golay12"))
+    runs = (lambda: list(count_by_norm(golay, 4).items()),
+            lambda: series_items(theta_series_by_word(5, 3, 3)),
+            lambda: series_items(theta_series_by_word(3, 3, 3)))
+    monkeypatch.setattr(codelattice, "_can_split", lambda: False)
+    serial = [run() for run in runs]
+    assert serial[0] == [(0, 1), (2, 72), (4, 194832)]
+    pids = spied_forks(monkeypatch)
+    for index, run in enumerate(runs):
+        if index == 2:
+            # far below the threshold: its widest block has 1102 children
+            # one level above the leaves, so it splits only at 1102
+            monkeypatch.setattr(codelattice, "SPLIT_WORK", 1102)
+        for _ in range(2):
+            forks = len(pids)
+            assert run() == serial[index], index
+            assert len(pids) == forks + 1 and pids[-1] > 0
+            assert_no_child_left()
+
+
+def test_walks_below_the_threshold_never_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(codelattice, "_can_split", lambda: True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    golay = lattice_of_code(standard_codes("golay12"))
+    assert lattice_info(golay)["minimal_norm"] == 2
+    assert count_by_norm(golay, 2) == {0: 1, 2: 72}
+    lat = standard_lattice(5, 2)
+    assert theta_series_by_word(5, 2, 3) == {
+        word: theta_series(lat, 3, word)
+        for word in product(range(5), repeat=2)}
+    assert dict(cli.VERIFY_STAGES)["expansion"]()["pass"]
+    # the wide walks do reach the fork, and its failure is raised
+    with pytest.raises(AssertionError, match="forked"):
+        count_by_norm(golay, 4)
+
+
+def test_without_fork_or_a_second_cpu_the_walk_stays_serial(monkeypatch):
+    golay = lattice_of_code(standard_codes("golay12"))
+    pids = spied_forks(monkeypatch, force=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert not codelattice._can_split()
+    assert count_by_norm(golay, 4) == {0: 1, 2: 72, 4: 194832}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert codelattice._can_split()
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert not codelattice._can_split()
+    assert count_by_norm(golay, 4) == {0: 1, 2: 72, 4: 194832}
+    assert pids == []
+
+
+def fail_after_fork(monkeypatch, pids, side, exc):
+    """_isqrt raises exc in the named process once the walk has forked."""
+    parent = os.getpid()
+    true_isqrt = codelattice._isqrt
+
+    def failing(cap, top):
+        if pids and (os.getpid() == parent) == (side == "parent"):
+            raise exc
+        return true_isqrt(cap, top)
+
+    monkeypatch.setattr(codelattice, "_isqrt", failing)
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+@pytest.mark.parametrize("side, exc, raised, message", [
+    ("child", ValueError("child walk failed"), ValueError,
+     "^child walk failed$"),
+    ("child", Unpicklable("child walk failed"), RuntimeError,
+     "^Unpicklable: child walk failed$"),
+    ("parent", KeyError("parent walk failed"), KeyError,
+     "parent walk failed"),
+])
+def test_a_failed_side_is_raised_and_no_child_outlives_it(
+        monkeypatch, side, exc, raised, message):
+    golay = lattice_of_code(standard_codes("golay12"))
+    pids = spied_forks(monkeypatch)
+    fail_after_fork(monkeypatch, pids, side, exc)
+    with pytest.raises(raised, match=message):
+        count_by_norm(golay, 4)
+    assert len(pids) == 1 and pids[0] > 0
+    assert_no_child_left()
+    monkeypatch.undo()
+    assert count_by_norm(golay, 4) == {0: 1, 2: 72, 4: 194832}
 
 
 # ---------------------------------------------------------------------------

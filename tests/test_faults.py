@@ -9,6 +9,7 @@ control gives a predicate an input on which it must say no.
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -85,16 +86,19 @@ def test_undoubled_half_tree_counts_fail_e8_and_golay(monkeypatch):
 
 def test_least_leaf_dropped_fails_every_enumerating_stage(monkeypatch):
     # every run of the tree loses its least-norm leaf (the first one, at a
-    # tie): with X, as enumerate_coset, theta_series_by_word and the
-    # Hilbert tables take it, and without, as zero-shift histograms do
+    # tie): with X, as enumerate_coset and the Hilbert tables take it, with
+    # the group sums that theta_series_by_word takes, and without, as
+    # zero-shift histograms do.  A split walk is passed on split, so each
+    # of its two processes drops the least leaf of its own share.
     true_tree = codelattice._fincke_pohst
     modes = set()
 
-    def least_leaf_dropped(gram, shift, bound, emit, half, coords=True):
+    def least_leaf_dropped(gram, shift, bound, emit, half, coords=True,
+                           split=None):
         blocks = []
         true_tree(gram, shift, bound,
                   lambda X, scaled, scale: blocks.append((X, scaled, scale)),
-                  half, coords)
+                  half, coords, split)
         if not blocks:
             return
         X = None
@@ -102,7 +106,7 @@ def test_least_leaf_dropped_fails_every_enumerating_stage(monkeypatch):
             X = np.concatenate([b[0] for b in blocks])
         scaled = np.concatenate([b[1] for b in blocks])
         keep = np.arange(len(scaled)) != np.argmin(scaled)
-        modes.add(coords)
+        modes.add(coords if isinstance(coords, bool) else "groups")
         if keep.any():
             emit(None if X is None else X[keep], scaled[keep], blocks[0][2])
 
@@ -112,7 +116,7 @@ def test_least_leaf_dropped_fails_every_enumerating_stage(monkeypatch):
                  "alpbach_exact_random", "alpbach_numerical", "e8", "golay",
                  "orbits", "sl2f3"):
         assert not run_stage(name)["pass"], name
-    assert modes == {True, False}
+    assert modes == {True, False, "groups"}
 
 
 def test_looser_hilbert_stop_rule_fails_the_numeric_stages(monkeypatch):
@@ -173,6 +177,30 @@ def test_last_shell_dropped_fails_sl2f3_and_narrows_alpbach(monkeypatch):
     residuals = [r for point in sl2f3["points"] for r in point["s_residuals"]]
     assert 1e-6 < min(residuals) and max(residuals) < 1e-3
     assert not sl2f3["pass"]
+
+
+def test_child_half_dropped_fails_golay_and_orbits(monkeypatch):
+    # a split walk merges nothing from its second process: the zero-shift
+    # histograms that reach the split threshold (golay to norm 4, the orbit
+    # sweep at p = 5, n = 3) lose the child's segments, and every stage
+    # whose walks stay serial still passes
+    true_join = codelattice._join
+    dropped = []
+
+    def child_half_dropped(pid, read):
+        counts, scale = true_join(pid, read)
+        dropped.append(sum(counts.values()))
+        return Counter(), scale
+
+    monkeypatch.setattr(codelattice, "_can_split", lambda: True)
+    monkeypatch.setattr(codelattice, "_join", child_half_dropped)
+    fresh_enumeration_caches(monkeypatch)
+    for name, _ in cli.VERIFY_STAGES:
+        forks = len(dropped)
+        report = run_stage(name)
+        assert report["pass"] == (name not in ("golay", "orbits")), name
+        assert (len(dropped) > forks) == (name in ("golay", "orbits")), name
+    assert all(dropped)
 
 
 def test_unfolded_word_table_fails_orbit_invariance(monkeypatch):
