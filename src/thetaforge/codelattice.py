@@ -347,15 +347,17 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True, split=None):
 
     split, when given, is called once, at the first block whose children
     times its level i (the levels left below them) reach SPLIT_WORK, as
-    split(SPLIT_PARTS); it returns None, and the walk goes on whole, or an
-    iterator of the segment numbers 0 .. SPLIT_PARTS - 1 this process
-    walks.  The block's children are cut into SPLIT_PARTS segments of
-    nearly equal size, and the walk expands only the claimed ones, in the
-    order they come; every other block is walked whole.  Two processes
-    whose claims partition the segments between them walk the blocks above
-    that level twice and every leaf below it once.  Only the zero-shift
-    histograms split (_half_tree_counts), since they merge exact integer
-    counts whatever the order; a leaf-order reader never passes split.
+    split(SPLIT_PARTS); it returns None, and the walk goes on whole, or
+    this process's side, 0 or 1, and an iterator of the segment numbers
+    0 .. SPLIT_PARTS - 1 it walks.  The block's children are cut into
+    SPLIT_PARTS segments of nearly equal size, and the walk expands only
+    the claimed ones, in the order they come.  Side 0 then walks on to the
+    end, the chunks of the blocks above still to expand included; side 1
+    drops those, so it walks its claimed segments and stops.  Two sides
+    whose claims partition the segments visit every leaf once.  Only the
+    zero-shift histograms split (_half_tree_counts), since they merge
+    exact integer counts whatever the order; a leaf-order reader never
+    passes split.
 
     Everything comes from the integers (d, lam) of linalg.integral_gso,
     with mu_ji = lam_ji / d_(i+1) and |b_i*|^2 = d_(i+1) / d_i.  With Lam_i
@@ -441,12 +443,16 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True, split=None):
         total = int(ends[-1])
         chunks = _chunks(0, total)
         if split is not None and total * i >= SPLIT_WORK:
-            claims, split = split(SPLIT_PARTS), None
-            if claims is not None:
+            claimed, split = split(SPLIT_PARTS), None
+            if claimed is not None:
+                side, claims = claimed
                 cuts = [k * total // SPLIT_PARTS
                         for k in range(SPLIT_PARTS + 1)]
                 chunks = chain.from_iterable(_chunks(cuts[k], cuts[k + 1])
                                              for k in claims)
+                if side:    # the blocks above are side 0's to finish
+                    for up in stack:
+                        up[-1] = iter(())
         if not coords:
             x = par = None
         off = ends - cnt - lo.astype(ct, copy=False)
@@ -454,8 +460,9 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True, split=None):
 
     grouped = not isinstance(coords, bool)
     sums = np.zeros((1, max(coords) + 1), dtype=dt) if grouped else None
-    stack = [block(sums, None, half, rank - 1,
-                   np.array([room], dtype=dt), np.zeros((1, rank), dtype=ct))]
+    stack = []      # bound first: a split at the root block reads it
+    stack.append(block(sums, None, half, rank - 1, np.array([room], dtype=dt),
+                       np.zeros((1, rank), dtype=ct)))
     while stack:
         entry = stack[-1]
         _, _, lead, i, rem, acc, cnt, total, off, chunks = entry
@@ -507,7 +514,11 @@ def _half_tree_counts(gram, bound, keys, coords):
     first wide block (see _fincke_pohst) the parent takes segment 0, the
     child segment 1, and each then claims the next unclaimed segment from
     a pipe of one-byte tokens when it has finished its last, so neither
-    waits on the other's share.  The child clears the counts it inherited,
+    waits on the other's share (a fixed interleave, the even segments to
+    one side and the odd to the other, left golay's parent with 59 % of
+    the leaves and measured slower).  The parent is side 0 and also walks
+    what is left of the blocks above the split; the child is side 1 and
+    walks only its segments.  The child clears the counts it inherited,
     counts its own leaves, pickles (counts, scale) through a second pipe
     and exits; the parent merges them (_join).  An exception in the child
     is pickled instead and raised in the parent; an exception in the parent
@@ -536,9 +547,10 @@ def _half_tree_counts(gram, bound, keys, coords):
             claims, child = _fork(parts)
         except OSError:     # no process to spare: walk on alone
             return None
-        if not child[0]:
-            counts.clear()
-        return claims
+        if child[0]:
+            return 0, claims
+        counts.clear()
+        return 1, claims
 
     try:
         _fincke_pohst(gram, [0] * len(gram), bound, emit, True, coords,

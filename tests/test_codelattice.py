@@ -957,6 +957,26 @@ def test_split_and_serial_histograms_are_equal(monkeypatch):
             assert_no_child_left()
 
 
+def test_split_below_blocks_with_chunks_left(monkeypatch):
+    # in chunks of three, the first block to reach the threshold can lie
+    # below blocks whose later chunks are still to expand: the child walks
+    # only the segments it claims, and the parent its own and the rest
+    monkeypatch.setattr(codelattice, "CHUNK", 3)
+    e8 = lattice_of_code(standard_codes("tetracode"))
+    runs = (lambda: list(count_by_norm(e8, 4).items()),
+            lambda: series_items(theta_series_by_word(3, 2, 3)))
+    monkeypatch.setattr(codelattice, "_can_split", lambda: False)
+    serial = [run() for run in runs]
+    pids = spied_forks(monkeypatch)
+    for work in (4, 8, 16, 24):
+        monkeypatch.setattr(codelattice, "SPLIT_WORK", work)
+        for index, run in enumerate(runs):
+            forks = len(pids)
+            assert run() == serial[index], (work, index)
+            assert len(pids) == forks + 1 and pids[-1] > 0
+            assert_no_child_left()
+
+
 def test_walks_below_the_threshold_never_fork(monkeypatch):
     def no_fork():
         raise AssertionError("forked")
