@@ -13,11 +13,10 @@ codeword prefix, at any rank.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from math import gcd, isqrt, lcm, prod
+from math import floor, gcd, isqrt, lcm, prod
 
 from .fpcode import code_predicates, zero_code
 from .linalg import fraction_inverse, integer_row_basis, integral_gso
@@ -237,13 +236,15 @@ def is_even(lattice):
 
 CHUNK = 1 << 12
 
-# A zero-shift histogram forks one child at the first block whose children,
-# times the levels left below them, reach SPLIT_WORK: golay to norm 4 at
-# 31,158 (1,731 children at level 18) and theta_series_by_word(5, 3, 3) at
-# 33,220.  The next half-tree walk of verify all, golay's minimal norm, peaks
-# at 12,694 and takes about 3 ms, which a fork would not repay.  The block's
-# children are cut into SPLIT_PARTS segments, which the two processes claim
-# one at a time (see _half_tree_counts); 8 to 32 segments measured alike.
+# A histogram forks one child at the first block whose children, times the
+# levels left below them, reach SPLIT_WORK: golay to norm 4 at 31,158 (1,731
+# children at level 18) and theta_series_by_word(5, 3, 3) at 33,220.  The
+# next half-tree walk of verify all, golay's minimal norm, peaks at 12,694
+# and takes about 3 ms, which a fork would not repay; its shifted walks (the
+# exact alpbach stages' cosets) peak at 702, so none of them forks.  The
+# block's children are cut into SPLIT_PARTS segments, which the two
+# processes claim one at a time (see _tree_counts); 8 to 32 segments
+# measured alike.
 SPLIT_WORK = 1 << 14
 SPLIT_PARTS = 16
 
@@ -264,8 +265,11 @@ def _isqrt(cap, top):
 
 
 def _dtypes(norm_top, reach):
-    """The dtypes (dt, ct) of _fincke_pohst's arrays, from the largest
-    scaled norm, unit * max(room, 1), and the coordinate bound reach.
+    """The dtypes (dt, ct) of _fincke_pohst's arrays, from norm_top, the
+    larger of the scale and the largest scaled norm, unit * max(room, 1),
+    and the coordinate bound reach.  (With the scale in norm_top, a
+    histogram's key, an int64 scaled norm over a divisor of the scale,
+    never leaves int64.)
 
     Every array is int64 when norm_top < 2^62 and reach * (CHUNK + 1) <
     2^61, and holds Python ints otherwise.  The coordinate-side arrays
@@ -302,10 +306,11 @@ def enumerate_coset(gram, shift, bound, emit):
     lexicographic order of (x_{rank-1}, ..., x_0), the order of a
     depth-first Fincke-Pohst (Fincke-Pohst 1985), one emit call per chunk;
     an empty coset makes no call.  The values are exact; no float is
-    involved.  Every vector of the coset is one leaf, at any shift; the
-    histograms of zero-shift cosets walk half the tree instead (see
-    _fincke_pohst).  This run is never split: its callers read the leaves
-    in order (the Hilbert tables fix float sums by it).
+    involved.  Every vector of the coset is one leaf, at any shift.  The
+    histograms (_tree_counts) walk the same tree, half of it at a zero
+    shift (see _fincke_pohst), and may split it; this run is never split,
+    since its callers read the leaves in order (the Hilbert tables fix
+    float sums by it).
     """
     _fincke_pohst(gram, shift, bound, emit, False)
 
@@ -337,13 +342,13 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True, split=None):
     held, so a chunk adds O(rank CHUNK) entries, and the caller decides
     what to keep.  With coords false, emit gets None for X: no leaf matrix
     is stacked, and the blocks keep no x or parent columns, only what their
-    children need.  With coords a tuple of group numbers 0 .. k - 1, one
-    per coordinate, emit gets for X the (m, k) matrix of each leaf's sums
-    of x_j over the coordinates j of each group (in dt): each block keeps
-    its nodes' sums instead of its x and parent columns, and a child adds
-    its x_i to its parent's, so no leaf matrix is stacked either
-    (theta_series_by_word reads only the digit sums of the cyclotomic
-    blocks).
+    children need (count_by_norm reads only the norms).  With coords a
+    tuple of group numbers 0 .. k - 1, one per coordinate, emit gets for X
+    the (m, k) matrix of each leaf's sums of x_j over the coordinates j of
+    each group (in dt): each block keeps its nodes' sums instead of its x
+    and parent columns, and a child adds its x_i to its parent's, so no
+    leaf matrix is stacked either (theta_series_by_word reads only the
+    digit sums of the cyclotomic blocks).
 
     split, when given, is called once, at the first block whose children
     times its level i (the levels left below them) reach SPLIT_WORK, as
@@ -355,9 +360,9 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True, split=None):
     end, the chunks of the blocks above still to expand included; side 1
     drops those, so it walks its claimed segments and stops.  Two sides
     whose claims partition the segments visit every leaf once.  Only the
-    zero-shift histograms split (_half_tree_counts), since they merge
-    exact integer counts whatever the order; a leaf-order reader never
-    passes split.
+    histograms split (_tree_counts), at any shift, since they add exact
+    integer counts whatever the order; enumerate_coset, whose callers read
+    the leaves in order, never passes split.
 
     Everything comes from the integers (d, lam) of linalg.integral_gso,
     with mu_ji = lam_ji / d_(i+1) and |b_i*|^2 = d_(i+1) / d_i.  With Lam_i
@@ -416,7 +421,7 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True, split=None):
     # a scaled norm is unit * (room used) / gden: reduce the fraction
     h = gcd(unit, gden)
     unit, gden = unit // h, gden // h
-    dt, ct = _dtypes(unit * max(room, 1), reach)
+    dt, ct = _dtypes(max(unit * max(room, 1), gden), reach)
     count_dt = np.int64 if ct is object else ct     # child counts and indices
     updates = [None] * rank
     for j, row in enumerate(C):
@@ -504,10 +509,13 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True, split=None):
         stack.append(block(x, par, lead and start == 0, i - 1, rem_c, acc_c))
 
 
-def _half_tree_counts(gram, bound, keys, coords):
-    """Counter of the integer keys(X, scaled, scale) over the leaves of the
-    zero coset's half-tree (_fincke_pohst), counted block by block with
-    np.unique, and the run's scale (1 when there is no leaf).
+def _tree_counts(gram, shift, bound, size, keys, coords):
+    """Histogram of the integer keys(X, scaled, scale), each below size,
+    over the leaves of a coset's tree (_fincke_pohst): an int64 array of
+    size entries, filled one block at a time with np.bincount.  A zero
+    shift walks the half-tree, one leaf of each +-x pair, and the caller
+    counts each nonzero leaf for its negative too; any other shift walks
+    the full tree.
 
     A wide walk is split between this process and one forked child, where
     os.fork exists and the process may run on more than one CPU: at the
@@ -519,25 +527,21 @@ def _half_tree_counts(gram, bound, keys, coords):
     the leaves and measured slower).  The parent is side 0 and also walks
     what is left of the blocks above the split; the child is side 1 and
     walks only its segments.  The child clears the counts it inherited,
-    counts its own leaves, pickles (counts, scale) through a second pipe
-    and exits; the parent merges them (_join).  An exception in the child
-    is pickled instead and raised in the parent; an exception in the parent
-    kills the child.  The child is reaped before this returns or raises.
-    The fork copies only the calling thread, so the child must not reach
-    a lock another thread may hold: it runs integer numpy code, which
-    never calls the BLAS whose worker threads numpy starts, and pickle.
+    counts its own leaves, pickles them through a second pipe and exits;
+    the parent adds them (_join).  An exception in the child is pickled
+    instead and raised in the parent; an exception in the parent kills
+    the child.  The child is reaped before this returns or raises.  The
+    fork copies only the calling thread, so the child must not reach a
+    lock another thread may hold: it runs integer numpy code, which never
+    calls the BLAS whose worker threads numpy starts, and pickle.
     """
     import numpy as np
-    counts = Counter()
-    scale = None
+    counts = np.zeros(size, dtype=np.int64)
     child = None    # (pid, result pipe) once forked; pid 0 in the child
 
-    def emit(X, scaled, run_scale):
-        nonlocal scale
-        vals, cnts = np.unique(keys(X, scaled, run_scale),
-                               return_counts=True)
-        counts.update(dict(zip(vals.tolist(), cnts.tolist())))
-        scale = run_scale
+    def emit(X, scaled, scale):
+        k = keys(X, scaled, scale).astype(np.intp, copy=False)
+        counts[:] += np.bincount(k, minlength=size)
 
     def split(parts):
         nonlocal child
@@ -549,11 +553,11 @@ def _half_tree_counts(gram, bound, keys, coords):
             return None
         if child[0]:
             return 0, claims
-        counts.clear()
+        counts[:] = 0
         return 1, claims
 
     try:
-        _fincke_pohst(gram, [0] * len(gram), bound, emit, True, coords,
+        _fincke_pohst(gram, shift, bound, emit, not any(shift), coords,
                       split)
     except BaseException as exc:
         if child is None:
@@ -563,12 +567,11 @@ def _half_tree_counts(gram, bound, keys, coords):
         _abandon(*child)
         raise
     if child is None:
-        return counts, scale or 1
+        return counts
     if not child[0]:
-        _hand_over(child[1], (counts, scale))
-    theirs, their_scale = _join(*child)
-    counts.update(theirs)
-    return counts, scale or their_scale or 1
+        _hand_over(child[1], counts)
+    counts += _join(*child)
+    return counts
 
 
 def _can_split():
@@ -631,7 +634,7 @@ def _hand_over(write, payload):
 
 
 def _join(pid, read):
-    """The child's (counts, scale), read to the end of the result pipe,
+    """The child's counts, read to the end of the result pipe,
     with the child reaped; the exception its walk raised is raised here."""
     import pickle
     try:
@@ -663,34 +666,30 @@ def count_by_norm(lattice, bound, shift_word=None):
     """Exact norm histogram of a lattice coset up to a bound (Fincke-Pohst),
     in increasing norm.
 
-    Each block of leaves is counted with np.unique on its scaled norms (int64
-    or Python ints, never floats), so only the distinct norms of a block
-    reach Python.  A zero shift walks the half-tree of _fincke_pohst, one
-    vector of each +-x pair, split across two processes when it is wide
-    (_half_tree_counts), and each nonzero norm's count is doubled; any
-    other shift walks the full tree of enumerate_coset in this process."""
-    import numpy as np
+    The Gram is integral and the shift's basis coordinates have a common
+    denominator q (1 at a zero shift, p at a code lattice's other cosets),
+    so every norm lies in (1/q^2)Z.  Each leaf is counted at k = q^2 norm,
+    an exact integer from its scaled norm (int64 or Python ints, never
+    floats), in an array of floor(q^2 bound) + 1 counts (_tree_counts);
+    no leaf matrix is stacked.  A zero shift walks the half-tree of
+    _fincke_pohst, one vector of each +-x pair, and each nonzero norm's
+    count is doubled; any other shift walks the full tree.  Either walk
+    is split across two processes when it is wide."""
     _check_cap(bound)
     shift = ([Fraction(0)] * lattice.rank if shift_word is None
              else lattice.shift_in_basis(shift_word))
-    gram = [list(r) for r in lattice.gram]
-    if not any(shift):  # only the norms are read: no leaf matrix is stacked
-        counts, scale = _half_tree_counts(
-            gram, bound, lambda X, scaled, scale: scaled, coords=False)
-        return {Fraction(k, scale): c * 2 if k else c
-                for k, c in sorted(counts.items())}
-    counts = Counter()
-    scale = 1
+    den = lcm(*(s.denominator for s in shift)) ** 2
+    bound = Fraction(bound)
 
-    def emit(X, scaled, run_scale):
-        nonlocal scale
-        vals, cnts = np.unique(scaled, return_counts=True)
-        counts.update(dict(zip(vals.tolist(), cnts.tolist())))
-        scale = run_scale
+    def keys(X, scaled, scale):
+        g = gcd(scale, den)
+        return scaled // (scale // g) * (den // g)
 
-    # the public entry point, which perfbench/traced.py spans
-    enumerate_coset(gram, shift, bound, emit)
-    return {Fraction(k, scale): c for k, c in sorted(counts.items())}
+    counts = _tree_counts([list(r) for r in lattice.gram], shift, bound,
+                          max(floor(den * bound) + 1, 0), keys, False)
+    if not any(shift):
+        counts[1:] *= 2
+    return {Fraction(k, den): c for k, c in enumerate(counts.tolist()) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +825,7 @@ def box_count_by_norm(lattice, bound, shift_word=None):
         ends = np.cumsum(cnt)
         return [norm, digits, j, ends, ends - cnt, 0]
 
-    counts = Counter()
+    counts = np.zeros(limit + 1, dtype=np.int64)
     zero = np.zeros(1, dtype=np.int64)
     stack = [frame(zero, zero, 0)]
     while stack:
@@ -847,12 +846,10 @@ def box_count_by_norm(lattice, bound, shift_word=None):
         at = np.minimum(np.searchsorted(allowed, digits_c), len(allowed) - 1)
         keep = allowed[at] == digits_c
         if j + 1 == n:
-            vals, cnts = np.unique(norm_c[keep], return_counts=True)
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                counts[v] += c
+            counts += np.bincount(norm_c[keep], minlength=limit + 1)
         else:
             stack.append(frame(norm_c[keep], digits_c[keep], j + 1))
-    return {Fraction(v, p): counts[v] for v in sorted(counts)}
+    return {Fraction(k, p): c for k, c in enumerate(counts.tolist()) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -885,10 +882,10 @@ def theta_series_by_word(p, n, order):
     identity rows (p I - J per block) and bound p * 2 * order, meets each
     coset vector of norm at most 2 * order.  O^n has zero shift, so the run
     walks the half-tree of _fincke_pohst, split across two processes when
-    it is wide (_half_tree_counts): each leaf x is binned by its digit word
-    w and exact norm, one integer key per leaf (int64, or Python ints when
-    width * p^n reaches 2^62) counted with np.unique, and each count at a
-    nonzero exponent is then added to the word -w mod p as well, for -x.
+    it is wide (_tree_counts): each leaf x is counted at the key
+    w * width + k, for its digit word w (in base p) and k = p * exponent,
+    and each count at a nonzero k is then added to the word -w mod p as
+    well, for -x (_fold_negatives).
     Each value equals theta_series(standard_lattice(p, n), order, word).
     """
     import numpy as np
@@ -899,36 +896,30 @@ def theta_series_by_word(p, n, order):
     gram = trace_gram([[int(i == j) for j in range(rank)]
                        for i in range(rank)], p)
     width = max(int(p * order), 0) + 1   # k = p * exponent lies in [0, width)
-    kd = np.int64 if width * p ** n < 1 << 62 else object
-    place = np.array([p ** (n - 1 - b) for b in range(n)], dtype=kd)
+    place = np.array([p ** (n - 1 - b) * width for b in range(n)])
 
     def keys(sums, scaled, scale):
         # p * norm = scaled / scale is an even integer on O^n
-        return ((sums % p).astype(kd) @ place) * width + (
-            scaled // (2 * scale)).astype(kd)
+        return (sums % p) @ place + scaled // (2 * scale)
 
-    counts, _ = _half_tree_counts(gram, 2 * p * order, keys,
-                                  tuple(j // d for j in range(rank)))
-    words = list(product(range(p), repeat=n))
-    terms = [{} for _ in words]
-    for key, c in sorted(counts.items()):
-        w, k = divmod(key, width)
-        terms[w][k] = c
-    terms = _fold_negatives(terms, words, p)
-    return {word: QSeries(p, p, t, order) for word, t in zip(words, terms)}
+    counts = _tree_counts(gram, [0] * rank, 2 * p * order, p ** n * width,
+                          keys, tuple(j // d for j in range(rank)))
+    counts = _fold_negatives(counts.reshape((p,) * n + (width,)), p)
+    return {word: QSeries(p, p, {k: c for k, c in enumerate(row) if c},
+                          order)
+            for word, row in zip(product(range(p), repeat=n),
+                                 counts.reshape(-1, width).tolist())}
 
 
-def _fold_negatives(terms, words, p):
-    """Full counts {k: count}, one dict per word, from the half-tree's: each
-    count of word w at a nonzero k is added to the word -w mod p as well,
-    for the vectors -x that the half-tree skips."""
-    index = {word: i for i, word in enumerate(words)}
-    full = [dict(t) for t in terms]
-    for word, t in zip(words, terms):
-        neg = full[index[tuple(-a % p for a in word)]]
-        for k, c in t.items():
-            if k:
-                neg[k] = neg.get(k, 0) + c
+def _fold_negatives(counts, p):
+    """Full counts from the half-tree's, an array indexed by the n digits
+    of a word and k: each count of word w at a nonzero k is added to the
+    word -w mod p as well, for the vectors -x that the half-tree skips."""
+    import numpy as np
+    flip = -np.arange(p) % p    # the digits of -w, digit by digit
+    negated = counts[np.ix_(*[flip] * (counts.ndim - 1))]   # -w's at w
+    full = counts.copy()
+    full[..., 1:] += negated[..., 1:]
     return full
 
 

@@ -709,6 +709,15 @@ def test_half_tree_fixed_cases():
         assert count_by_norm(lat, bound) == full_count_by_norm(gram, bound)
         assert count_by_norm(lat, bound, (0,) * lat.n) == \
             full_count_by_norm(gram, bound)
+    # a Gram that does not come from its basis: the shift's coordinates
+    # have denominator 3, so the norms lie in (1/9)Z, off the (1/3)Z grid
+    # of a code's cosets, and are still counted exactly
+    a2 = standard_lattice(3, 1)
+    square = CodeLattice(a2.code, a2.basis, [[2, 0], [0, 2]])
+    assert count_by_norm(square, 4, (1,)) == full_count_by_norm(
+        [[2, 0], [0, 2]], 4, a2.shift_in_basis((1,))) == {
+        Fraction(4, 9): 1, Fraction(10, 9): 2, Fraction(16, 9): 1,
+        Fraction(34, 9): 2}
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -960,13 +969,24 @@ def test_split_and_serial_histograms_are_equal(monkeypatch):
 def test_split_below_blocks_with_chunks_left(monkeypatch):
     # in chunks of three, the first block to reach the threshold can lie
     # below blocks whose later chunks are still to expand: the child walks
-    # only the segments it claims, and the parent its own and the rest
+    # only the segments it claims, and the parent its own and the rest.
+    # Shifted cosets walk the full tree and split the same way.
     monkeypatch.setattr(codelattice, "CHUNK", 3)
     e8 = lattice_of_code(standard_codes("tetracode"))
-    runs = (lambda: list(count_by_norm(e8, 4).items()),
-            lambda: series_items(theta_series_by_word(3, 2, 3)))
+    lat5 = standard_lattice(5, 2)
+    shifted = ((e8, (1, 0, 2, 1)), (lat5, (1, 0)))
+    runs = [lambda: list(count_by_norm(e8, 4).items()),
+            lambda: series_items(theta_series_by_word(3, 2, 3))]
+    for lat, word in shifted:
+        runs.append(lambda lat=lat, word=word: list(
+            count_by_norm(lat, 4, shift_word=word).items()))
     monkeypatch.setattr(codelattice, "_can_split", lambda: False)
     serial = [run() for run in runs]
+    for (lat, word), counts in zip(shifted, serial[2:]):
+        assert dict(counts) == full_count_by_norm(
+            [list(r) for r in lat.gram], 4, lat.shift_in_basis(word))
+    assert sum(c for _, c in serial[2]) == 1437
+    assert serial[3] == [(Fraction(4, 5), 5), (Fraction(14, 5), 130)]
     pids = spied_forks(monkeypatch)
     for work in (4, 8, 16, 24):
         monkeypatch.setattr(codelattice, "SPLIT_WORK", work)
@@ -975,6 +995,13 @@ def test_split_below_blocks_with_chunks_left(monkeypatch):
             assert run() == serial[index], (work, index)
             assert len(pids) == forks + 1 and pids[-1] > 0
             assert_no_child_left()
+    # at 73 the shifted e8 walk first reaches the threshold after 613
+    # leaves, so the child must drop the counts it inherited
+    monkeypatch.setattr(codelattice, "SPLIT_WORK", 73)
+    forks = len(pids)
+    assert runs[2]() == serial[2]
+    assert len(pids) == forks + 1 and pids[-1] > 0
+    assert_no_child_left()
 
 
 def test_walks_below_the_threshold_never_fork(monkeypatch):
@@ -1122,12 +1149,22 @@ def test_box_oracle_matches_exhaustive_box_and_fincke_pohst(data):
 
 def test_box_oracle_fixed_cases(monkeypatch):
     a2 = standard_lattice(3, 1)
-    assert box_count_by_norm(a2, -1) == {}
-    assert box_count_by_norm(a2, Fraction(-1, 3), shift_word=(1,)) == {}
-    # the coset of the digit 1 has minimum norm 2/3
-    assert box_count_by_norm(a2, Fraction(1, 2), shift_word=(1,)) == {}
-    assert box_count_by_norm(a2, Fraction(2, 3), shift_word=(1,)) == {
-        Fraction(2, 3): 3}
+    # the coset of the digit 1 has minimum norm 2/3; both routes agree at
+    # negative bounds and below the least nonzero norm
+    for bound, word, want in (
+            (-1, None, {}), (Fraction(-1, 3), (1,), {}),
+            (0, None, {0: 1}), (Fraction(1, 4), (0,), {0: 1}),
+            (0, (1,), {}), (Fraction(1, 4), (1,), {}),
+            (Fraction(1, 2), (1,), {}), (Fraction(2, 3), (1,), {
+                Fraction(2, 3): 3})):
+        assert box_count_by_norm(a2, bound, shift_word=word) == want
+        assert count_by_norm(a2, bound, shift_word=word) == want
+    # at p = 47 the norm scale passes 2^63 while every norm below 1 is 0,
+    # so the walk holds Python ints and each key stays exact
+    lat47 = standard_lattice(47, 1)
+    assert count_by_norm(lat47, 0) == box_count_by_norm(lat47, 0) == {0: 1}
+    assert count_by_norm(lat47, Fraction(46, 47), shift_word=(1,)) == {
+        Fraction(46, 47): 47}
     with pytest.raises(ValueError, match="length"):
         box_count_by_norm(a2, 2, shift_word=(1, 0))
     # 3^40 digit words would wrap the int64 prefix codes
