@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, reduce
+from operator import itemgetter
 
 from .fpcode import (
     FANO_B_VECTORS, FANO_C_VECTORS, FANO_LINES_FIRST, FANO_LINES_SECOND,
@@ -112,10 +113,6 @@ class CliffordWord:
             bits |= 1 << i
         return cls(n, sign, bits)
 
-    @property
-    def support(self):
-        return tuple(i for i in range(self.n) if self.bits >> i & 1)
-
     def is_even(self):
         return bin(self.bits).count("1") % 2 == 0
 
@@ -143,7 +140,8 @@ class CliffordWord:
         return hash((self.n, self.sign, self.bits))
 
     def __repr__(self):
-        body = "".join("e%d" % i for i in self.support) or "1"
+        body = "".join("e%d" % i for i in range(self.n)
+                       if self.bits >> i & 1) or "1"
         return "%s%s" % ("" if self.sign > 0 else "-", body)
 
 
@@ -214,8 +212,9 @@ def pair_form_sweep(n=8):
 # ---------------------------------------------------------------------------
 
 def compose(p, q):
-    """The permutation p first, then q; each is the tuple of its images."""
-    return tuple(map(q.__getitem__, p))
+    """The permutation p first, then q; each is the tuple of its images,
+    of at least two points (itemgetter returns a tuple then)."""
+    return itemgetter(*p)(q)
 
 
 def invert(p):
@@ -226,7 +225,14 @@ class SignedMatrix:
     """Square matrix with exactly one +-1 entry per row and column, held as
     the permutation it makes of 2 dim points: 2r is +e_r, 2r + 1 is -e_r,
     and e_r.m = signs[r].e_perm[r].  So m.m' acts as m first, the
-    transpose is the inverse permutation, and -m swaps each pair."""
+    transpose is the inverse permutation, and -m swaps each pair.
+
+    The derived tuples are built from lists, or by itemgetter in compose,
+    never by tuple() of a generator or a map: that grows its result by
+    resizing, past CPython's tuple free lists, yet each one freed joins a
+    free list, so a sweep such as bott_check's 256 images would leave
+    about 0.5 MB of short tuples there, late in desk's run where its
+    memory peaks."""
 
     __slots__ = ("points",)
 
@@ -251,29 +257,17 @@ class SignedMatrix:
     def identity(cls, dim):
         return cls._from_points(tuple(range(2 * dim)))
 
-    @classmethod
-    def from_rows(cls, rows):
-        perm = []
-        signs = []
-        for row in rows:
-            nz = [(j, v) for j, v in enumerate(row) if v]
-            if len(nz) != 1 or nz[0][1] not in (1, -1):
-                raise ValueError("row is not signed-unit")
-            perm.append(nz[0][0])
-            signs.append(nz[0][1])
-        return cls(perm, signs)
-
     @property
     def dim(self):
         return len(self.points) // 2
 
     @property
     def perm(self):
-        return tuple(x >> 1 for x in self.points[::2])
+        return tuple([x >> 1 for x in self.points[::2]])
 
     @property
     def signs(self):
-        return tuple(-1 if x & 1 else 1 for x in self.points[::2])
+        return tuple([-1 if x & 1 else 1 for x in self.points[::2]])
 
     def rows(self):
         out = [[0] * self.dim for _ in range(self.dim)]
@@ -287,7 +281,7 @@ class SignedMatrix:
         return SignedMatrix._from_points(compose(self.points, other.points))
 
     def __neg__(self):
-        return SignedMatrix._from_points(tuple(x ^ 1 for x in self.points))
+        return SignedMatrix._from_points(tuple([x ^ 1 for x in self.points]))
 
     def transpose(self):
         return SignedMatrix._from_points(invert(self.points))
@@ -524,8 +518,8 @@ def _blocks(top, bottom, swap=False):
     shift = 2 * top.dim
     top_shift, bottom_shift = (shift, 0) if swap else (0, shift)
     return SignedMatrix._from_points(
-        tuple(x + top_shift for x in top.points)
-        + tuple(x + bottom_shift for x in bottom.points))
+        tuple([x + top_shift for x in top.points])
+        + tuple([x + bottom_shift for x in bottom.points]))
 
 
 def full_rep(word):
@@ -558,8 +552,9 @@ def tensor_split(m):
     if m.dim % 2 or any((x >= m.dim) != swap for x in top):
         raise ValueError("not a tensor product")
     top_shift, bottom_shift = (m.dim, 0) if swap else (0, m.dim)
-    top = SignedMatrix._from_points(tuple(x - top_shift for x in top))
-    bottom = SignedMatrix._from_points(tuple(x - bottom_shift for x in bottom))
+    top = SignedMatrix._from_points(tuple([x - top_shift for x in top]))
+    bottom = SignedMatrix._from_points(
+        tuple([x - bottom_shift for x in bottom]))
     if top == bottom:
         outer = SIGMA1 if swap else SIGMA0
     elif top == -bottom:
@@ -573,17 +568,20 @@ def tensor_split(m):
 def bott_check():
     """Rank, tensor-image, anchor, and restriction checks for the 16x16
     representation."""
-    images = [full_rep(CliffordWord(8, 1, bits)) for bits in range(256)]
+    # each sweep makes the 256 images again rather than holding them, as
+    # desk's memory peaks in this stage (1.7 ms a sweep)
+    words = [CliffordWord(8, 1, bits) for bits in range(256)]
     # full rank mod a prime certifies full rational rank.  Correct images
     # are +-Pauli tensors with Frobenius Gram 16 I, so they keep full rank
     # mod any odd prime, and 3 is the cheapest.  The flattened rows are
     # generated, since row_reduce_mod_p copies them anyway
-    flat = ([v for row in m.rows() for v in row] for m in images)
+    flat = ([v for row in full_rep(w).rows() for v in row] for w in words)
     rank = len(row_reduce_mod_p(flat, 3)[0])
 
     try:
-        seen = {tuple(REAL_PAULIS.index(f) for f in tensor_split(m)[0])
-                for m in images}
+        seen = {tuple([REAL_PAULIS.index(f)
+                       for f in tensor_split(full_rep(w))[0]])
+                for w in words}
         tensor_ok = True
     except ValueError:
         seen, tensor_ok = set(), False
@@ -607,8 +605,9 @@ def bott_check():
 
     # every map sends -g to minus the image of g: positive words suffice
     plus, minus = _spinor_images(1), _spinor_images(-1)
-    restriction = all(images[s].trace() == plus[s].trace() + minus[s].trace()
-                      for s in _even_supports(8))
+    restriction = all(
+        full_rep(words[s]).trace() == plus[s].trace() + minus[s].trace()
+        for s in _even_supports(8))
 
     return {
         "rank": rank,

@@ -24,6 +24,20 @@ from .qexp import QSeries
 
 DEFAULT_MAX_NORM = 40
 
+# The largest lattice rank n (p - 1) accepted.  A basis and its Gram hold
+# rank^2 Python ints, 2^20 each at the bound; `theta --prime 211` (rank
+# 210) takes about 25 s on a 2-core x86-64 machine.  The rank is tested
+# before any basis row or shell-count table is built.
+MAX_LATTICE_RANK = 1 << 10
+
+
+def _check_rank(p, n):
+    rank = n * (p - 1)
+    if rank > MAX_LATTICE_RANK:
+        raise ValueError("p = %d, n = %d: the lattice rank n(p-1) = %d is "
+                         "above MAX_LATTICE_RANK = %d"
+                         % (p, n, rank, MAX_LATTICE_RANK))
+
 
 def max_norm_cap():
     """Enumeration guard, overridable via THETA_FORGE_MAX_NORM."""
@@ -184,6 +198,7 @@ class CodeLattice:
 
 def lattice_of_code(code):
     """Build the even lattice of a self-orthogonal linear code, p odd."""
+    _check_rank(code.p, code.n)
     if code.p == 2:
         raise ValueError("binary codes have no cyclotomic lattice here")
     if not code.is_linear:
@@ -765,6 +780,7 @@ def coset_shell_counts(p, n, word, bound):
     the one-element counts of each digit (_digit_counts) convolved over the
     word: in int64 when the product of their totals fits, else in Python
     ints.  No basis and no Fincke-Pohst run is involved."""
+    _check_rank(p, n)
     import numpy as np
     bound = Fraction(bound)
     limit = (bound.numerator * p) // bound.denominator

@@ -5,13 +5,11 @@ coefficients over a positive denominator, gcd-reduced, for p an odd prime;
 denominator 1 means the element lies in the ring of integers Z[zeta_p].
 p = 2 is allowed as a degenerate case (the field is plain Q, coefficient
 vectors have length 1) so that binary codes can share the downstream
-machinery.  All operations here are exact; the only floating point lives
-in the complex embeddings.
+machinery.  All operations here are exact.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
@@ -96,14 +94,6 @@ class CycRat:
         check_prime(p)              # before the (p - 2)-tuple is built
         return cls(p, (a,) + (0,) * (p - 2), den)
 
-    @classmethod
-    def zeta_pow(cls, p, k):
-        """zeta^k as a basis element (k reduced mod p; zeta^(p-1) expanded)."""
-        check_prime(p)
-        acc = [0] * p
-        acc[k % p] = 1
-        return cls(p, _reduce_top(p, acc))
-
     def _operand(self, other):
         """other as a CycRat of this prime, or None for an operand that is
         neither a CycRat nor a numbers.Rational; another prime raises
@@ -142,23 +132,6 @@ class CycRat:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        """Multiplicative inverse: the cofactor prod_{r=2}^{p-1} sigma_r(x)
-        of the numerator x over its norm, the rational constant of
-        x * cofactor."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        p = self.p
-        cofactor = (1,) + (0,) * (p - 2)
-        for r in range(2, p):
-            cofactor = _convolve(p, cofactor, self.galois(r).coeffs)
-        norm = _convolve(p, self.coeffs, cofactor)[0]
-        return CycRat(p, [c * self.den for c in cofactor], norm)
-
-    def __truediv__(self, other):
-        other = self._operand(other)
-        return NotImplemented if other is None else self * other.inverse()
-
     def __eq__(self, other):
         """Equal to a CycRat of the same prime with the same coefficients
         and denominator, or to the int or Fraction of a rational element;
@@ -173,7 +146,7 @@ class CycRat:
 
     def __hash__(self):
         # a rational element hashes as the Fraction (or int) it equals
-        if self.is_rational():
+        if not any(self.coeffs[1:]):
             return hash(Fraction(self.coeffs[0], self.den))
         return hash((self.p, self.coeffs, self.den))
 
@@ -182,14 +155,6 @@ class CycRat:
 
     def is_zero(self):
         return not any(self.coeffs)
-
-    def is_rational(self):
-        return not any(self.coeffs[1:])
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError("not a rational element: %r" % (self,))
-        return Fraction(self.coeffs[0], self.den)
 
     def galois(self, r):
         """Apply the automorphism zeta -> zeta^r, for r coprime to p."""
@@ -210,16 +175,6 @@ class CycRat:
         coefficients) / den, an int when den == 1."""
         t = (self.p - 1) * self.coeffs[0] - sum(self.coeffs[1:])
         return t if self.den == 1 else Fraction(t, self.den)
-
-    def embed(self, r):
-        """Complex embedding zeta -> exp(2*pi*i*r/p), 1 <= r <= p-1."""
-        if not 1 <= r <= self.p - 1:
-            raise ValueError("embedding index out of range")
-        z = 0j
-        for k, a in enumerate(self.coeffs):
-            if a:
-                z += a * cmath.exp(2j * cmath.pi * k * r / self.p)
-        return z / self.den
 
 
 def as_cycrat(p, v):

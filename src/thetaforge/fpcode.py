@@ -1,4 +1,4 @@
-"""Codes over prime fields F_p: construction, duality, weight statistics.
+"""Codes over prime fields F_p: construction, predicates, weight statistics.
 
 Words are tuples of digits in 0..p-1.  A linear Code carries its echelon
 basis, and linearity is decided by rank: a word set is linear exactly when
@@ -142,22 +142,6 @@ def make_code(p, n, words=None, generators=None):
 
 def zero_code(p, n):
     return make_code(p, n, words=[(0,) * n])
-
-
-def dual_code(code):
-    """The dual under the standard inner product; linear codes only."""
-    if not code.is_linear:
-        raise ValueError("dual of a nonlinear code is undefined here")
-    p, n, k = code.p, code.n, len(code.basis)
-    # row j is (column j of the basis | e_j); an echelon row that is zero
-    # on the first k entries carries a word w with basis . w = 0
-    rows = [[b[j] for b in code.basis] + [int(i == j) for i in range(n)]
-            for j in range(n)]
-    echelon, _ = row_reduce_mod_p(rows, p)
-    dual_basis = [row[k:] for row in echelon if not any(row[:k])]
-    if not dual_basis:
-        return zero_code(p, n)
-    return make_code(p, n, generators=dual_basis)
 
 
 def _inner(u, v, p):

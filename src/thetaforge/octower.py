@@ -3,10 +3,10 @@
 The integral orthogonal group in rank n is the group of signed permutation
 matrices.  Every group here is a stabilizer chain on generators, which
 gives orders and membership by sifting; no group is listed.  The module
-builds the index-2 kernels and the evenly-signed even-permutation subgroup
-H, decides perfectness as the normal closure of the generator commutators,
-and solves the crossed-homomorphism system over F_2 from Carmichael's
-presentation of the alternating group.
+builds the evenly-signed even-permutation subgroup H, decides perfectness
+as the normal closure of the generator commutators, and solves the
+crossed-homomorphism system over F_2 from Carmichael's presentation of
+the alternating group.
 """
 
 from __future__ import annotations
@@ -17,16 +17,6 @@ from .cliffcode import SignedMatrix, compose, invert
 from .linalg import row_reduce_mod_p
 
 MAX_TOWER_N = 12
-
-
-def perm_parity(perm):
-    n = len(perm)
-    return sum(perm[i] > perm[j] for i in range(n)
-               for j in range(i + 1, n)) % 2
-
-
-def det(m):
-    return (-1) ** (m.signs.count(-1) + perm_parity(m.perm))
 
 
 def _three_cycles(n):
@@ -195,49 +185,6 @@ def crossed_hom_space(n):
         "dim_principal": dim_principal,
         "dim_invariants": dim_invariants,
         "h1_dim": dim_crossed - dim_principal,
-    }
-
-
-def _kernel_generators(gens, chi):
-    """Schreier generators of the kernel of a character chi = +-1 on the
-    group generated by gens, for the transversal {1, t} with chi(t) = -1:
-    for u in {1, t} and each s, the element u.s, times t^-1 when chi(u.s)
-    is -1.  A character trivial on every generator keeps the group."""
-    t = next((s for s in gens if chi(s) < 0), None)
-    if t is None:
-        return list(gens)
-    out = []
-    for u in (SignedMatrix.identity(t.dim), t):
-        for s in gens:
-            us = u * s
-            out.append(us * t.transpose() if chi(us) < 0 else us)
-    return out
-
-
-def index_two_intersection(n):
-    """The determinant, permutation-parity, and sign-parity kernels of
-    the full signed-permutation group, and their intersection."""
-    h = h_generators(n)
-    cycle = SignedMatrix(list(range(1, n)) + [0], (1,) * n)
-    swap = SignedMatrix([1, 0] + list(range(2, n)), (1,) * n)
-    flip = SignedMatrix(range(n), [-1] + [1] * (n - 1))
-    full = [cycle, swap, flip]
-    characters = (det, lambda m: -1 if perm_parity(m.perm) else 1,
-                  lambda m: -1 if m.signs.count(-1) % 2 else 1)
-    orders = [group_order(_kernel_generators(full, chi))
-              for chi in characters]
-    inter = full
-    for chi in characters:
-        inter = _kernel_generators(inter, chi)
-    inter = Chain(n, inter)
-    return {
-        "order": group_order(full),
-        "det_kernel": orders[0],
-        "perm_kernel": orders[1],
-        "sign_kernel": orders[2],
-        "intersection": inter.order(),
-        "intersection_is_H": (inter.order() == group_order(h)
-                              and all(m in inter for m in h)),
     }
 
 

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from math import floor, gcd
 
-from .cyclotomic import CycRat, as_cycrat
+from .cyclotomic import as_cycrat
 
 
 class QSeries:
@@ -45,10 +45,6 @@ class QSeries:
     @classmethod
     def zero(cls, p, cutoff, N=1):
         return cls(p, N, {}, cutoff)
-
-    @classmethod
-    def one(cls, p, cutoff, N=1):
-        return cls(p, N, {0: 1}, cutoff)
 
     # -- inspection ---------------------------------------------------------
 
@@ -147,7 +143,8 @@ class QSeries:
             raise ValueError("negative power %d of a series" % e)
         if e == 0:
             # relative precision is what survives multiplying by x^0
-            return QSeries.one(self.p, self.cutoff - self.valuation(), self.N)
+            return QSeries(self.p, self.N, {0: 1},
+                           self.cutoff - self.valuation())
         # square-and-multiply; exact products make the grouping irrelevant
         result, base = None, self
         while e:
@@ -247,18 +244,6 @@ def _digits_bound(k, n):
     return floor(min(by_partitions, by_saddle)) + 1
 
 
-def t_shift(series):
-    """Send q^(k/N) to e^(2 pi i k / N) q^(k/N); needs N | p (or N = 1)."""
-    p = series.p
-    if series.N not in (1, p):
-        raise ValueError("t_shift needs exponent denominator 1 or p")
-    if series.N == 1:
-        return series
-    terms = {k: c * CycRat.zeta_pow(p, k)
-             for k, c in series.terms.items()}
-    return QSeries(p, series.N, terms, series.cutoff)
-
-
 def compose_enumerator(enum, thetas):
     """Substitute component series into a symmetrized weight enumerator.
 
@@ -278,8 +263,8 @@ def compose_enumerator(enum, thetas):
             f = t ** e
             term = f if term is None else term * f
         if term is None:                      # all-zero exponent tuple
-            term = QSeries.one(thetas[0].p, min(t.cutoff for t in thetas),
-                               thetas[0].N)
+            term = QSeries(thetas[0].p, thetas[0].N, {0: 1},
+                           min(t.cutoff for t in thetas))
         term = term.scale(cnt)
         total = term if total is None else total + term
     assert total is not None

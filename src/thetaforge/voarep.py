@@ -198,7 +198,7 @@ def orbit_theta(o, cutoff):
     """Exact coset theta expansion of the orbit, exponents in (1/p)Z."""
     p = o.p
     if o.n == 0:
-        return QSeries.one(p, cutoff, N=p)
+        return QSeries(p, p, {0: 1}, cutoff)
     lat = standard_lattice(p, o.n)
     return theta_series(lat, cutoff, shift_word=o.representative())
 

@@ -447,6 +447,37 @@ def test_requests_too_large_exit_2_within_a_second(argv):
     assert time.perf_counter() - start < 1
 
 
+def test_lattices_above_max_lattice_rank_exit_2(tmp_path):
+    # under the 2 GiB address-space limit perfbench gives each command,
+    # these ended in a MemoryError traceback (exit 1) before the rank cap
+    code = tmp_path / "code.txt"
+    code.write_text("2053 1\n0\n")
+    points = tmp_path / "points.txt"
+    points.write_text(" ".join(["1j"] * 1026) + "\n")
+    cases = [
+        (["theta", "--prime", "99991", "--class", "1", "--order", "1"],
+         (99991, 1, 99990)),
+        (["rep", "zmap", "--prime", "65537", "--orbit", "1", "--order", "1"],
+         (65537, 1, 65536)),
+        (["verify", "alpbach", "--prime", "2053", "--code", str(code),
+          "--points", str(points)], (2053, 1, 2052)),
+        (["lattice", "--code", str(code)], (2053, 1, 2052)),
+    ]
+
+    def limit_address_space():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    for argv, (p, n, rank) in cases:
+        run = subprocess.run([sys.executable, "-m", "thetaforge.cli"] + argv,
+                             capture_output=True, text=True, timeout=60,
+                             preexec_fn=limit_address_space)
+        assert (run.returncode, run.stdout) == (2, ""), (argv, run.stderr)
+        assert run.stderr == ("error: p = %d, n = %d: the lattice rank "
+                              "n(p-1) = %d is above MAX_LATTICE_RANK = 1024\n"
+                              % (p, n, rank)), argv
+
+
 def test_largest_prime_and_series_still_accepted(capsys):
     # 16777213 is the largest prime up to MAX_PRIME = 2^24 and 16777259 the
     # next one; qexp at 16777213 holds 128 MiB per coefficient and takes

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,6 +18,21 @@ from thetaforge.fpcode import (
     FANO_B_VECTORS, FANO_C_VECTORS, FANO_LINES_FIRST, FANO_LINES_SECOND,
     standard_codes,
 )
+
+
+def from_rows(rows):
+    """A SignedMatrix from its rows, each checked to hold one +-1: the
+    reference the derived matrices are compared with.  No command builds a
+    matrix from rows, so this lives here and not in cliffcode."""
+    perm = []
+    signs = []
+    for row in rows:
+        nz = [(j, v) for j, v in enumerate(row) if v]
+        if len(nz) != 1 or nz[0][1] not in (1, -1):
+            raise ValueError("row is not signed-unit")
+        perm.append(nz[0][0])
+        signs.append(nz[0][1])
+    return SignedMatrix(perm, signs)
 
 
 def test_fano_structures_build_and_laws():
@@ -172,7 +189,7 @@ def test_signed_matrix_algebra():
         signs = [rng.choice((1, -1)) for _ in range(6)]
         m = SignedMatrix(tuple(perm), tuple(signs))
         assert m.transpose() * m == SignedMatrix.identity(6)
-        back = SignedMatrix.from_rows(m.rows())
+        back = from_rows(m.rows())
         assert back == m
     a = SIGMA1.tensor(SIGMA3)
     rows = a.rows()
@@ -194,18 +211,18 @@ def test_derived_matrices_match_validated_construction():
         rows_a, rows_b = a.rows(), b.rows()
         matmul = [[sum(rows_a[i][k] * rows_b[k][j] for k in range(dim))
                    for j in range(dim)] for i in range(dim)]
-        assert a * b == SignedMatrix.from_rows(matmul)
-        assert -a == SignedMatrix.from_rows([[-v for v in row]
+        assert a * b == from_rows(matmul)
+        assert -a == from_rows([[-v for v in row]
                                              for row in rows_a])
-        assert a.transpose() == SignedMatrix.from_rows(
+        assert a.transpose() == from_rows(
             [list(col) for col in zip(*rows_a)])
         c = random_matrix(rng.randint(1, 3))
         rows_c = c.rows()
         kron = [[rows_a[i // c.dim][j // c.dim] * rows_c[i % c.dim][j % c.dim]
                  for j in range(dim * c.dim)] for i in range(dim * c.dim)]
-        assert a.tensor(c) == SignedMatrix.from_rows(kron)
+        assert a.tensor(c) == from_rows(kron)
         for m in (a * b, -a, a.transpose(), a.tensor(c)):
-            assert m == SignedMatrix.from_rows(m.rows())
+            assert m == from_rows(m.rows())
             assert m.dim == len(m.perm) == len(m.signs)
             assert type(m.perm) is tuple and type(m.signs) is tuple
     for perm, signs in (((0, 0), (1, 1)), ((0, 2), (1, 1)), ((1, 0), (1,)),
@@ -215,7 +232,7 @@ def test_derived_matrices_match_validated_construction():
     for rows in ([[1, 1], [0, 1]], [[2, 0], [0, 1]], [[0, 0], [0, 1]],
                  [[1, 0], [-1, 0]]):
         with pytest.raises(ValueError):
-            SignedMatrix.from_rows(rows)
+            from_rows(rows)
 
 
 def test_spinor_rep_generators_and_center():
@@ -349,7 +366,7 @@ def test_tensor_split_roundtrip_and_rejection():
         m = tensor_all(factors)
         got, s = tensor_split(m if sign == 1 else -m)
         assert got == factors and s == sign
-    bad = SignedMatrix.from_rows(
+    bad = from_rows(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
     with pytest.raises(ValueError):
         tensor_split(bad)
@@ -429,3 +446,22 @@ def test_verify_all_passes():
     for key in ("fano", "pauli_code", "group", "induced_characters",
                 "triality", "periodicity"):
         assert report[key]["pass"]
+
+
+def test_bott_check_memory():
+    # desk's memory peaks in the clifford stage.  Tuples made by tuple()
+    # of a generator bypass CPython's tuple free lists when made and join
+    # them when freed: 256 images of that kind kept 0.58 MB there after
+    # bott_check.  Holding the 256 images as well peaked at 0.84 MB; the
+    # rows of the rank check alone take about 0.55 MB
+    bott_check()
+    gc.collect()                  # a full collection empties the free lists
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert bott_check()["pass"]
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert kept < 1e5, kept / 1e6
+    assert peak < 7e5, peak / 1e6

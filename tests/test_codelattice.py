@@ -24,6 +24,8 @@ from thetaforge.fpcode import make_code, standard_codes, zero_code
 from thetaforge.linalg import integer_row_basis, integral_gso
 from thetaforge.qexp import QSeries
 
+from test_cyclotomic import as_fraction
+
 
 def coords_to_elements(coords, p, n):
     d = p - 1
@@ -180,7 +182,7 @@ def test_theta_zero_class_matches_quadratic_form_count():
     oracle = loeschian_counts(7)
     th = theta_series(standard_lattice(3, 1), 7)
     assert th.cutoff == 7 and th.N == 3
-    coeffs = {e: c.as_fraction() for e, c in th.items()}
+    coeffs = {e: as_fraction(c) for e, c in th.items()}
     for k in range(8):
         assert coeffs.get(k, 0) == oracle.get(k, 0)
     # frozen values, misprint-corrected: no q^2 term, q^3 present
@@ -211,7 +213,7 @@ def test_theta_series_by_word_matches_each_coset():
     # and against the pruned ambient oracle, norm by norm
     word, order = (1, 3), Fraction(5, 2)
     series = theta_series_by_word(5, 2, order)[word]
-    assert {Fraction(2 * k, 5): c.as_fraction()
+    assert {Fraction(2 * k, 5): as_fraction(c)
             for k, c in series.terms.items()} == box_count_by_norm(
         standard_lattice(5, 2), 2 * order, word)
 
@@ -830,12 +832,14 @@ def test_int32_threshold_matches_python_ints(monkeypatch):
             assert sum(len(b[1]) for b in got) == 172
 
 
-def test_golay_histogram_memory():
+def test_golay_histogram_memory(monkeypatch):
     # numpy reports its buffers to tracemalloc.  Without coordinates the
     # half-tree's blocks hold no x or parent columns and no leaf matrix is
     # stacked, and golay's partial sums, lo and ends fit in int32: about
     # 4.1 MB at the peak, against 7.9 MB with int64 and 10.5-11.0 MB with
-    # the coordinate columns as well.
+    # the coordinate columns as well.  The walk is kept in one process:
+    # split, tracemalloc would see only the parent's share (about 3.1 MB).
+    monkeypatch.setattr(codelattice, "_can_split", lambda: False)
     golay = lattice_of_code(standard_codes("golay12"))
     tracemalloc.start()
     try:
@@ -846,6 +850,32 @@ def test_golay_histogram_memory():
     assert counts == {0: 1, 2: 72, 4: 194832}
     assert peak < 5.5e6, peak / 1e6
 
+
+def test_lattice_rank_is_capped(monkeypatch):
+    # the rank n (p - 1) is tested before any basis row or shell table
+    assert codelattice.MAX_LATTICE_RANK == 1 << 10
+    codelattice._check_rank(3, 512)
+    codelattice._check_rank(1021, 1)
+    for p, n in ((3, 513), (1031, 1), (2053, 1), (257, 5)):
+        with pytest.raises(ValueError, match=r"p = %d, n = %d: the lattice "
+                           r"rank n\(p-1\) = %d is above MAX_LATTICE_RANK"
+                           % (p, n, n * (p - 1))):
+            codelattice._check_rank(p, n)
+    # the boundary, with the cap lowered to 8: rank 8 is built, rank 10 not
+    monkeypatch.setattr(codelattice, "MAX_LATTICE_RANK", 8)
+    assert lattice_of_code(standard_codes("tetracode")).rank == 8
+    assert lattice_of_code(zero_code(5, 2)).rank == 8
+    assert codelattice.coset_shell_counts(3, 4, (1, 0, 2, 0), 2).sum() > 0
+    message = r"p = %d, n = %d: the lattice rank n\(p-1\) = 10 is above " \
+              r"MAX_LATTICE_RANK = 8"
+    with pytest.raises(ValueError, match=message % (11, 1)):
+        lattice_of_code(zero_code(11, 1))
+    with pytest.raises(ValueError, match=message % (3, 5)):
+        lattice_of_code(zero_code(3, 5))
+    with pytest.raises(ValueError, match=message % (3, 5)):
+        codelattice.coset_shell_counts(3, 5, (1, 0, 2, 0, 0), 2)
+    with pytest.raises(ValueError, match=message % (11, 1)):
+        codelattice.coset_shell_counts(11, 1, (1,), 2)
 
 
 def binned_block_table(p, limit):

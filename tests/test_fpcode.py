@@ -7,10 +7,28 @@ from hypothesis import assume, given, settings, strategies as st
 
 from thetaforge.cyclotomic import check_prime
 from thetaforge.fpcode import (
-    code_predicates, doubly_even, dual_code, make_code, min_distance,
-    parse_code_text, standard_codes, weight_enumerator, word_profile,
-    zero_code,
+    code_predicates, doubly_even, make_code, min_distance, parse_code_text,
+    standard_codes, weight_enumerator, word_profile, zero_code,
 )
+from thetaforge.linalg import row_reduce_mod_p
+
+
+def dual_code(code):
+    """The dual under the standard inner product; linear codes only.  No
+    command takes a dual, so this reference lives here and not in
+    fpcode."""
+    if not code.is_linear:
+        raise ValueError("dual of a nonlinear code is undefined here")
+    p, n, k = code.p, code.n, len(code.basis)
+    # row j is (column j of the basis | e_j); an echelon row that is zero
+    # on the first k entries carries a word w with basis . w = 0
+    rows = [[b[j] for b in code.basis] + [int(i == j) for i in range(n)]
+            for j in range(n)]
+    echelon, _ = row_reduce_mod_p(rows, p)
+    dual_basis = [row[k:] for row in echelon if not any(row[:k])]
+    if not dual_basis:
+        return zero_code(p, n)
+    return make_code(p, n, generators=dual_basis)
 
 
 class MonomialTransform:

@@ -22,6 +22,8 @@ from thetaforge.hilbert_eval import (
     theta_class_eval, theta_code_eval, verify_alpbach, verify_sl2f3_action,
 )
 
+from test_cyclotomic import embed
+
 
 def evaluate_at(series, z, embedding=1):
     """Reference: float value of the truncation at q = exp(2 pi i z),
@@ -30,7 +32,7 @@ def evaluate_at(series, z, embedding=1):
     error."""
     total = 0j
     for e, c in series.items():
-        total += (c.embed(embedding)
+        total += (embed(c, embedding)
                   * cmath.exp(2j * cmath.pi * z * float(e)))
     return total
 

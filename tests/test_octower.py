@@ -8,15 +8,68 @@ from thetaforge.cliffcode import (
     CliffordWord, SignedMatrix, beta_form_check, pair_form_sweep,
 )
 from thetaforge.octower import (
-    Chain, crossed_hom_space, det, group_order, h_generators,
-    index_two_intersection, is_perfect, perm_parity,
+    Chain, crossed_hom_space, group_order, h_generators, is_perfect,
     tower_report, _quotient_action,
 )
 
 
 # ---------------------------------------------------------------------------
-# References: listed groups, the listing closure and the Cayley-graph walk
+# References: listed groups, the listing closure and the Cayley-graph walk,
+# and the index-two kernels, which no command needs
 # ---------------------------------------------------------------------------
+
+def perm_parity(perm):
+    n = len(perm)
+    return sum(perm[i] > perm[j] for i in range(n)
+               for j in range(i + 1, n)) % 2
+
+
+def det(m):
+    return (-1) ** (m.signs.count(-1) + perm_parity(m.perm))
+
+
+def _kernel_generators(gens, chi):
+    """Schreier generators of the kernel of a character chi = +-1 on the
+    group generated by gens, for the transversal {1, t} with chi(t) = -1:
+    for u in {1, t} and each s, the element u.s, times t^-1 when chi(u.s)
+    is -1.  A character trivial on every generator keeps the group."""
+    t = next((s for s in gens if chi(s) < 0), None)
+    if t is None:
+        return list(gens)
+    out = []
+    for u in (SignedMatrix.identity(t.dim), t):
+        for s in gens:
+            us = u * s
+            out.append(us * t.transpose() if chi(us) < 0 else us)
+    return out
+
+
+def index_two_intersection(n):
+    """The determinant, permutation-parity, and sign-parity kernels of
+    the full signed-permutation group, and their intersection."""
+    h = h_generators(n)
+    cycle = SignedMatrix(list(range(1, n)) + [0], (1,) * n)
+    swap = SignedMatrix([1, 0] + list(range(2, n)), (1,) * n)
+    flip = SignedMatrix(range(n), [-1] + [1] * (n - 1))
+    full = [cycle, swap, flip]
+    characters = (det, lambda m: -1 if perm_parity(m.perm) else 1,
+                  lambda m: -1 if m.signs.count(-1) % 2 else 1)
+    orders = [group_order(_kernel_generators(full, chi))
+              for chi in characters]
+    inter = full
+    for chi in characters:
+        inter = _kernel_generators(inter, chi)
+    inter = Chain(n, inter)
+    return {
+        "order": group_order(full),
+        "det_kernel": orders[0],
+        "perm_kernel": orders[1],
+        "sign_kernel": orders[2],
+        "intersection": inter.order(),
+        "intersection_is_H": (inter.order() == group_order(h)
+                              and all(m in inter for m in h)),
+    }
+
 
 def full_group(n):
     """Reference: all signed permutation matrices, listed; order 2^n n!."""

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from thetaforge.cyclotomic import CycRat
 from thetaforge.fpcode import standard_codes, weight_enumerator
 from thetaforge.qexp import (
-    QSeries, _digits_bound, compose_enumerator, eta_power, t_shift,
-    to_json_obj,
+    QSeries, _digits_bound, compose_enumerator, eta_power, to_json_obj,
 )
+
+from test_cyclotomic import as_fraction, inverse, zeta_pow
 
 
 def eta(p, cutoff):
@@ -48,6 +49,20 @@ def S(terms, cutoff, p=3, N=1):
     return QSeries(p, N, scaled, cutoff)
 
 
+def t_shift(series):
+    """Send q^(k/N) to e^(2 pi i k / N) q^(k/N); needs N | p (or N = 1).
+    A reference helper: no command needs it, so it lives here and not in
+    qexp."""
+    p = series.p
+    if series.N not in (1, p):
+        raise ValueError("t_shift needs exponent denominator 1 or p")
+    if series.N == 1:
+        return series
+    terms = {k: c * zeta_pow(p, k)
+             for k, c in series.terms.items()}
+    return QSeries(p, series.N, terms, series.cutoff)
+
+
 def series_inverse(x):
     """Reference inverse of a series whose leading coefficient is nonzero,
     by the triangular recurrence on the unit part; eta_power's powers
@@ -60,7 +75,7 @@ def series_inverse(x):
     if m < 0:
         raise ValueError("no usable precision for inverse")
     u = {k - kv: c for k, c in x.terms.items()}   # unit part, u[0] = lead
-    lead_inv = u[0].inverse()
+    lead_inv = inverse(u[0])
     b = {0: lead_inv}
     for j in range(1, m + 1):
         acc = None
@@ -129,7 +144,7 @@ def _repeated_power(series, e):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_power_matches_repeated_products(p):
-    zeta = CycRat.zeta_pow(p, 1)
+    zeta = zeta_pow(p, 1)
     series = (eta(p, 2),
               S({Fraction(-1, 3): 1, 0: zeta, Fraction(2, 3): 2 - zeta}, 2,
                 p=p, N=3))
@@ -171,13 +186,13 @@ def test_eta_inverse_is_partition_generating_function():
         assert series.cutoff == cutoff
         want = [(n - Fraction(1, 24), parts[n]) for n in range(7)
                 if n - Fraction(1, 24) <= cutoff]
-        assert [(e, c.as_fraction()) for e, c in series.items()] == want
+        assert [(e, as_fraction(c)) for e, c in series.items()] == want
     # other powers e < 1: eta^e eta^-e = 1 through the cutoff
     for power in (-3, -2, 0):
         series = eta_power(3, power, 2)
         assert series.cutoff == 2
         product = series * eta(3, 4) ** -power
-        assert product.cutoff >= 2 and product == QSeries.one(3, 2)
+        assert product.cutoff >= 2 and product == S({0: 1}, 2)
     assert eta_power(3, 2, 1) == eta(3, 1) ** 2
     with pytest.raises(ValueError):
         eta_power(3, -1, 0)
@@ -208,7 +223,7 @@ def test_digits_bound_holds(power):
     for cutoff in (3, 20, 60):
         series = eta_power(3, power, cutoff)
         n = (max(series.terms) - power) // 24
-        digits = max(len(str(abs(c.as_fraction()))) for _, c in series.items())
+        digits = max(len(str(abs(as_fraction(c)))) for _, c in series.items())
         bound = _digits_bound(abs(power), n)
         assert digits <= bound
         if power >= 3000:   # close when the power is large against n
@@ -225,7 +240,7 @@ def test_eta_power_large_positive_power_is_fast():
     assert series.cutoff == 100 + Fraction(10 ** 8 - 1, 24)
     items = series.items()
     assert len(items) == 100     # q^(10^8/24 + n), n = 0 .. 99
-    assert [(e, c.as_fraction()) for e, c in items[:2]] == [
+    assert [(e, as_fraction(c)) for e, c in items[:2]] == [
         (Fraction(10 ** 8, 24), 1), (Fraction(10 ** 8, 24) + 1, -10 ** 8)]
 
 
@@ -233,8 +248,8 @@ def test_eta_24th_power_is_discriminant_series():
     d = eta(3, 2) ** 24
     assert d.valuation() == 1
     coeffs = dict(d.items())
-    assert coeffs[1].as_fraction() == 1
-    assert coeffs[2].as_fraction() == -24
+    assert as_fraction(coeffs[1]) == 1
+    assert as_fraction(coeffs[2]) == -24
     assert d.cutoff == 2 + Fraction(23, 24)
 
 
@@ -243,18 +258,18 @@ def test_mixed_denominator_addition():
     b = S({0: 1, 1: 1}, 2)
     tot = a + b
     coeffs = dict(tot.items())
-    assert coeffs[Fraction(1, 3)].as_fraction() == 3
-    assert coeffs[1].as_fraction() == 1
+    assert as_fraction(coeffs[Fraction(1, 3)]) == 3
+    assert as_fraction(coeffs[1]) == 1
     assert tot.N == 3
 
 
 def test_t_shift_rotates_fractional_exponents():
-    zeta = CycRat.zeta_pow(3, 1)
+    zeta = zeta_pow(3, 1)
     a = S({0: 1, Fraction(1, 3): 2, 1: 5}, 2, N=3)
     sh = t_shift(a)
     coeffs = dict(sh.items())
-    assert coeffs[0].as_fraction() == 1
-    assert coeffs[1].as_fraction() == 5            # integer exponents fixed
+    assert as_fraction(coeffs[0]) == 1
+    assert as_fraction(coeffs[1]) == 5            # integer exponents fixed
     assert coeffs[Fraction(1, 3)] == 2 * zeta
     # period p, and multiplicativity
     assert t_shift(t_shift(sh)) == a
@@ -266,7 +281,7 @@ def test_t_shift_rotates_fractional_exponents():
 
 def test_compose_enumerator_mass_at_one():
     w = weight_enumerator(standard_codes("hamming8"))
-    one = QSeries.one(2, 5)
+    one = S({0: 1}, 5, p=2)
     out = compose_enumerator(w, [one, one])
     assert out.items() == [(0, 16)]
 
@@ -274,9 +289,9 @@ def test_compose_enumerator_mass_at_one():
 def test_compose_enumerator_arity_check():
     w = weight_enumerator(standard_codes("tetracode"))
     with pytest.raises(ValueError, match="need 2 component series, got 1"):
-        compose_enumerator(w, [QSeries.one(3, 2)])
+        compose_enumerator(w, [S({0: 1}, 2)])
     with pytest.raises(ValueError, match="need 2 component series, got 3"):
-        compose_enumerator(w, [QSeries.one(3, 2)] * 3)
+        compose_enumerator(w, [S({0: 1}, 2)] * 3)
 
 
 def test_json_serialization_shape():
