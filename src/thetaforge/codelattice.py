@@ -324,8 +324,7 @@ def enumerate_coset(gram, shift, bound, emit):
     involved.  Every vector of the coset is one leaf, at any shift.  The
     histograms (_tree_counts) walk the same tree, half of it at a zero
     shift (see _fincke_pohst), and may split it; this run is never split,
-    since its callers read the leaves in order (the Hilbert tables fix
-    float sums by it).
+    so emit is called in this process for every block, in the order above.
     """
     _fincke_pohst(gram, shift, bound, emit, False)
 
@@ -376,8 +375,8 @@ def _fincke_pohst(gram, shift, bound, emit, half, coords=True, split=None):
     drops those, so it walks its claimed segments and stops.  Two sides
     whose claims partition the segments visit every leaf once.  Only the
     histograms split (_tree_counts), at any shift, since they add exact
-    integer counts whatever the order; enumerate_coset, whose callers read
-    the leaves in order, never passes split.
+    integer counts whatever the order; enumerate_coset, whose emit runs in
+    this process on every block, never passes split.
 
     Everything comes from the integers (d, lam) of linalg.integral_gso,
     with mu_ji = lam_ji / d_(i+1) and |b_i*|^2 = d_(i+1) / d_i.  With Lam_i
@@ -770,6 +769,19 @@ def _digit_counts(p, limit):
     return counts
 
 
+# the largest limit _digit_slice has asked _digit_counts for, per prime
+_digit_limits = {}
+
+
+def _digit_slice(p, limit):
+    """_digit_counts(p, limit), served as the first limit + 1 columns of
+    the largest table asked for at p so far: a count at scaled norm k does
+    not depend on the limit it was built to, so a smaller limit builds
+    nothing.  The slice is a read-only view, as the table is."""
+    top = _digit_limits[p] = max(limit, _digit_limits.get(p, limit))
+    return _digit_counts(p, top)[:, :limit + 1]
+
+
 def coset_shell_counts(p, n, word, bound):
     """Exact shell sizes of the coset word of standard_lattice(p, n) up to
     a norm bound: an integer array whose entry k counts the vectors of norm
@@ -777,14 +789,14 @@ def coset_shell_counts(p, n, word, bound):
 
     A vector of the coset is n elements of O, element i of digit word[i],
     and its scaled norm p * norm is the sum of theirs, so the counts are
-    the one-element counts of each digit (_digit_counts) convolved over the
+    the one-element counts of each digit (_digit_slice) convolved over the
     word: in int64 when the product of their totals fits, else in Python
     ints.  No basis and no Fincke-Pohst run is involved."""
     _check_rank(p, n)
     import numpy as np
     bound = Fraction(bound)
     limit = (bound.numerator * p) // bound.denominator
-    table = _digit_counts(p, limit)
+    table = _digit_slice(p, limit)
     rows = [table[int(a) % p] for a in word]
     dt = np.int64 if prod(int(row.sum()) for row in rows) < 1 << 63 else object
     counts = np.zeros(limit + 1, dtype=dt)

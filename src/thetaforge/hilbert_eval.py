@@ -1,22 +1,25 @@
 """Numerical coset theta values on a product of upper half planes.
 
-For an element x of O^n with y = sum_i x_i conj(x_i), the summand attached
-to a point (z_1, ..., z_r) is exp(2 pi i sum_l z_l sigma_l(y) / p), the
-sigma_l running over one embedding per conjugate pair.  At a point, sums
-are taken shell by shell in increasing norm until the worst-case
-contribution of a shell drops below tail_tol/10.  Each call first finds
-every point's stop shell from the coset's exact shell sizes, which come
-from one cyclotomic block's norm table and no enumeration of the coset;
-while some point has none, the bound grows by 5/4 up to the
-THETA_FORGE_MAX_NORM cap.  It then enumerates the coset once, to the norm
-of the last shell any point sums, into one table for all of its points:
-the r values sigma_l(y) of every vector, rows sorted by norm, and the
-shells' norms and end rows.  The table is built from the enumerator's
-blocks as they arrive, so only its own rows are held for the whole coset,
-about 24 bytes per vector at p = 5, and the cosets w and -w share one
-table.  Only the rows a point sums are exponentiated.  A sum that is not
-finite, a cap reached first, or a Re z so large that float64 phases err
-by more than tail_tol is an error naming the point.
+For an element x of O^n with nu = sum_i x_i conj(x_i), the summand attached
+to a point (z_1, ..., z_r) is exp(2 pi i sum_l z_l sigma_l(nu) / p), the
+sigma_l running over one embedding per conjugate pair, so it depends on
+x only through nu.  At a point, sums are taken shell by shell in
+increasing norm until the worst-case contribution of a shell drops below
+tail_tol/10.  Each call first finds every point's stop shell from the
+coset's exact shell sizes, which come from one cyclotomic block's norm
+table and no enumeration of the coset; while some point has none, the
+bound grows by 5/4 up to the THETA_FORGE_MAX_NORM cap.  It then
+enumerates the coset once, to the norm of the last shell any point sums,
+into one table for all of its points: the exact histogram of nu, each
+distinct nu an integer key with its multiplicity and its r values
+sigma_l(nu), rows sorted by norm, and the shells' norms and end rows.
+The table is counted from the enumerator's blocks as they arrive, so only
+the distinct nu are held for the whole coset (48 rows for the 23,561
+vectors of the p = 5, n = 2 zero coset to norm 13), and the cosets w and
+-w, whose nu agree, share one table.  A point exponentiates each distinct
+nu of the shells it sums once, weighted by its multiplicity.  A sum that
+is not finite, a cap reached first, or a Re z so large that float64
+phases err by more than tail_tol is an error naming the point.
 """
 
 from __future__ import annotations
@@ -72,92 +75,109 @@ def as_point(p, z):
 
 @lru_cache(maxsize=64)
 def _coset_arrays(p, n, word, bound):
-    """One enumeration pass over a coset, reduced to a table that serves
-    every point: sigma, an (M, r) array with sigma_l(y) = sum_i
-    |sigma_l(x_i)|^2 in column l-1, rows sorted by the exact norm; the
-    distinct norms, ascending; and the end row of each norm's shell.
+    """One enumeration pass over a coset, reduced to its exact histogram of
+    nu = sum_i y_i conj(y_i), the element of Z[zeta + zeta^-1] that its
+    summands depend on.  Returns (nu, mult, sigma, shell_norms,
+    shell_ends) over the M distinct nu: nu an (M, r) int64 array with
+    nu[:, k-1] = t_k - t_0, where t_k = sum_{i,a} y_{i,a} y_{i,a+k} is the
+    autocorrelation of the p-coordinate form of y (its p - 1 power-basis
+    coordinates and a 0, indices mod p), so that nu = sum_k nu_k (zeta^k +
+    zeta^-k); mult their int64 multiplicities; sigma, (M, r) floats with
+    sigma_l(nu) = sum_k nu_k 2 cos(2 pi l k / p) in column l-1; the
+    distinct norms N = -2 sum_k nu_k / p, ascending; and the end row of
+    each norm's shell.  Rows are sorted by norm, then by key.
+
     Each block the enumerator hands over is reduced as it arrives: its
-    leaves are mapped through the basis and lifted, and only its sigma
-    rows and scaled norms are kept, so no coordinate matrix of the whole
-    coset exists.  The kept rows are concatenated and stably sorted by
-    norm at the end; an empty coset gives a (0, r) table.  Cached so that
-    evaluating the same coset at several points enumerates once."""
+    leaves go through the basis and the lift, and each leaf becomes one
+    exact integer key, the digits t_0 - t_k in base floor(2 bound) + 1
+    (t_0 - t_k does not change when a constant is added to y's p
+    coordinates, and for the centred vector, of square length N(y), it
+    lies in 0 .. 2 N(y)).  The keys are int64 when every key fits, Python
+    ints otherwise; they are counted into the keys held so far with
+    np.unique.  So only the distinct nu are held, never a row per vector,
+    and the sigma rows are computed once per distinct nu.  An empty coset gives
+    (0, r) tables.  Cached so that evaluating the same coset at several
+    points enumerates once."""
     import numpy as np
     lat = standard_lattice(p, n)
     shift = lat.shift_in_basis(word)
-    d = p - 1
+    d, r = p - 1, (p - 1) // 2
+    base = max(math.floor(2 * Fraction(bound)), 0) + 1
+    kt = _key_dtype(base, r)
+    powers = np.array([base ** k for k in range(r)], dtype=kt)
     # small integers, so the float64 product is exact (and, unlike int64
     # matmul, runs in BLAS)
     basis = np.array(lat.basis, dtype=np.float64)
     lift = np.array(lift_word(word, p, n), dtype=np.float64)
-    embeddings = [np.exp((2j * np.pi * l / p) * np.arange(d))
-                  for l in range(1, d // 2 + 1)]
-    sigma_blocks = [np.zeros((0, d // 2))]
-    norm_blocks = [np.zeros(0, dtype=np.int64)]
-    scale_box = [1]
+    held = [np.zeros(0, dtype=kt), np.zeros(0, dtype=np.int64)]
 
     def emit(X, scaled, scale):
-        blocks = (X.astype(np.float64) @ basis + lift).reshape(-1, n, d)
-        sigma = np.empty((len(blocks), d // 2))
-        for l, w in enumerate(embeddings):
-            emb = blocks @ w
-            sigma[:, l] = (emb.real ** 2 + emb.imag ** 2).sum(axis=1)
-        sigma_blocks.append(sigma)
-        norm_blocks.append(scaled.astype(np.int64, copy=False))
-        scale_box[0] = scale
+        Y = X.astype(np.float64) @ basis
+        Y += lift
+        Y = Y.reshape(-1, n, d)
+        keys = np.zeros(len(Y), dtype=kt)
+        t0 = np.einsum("mia,mia->m", Y, Y)
+        for k in range(1, r + 1):
+            # t_k of the p coordinates, the last one 0: the lag-k products,
+            # and the lag-(p-k) ones that wrap
+            tk = (np.einsum("mia,mia->m", Y[..., :d - k], Y[..., k:])
+                  + np.einsum("mia,mia->m", Y[..., :k - 1], Y[..., p - k:]))
+            keys += (t0 - tk).astype(np.int64).astype(kt) * powers[k - 1]
+        keys, inverse = np.unique(np.concatenate((held[0], keys)),
+                                  return_inverse=True)
+        mult = np.bincount(inverse[len(held[0]):], minlength=len(keys))
+        mult[inverse[:len(held[0])]] += held[1]
+        held[:] = keys, mult
 
-    enumerate_coset([list(r) for r in lat.gram], shift, bound, emit)
-    sigma = np.concatenate(sigma_blocks)
-    norms = np.concatenate(norm_blocks)
-    # the blocks go before sorting, which needs as much again
-    sigma_blocks.clear()
-    norm_blocks.clear()
-    uniq, counts = np.unique(norms, return_counts=True)
-    return (sigma[np.argsort(norms, kind="stable")], uniq / scale_box[0],
-            np.cumsum(counts))
+    enumerate_coset([list(row) for row in lat.gram], shift, bound, emit)
+    keys, mult = held
+    nu = np.empty((len(keys), r), dtype=np.int64)
+    for k in range(r):
+        nu[:, k] = -(keys // base ** k % base)
+    # the keys are ascending, so a stable sort by norm keeps them so within
+    # a shell
+    pnorm = -2 * nu.sum(axis=1)                  # p N, an integer
+    order = np.argsort(pnorm, kind="stable")
+    nu, mult = nu[order], mult[order]
+    # sigma_l(nu) in elementwise float64 operations, in a fixed order
+    sigma = np.zeros((len(nu), r))
+    for k in range(1, r + 1):
+        sigma += nu[:, k - 1:k] * (2 * np.cos((2 * np.pi * k / p)
+                                              * np.arange(1, r + 1)))
+    uniq, counts = np.unique(pnorm, return_counts=True)
+    return nu, mult, sigma, uniq / p, np.cumsum(counts)
+
+
+def _key_dtype(base, r):
+    """int64 when every key of r digits in base fits in it, else object
+    (Python ints), as _dtypes chooses for the Fincke-Pohst arrays."""
+    import numpy as np
+    return np.int64 if base ** r < 1 << 63 else object
 
 
 def _coset_table(p, n, word, bound):
-    """_coset_arrays(p, n, word, bound), bit for bit, with one cached table
-    for each +-pair of cosets: the table of c = min(word, -word mod p).
-
-    Coset -w is the negation of coset w.  In basis coordinates its leaves
-    are -x - k for a fixed integer vector k, since lift(w) + lift(-w) lies
-    in the lattice, so its enumeration order is the reverse of w's, and
-    the stable sort by norm keeps that reversal inside each shell.  The
-    shells' norms are the same, and sigma(-y) = sigma(y) bit for bit,
-    because negation is exact and rounding to nearest is sign-symmetric.
-    So -w's table is c's with the rows of each shell reversed."""
+    """The table of coset word at a bound, shared by the +-pair of cosets:
+    _coset_arrays of c = min(word, -word mod p).  Coset -w is the negation
+    of coset w, and nu(-y) = nu(y), so the two have one nu-histogram."""
     neg = tuple(-a % p for a in word)
-    if word <= neg:
-        return _coset_arrays(p, n, word, bound)
-    sigma, shell_norms, shell_ends = _coset_arrays(p, n, neg, bound)
-    return sigma[_shell_reversal(shell_ends)], shell_norms, shell_ends
-
-
-def _shell_reversal(shell_ends):
-    """The row order that reverses each shell, the shells ending at the
-    rows shell_ends, the first starting at row 0."""
-    import numpy as np
-    counts = np.diff(shell_ends, prepend=0)
-    return (np.repeat(2 * shell_ends - counts - 1, counts)
-            - np.arange(counts.sum()))
+    return _coset_arrays(p, n, min(word, neg), bound)
 
 
 def _coset_values(p, n, word, points, tail_tol):
-    """Shell-ordered sums of exp(2 pi i sum_l z_l sigma_l(y) / p) over the
+    """Shell-ordered sums of exp(2 pi i sum_l z_l sigma_l(nu) / p) over the
     coset, one per point, each up to the first shell of norm u whose count
-    times exp(-pi y_min u) is below tail_tol/10; only the shells before it
-    are exponentiated.
+    times exp(-pi y_min u) is below tail_tol/10; only the distinct nu of
+    the shells before it are exponentiated, each term weighted by its
+    multiplicity.
 
     The stop shells come from coset_shell_counts, exact and cheap, taken
     first at the bound of the smallest Im z and grown by 5/4 until every
     point has one.  All points then share one table (_coset_table),
     enumerated to the exact norm of the last shell any point sums, and a
-    point reads the table's shells up to the norm of its own last one.
-    The enumeration order is lexicographic at any bound and the sort by
-    norm is stable, so a shell's rows, and a point's value, do not depend
-    on the bound the table was built at.
+    point reads the table's first rows up to the end of its own last
+    shell.  The rows are sorted by norm and then by an exact integer key
+    whose order does not depend on the bound, so the rows a point reads,
+    and its value, do not depend on the bound the table was built at.
     """
     import numpy as np
     if not points:
@@ -197,26 +217,24 @@ def _coset_values(p, n, word, points, tail_tol):
         bound = bound * 5 / 4
     if not any(stops):
         return [0j] * len(points)   # no point sums a shell
-    sigma, shell_norms, shell_ends = _coset_table(
+    _, mult, sigma, shell_norms, shell_ends = _coset_table(
         p, n, word, Fraction(int(ks[max(stops) - 1]), p))
-    ends = [0] + shell_ends.tolist()
     values = []
     for point, stop in zip(points, stops):
-        # the table's shells up to the norm of the point's last one
-        norm_max, last = 0.0, 0
+        # the table's rows up to the end of the point's last shell
+        norm_max, e = 0.0, 0
         if stop:
             norm_max = shells[stop - 1][0]
             last = int(np.searchsorted(shell_norms, norm_max, side="right"))
+            e = int(shell_ends[last - 1]) if last else 0
         # a huge Re z overflows the phase to inf and the terms to nan; the
         # finished sum is checked instead of warning on the way
-        total = 0j
         with np.errstate(over="ignore", invalid="ignore"):
-            phase = np.zeros(ends[last], dtype=np.complex128)
+            phase = np.zeros(e, dtype=np.complex128)
             for l, z in enumerate(point.values):
-                phase += z * sigma[:ends[last], l]
-            terms = np.exp((2j * np.pi / p) * phase)
-            for s0, s1 in zip(ends[:last], ends[1:last + 1]):
-                total += complex(terms[s0:s1].sum())
+                phase += z * sigma[:e, l]
+            total = complex(
+                (mult[:e] * np.exp((2j * np.pi / p) * phase)).sum())
         if not cmath.isfinite(total):
             raise ValueError("the theta sum at the point %s is not finite"
                              % _point_text(point))

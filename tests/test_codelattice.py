@@ -4,6 +4,7 @@ import os
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 from types import SimpleNamespace
@@ -913,6 +914,26 @@ def test_digit_counts_memory_and_python_int_entries():
     assert counts.dtype == object
     nonzero = {(a, k): c for (a, k), c in np.ndenumerate(counts) if c}
     assert nonzero == {(0, 0): 1, (1, 40): 41, (40, 40): 41}
+
+def test_digit_counts_served_as_slices_of_the_largest_table(monkeypatch):
+    # the limits sl2f3 asks at p = 3, in its order: 36 and 66 are built,
+    # and each smaller limit is read from the largest table so far
+    built = lru_cache(maxsize=16)(codelattice._digit_counts.__wrapped__)
+    monkeypatch.setattr(codelattice, "_digit_counts", built)
+    monkeypatch.setattr(codelattice, "_digit_limits", {})
+    for limit in (36, 21, 66, 27, 51):
+        counts = codelattice._digit_slice(3, limit)
+        assert not counts.flags.writeable
+        want = codelattice._digit_counts.__wrapped__(3, limit)
+        assert counts.dtype == want.dtype and counts.shape == want.shape
+        assert np.array_equal(counts, want)
+    assert built.cache_info().misses == 2
+    # the stage itself builds each prime's table twice at most
+    built.cache_clear()
+    monkeypatch.setattr(codelattice, "_digit_limits", {})
+    assert dict(cli.VERIFY_STAGES)["sl2f3"]()["pass"]
+    assert built.cache_info().misses == 2
+
 
 def test_theta_series_by_word_matches_full_tree():
     for p, n in ((3, 2), (5, 2)):

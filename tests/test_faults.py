@@ -27,6 +27,8 @@ from thetaforge.fpcode import (
     code_predicates, make_code, standard_codes, zero_code,
 )
 
+from test_hilbert_eval import shell_multiplicities
+
 
 def run_stage(name):
     return dict(cli.VERIFY_STAGES)[name]()
@@ -131,24 +133,38 @@ def test_looser_hilbert_stop_rule_fails_the_numeric_stages(monkeypatch):
     assert not run_stage("sl2f3")["pass"]
 
 
-def test_unreversed_negated_table_is_seen_only_by_exact_reads(monkeypatch):
-    # coset -w read from w's table without reversing each shell: every
-    # value is summed in another order, so it moves by rounding only.  The
-    # numeric stages survive it; the exact comparisons of the Hilbert
-    # tests (the table of -w built directly, bit for bit) see it.
-    point = hilbert_eval.as_point(5, (0.2 + 1.2j, 1.3j))
-    word = (4, 3)                        # -w = (1, 2) is the table read
-    honest = hilbert_eval._coset_values(5, 2, word, [point], 1e-12)[0]
-    monkeypatch.setattr(hilbert_eval, "_shell_reversal",
-                        lambda ends: np.arange(ends[-1] if len(ends) else 0))
-    assert run_stage("alpbach_numerical")["pass"]
-    assert run_stage("sl2f3")["pass"]
-    bound = Fraction(8)
-    read = hilbert_eval._coset_table(5, 2, word, bound)[0]
-    direct = hilbert_eval._coset_arrays(5, 2, word, bound)[0]
-    assert not np.array_equal(read, direct)
-    moved = hilbert_eval._coset_values(5, 2, word, [point], 1e-12)[0]
-    assert moved != honest and abs(moved - honest) < 1e-12
+def test_moved_multiplicity_fails_alpbach_numerical(monkeypatch):
+    # every p = 5 table moves one vector between the first two nu of its
+    # first shell that holds two: the shell counts stay exact, and so does
+    # every value on the diagonal z_1 = z_2, where sigma_1 + sigma_2 =
+    # p N / 2 is all a term reads, but the values off it move
+    true_arrays = hilbert_eval._coset_arrays.__wrapped__
+    moved = []
+
+    @lru_cache(maxsize=64)
+    def one_moved(p, n, word, bound):
+        nu, mult, sigma, shell_norms, shell_ends = true_arrays(p, n, word,
+                                                               bound)
+        starts = np.concatenate(([0], shell_ends[:-1]))
+        wide = np.flatnonzero(shell_ends - starts > 1)
+        if p == 5 and len(wide):
+            row = int(starts[wide[0]])
+            mult = mult.copy()
+            mult[row] -= 1
+            mult[row + 1] += 1
+            moved.append((n, word, bound, mult, shell_ends))
+        return nu, mult, sigma, shell_norms, shell_ends
+
+    monkeypatch.setattr(hilbert_eval, "_coset_arrays", one_moved)
+    assert not run_stage("alpbach_numerical")["pass"]
+    assert len(moved) == one_moved.cache_info().misses
+    for n, word, bound, mult, shell_ends in moved:
+        counts = codelattice.coset_shell_counts(5, n, word, bound)
+        assert (counts[np.flatnonzero(counts)].tolist()
+                == shell_multiplicities(mult, shell_ends).tolist())
+    on_diagonal = hilbert_eval.as_point(5, (1.2j, 1.2j))
+    code = make_code(5, 2, words=[(0, 0), (1, 2), (3, 3)])
+    assert hilbert_eval.verify_alpbach(code, [on_diagonal])["pass"]
 
 
 def test_last_shell_dropped_fails_sl2f3_and_narrows_alpbach(monkeypatch):
@@ -163,9 +179,11 @@ def test_last_shell_dropped_fails_sl2f3_and_narrows_alpbach(monkeypatch):
     true_table = hilbert_eval._coset_table
 
     def last_shell_dropped(p, n, word, bound):
-        sigma, shell_norms, shell_ends = true_table(p, n, word, bound)
+        nu, mult, sigma, shell_norms, shell_ends = true_table(p, n, word,
+                                                              bound)
         keep = shell_ends[-2] if len(shell_ends) > 1 else 0
-        return sigma[:keep], shell_norms[:-1], shell_ends[:-1]
+        return (nu[:keep], mult[:keep], sigma[:keep], shell_norms[:-1],
+                shell_ends[:-1])
 
     monkeypatch.setattr(hilbert_eval, "_coset_table", last_shell_dropped)
     alpbach = run_stage("alpbach_numerical")
